@@ -26,6 +26,11 @@ from .report import (
     BOSON_SYMMETRIC_SIMPLE,
     ORACLE_MODES,
     ORACLE_OFF,
+    ROUTE_BIPARTITE,
+    ROUTE_BOUNDS,
+    ROUTE_ORACLE,
+    ROUTE_ORACLE_ONLY,
+    ROUTE_SINGLE,
     analyze_state,
 )
 from .sampling import random_state
@@ -33,11 +38,18 @@ from .states import DISTINGUISHABLE, SYMMETRY_CLASSES
 
 ENV_DEFAULT_TOL = "ORBITENT_DEFAULT_TOL"
 
-FORMULA_NOTES = {
-    "orbit_bipartite": "dim(O) = 2N^2 - 2 m0^2 - sum m_n^2 - 1",
-    "coadjoint": "dim(mu(O)) = sum_k (N_k^2 - 1) - (sum_{k,n} m_kn^2 - M)",
-    "degeneracy_bipartite": "D = sum_{n>=1} m_n^2 - 1",
-    "degeneracy_bounds": "max_k S_k - 1 <= D <= sum_k S_k - M,  S_k = sum m_kn^2",
+COADJOINT_NOTE = "dim(mu(O)) = sum_k (N_k^2 - 1) - (sum_{k,n} m_kn^2 - M)"
+BOUNDS_NOTE = "max_k S_k - 1 <= D <= sum_k S_k - M,  S_k = sum m_kn^2"
+SINGLE_NOTE = "one party: dim(O) = dim(mu(O)) = 2(N - 1), D = 0"
+ORACLE_NOTE = "numerical oracle"
+#: (orbit, coadjoint, degeneracy) line notes for each route of analyze_state
+ROUTE_NOTES = {
+    ROUTE_BIPARTITE: ("dim(O) = 2N^2 - 2 m0^2 - sum m_n^2 - 1",
+                      COADJOINT_NOTE, "D = sum_{n>=1} m_n^2 - 1"),
+    ROUTE_SINGLE: (SINGLE_NOTE, COADJOINT_NOTE, SINGLE_NOTE),
+    ROUTE_BOUNDS: (BOUNDS_NOTE, COADJOINT_NOTE, BOUNDS_NOTE),
+    ROUTE_ORACLE: (ORACLE_NOTE, COADJOINT_NOTE, ORACLE_NOTE),
+    ROUTE_ORACLE_ONLY: (ORACLE_NOTE,) * 3,
 }
 
 SEPARABLE_NOTES = {
@@ -149,18 +161,9 @@ def _render_report(report: DegeneracyReport) -> str:
     for k, c in enumerate(report.clusterings):
         blocks = ", ".join(f"{v:.6g} x{m}" for v, m in c.blocks)
         lines.append(f"  party {k + 1}: kernel {c.kernel_dim} | {blocks}")
-    closed = report.symmetry == "distinguishable"
-    bipartite = len(report.dims) == 2 and report.dims[0] == report.dims[1]
-    if closed and bipartite:
-        orbit_note = FORMULA_NOTES["orbit_bipartite"]
-        deg_note = FORMULA_NOTES["degeneracy_bipartite"]
-    elif closed and len(report.dims) >= 3:
-        orbit_note = deg_note = FORMULA_NOTES["degeneracy_bounds"]
-    else:
-        orbit_note = deg_note = "numerical oracle"
+    orbit_note, coadjoint_note, deg_note = ROUTE_NOTES[report.route]
     lines.append(f"orbit dim      {_fmt_dim(doc['orbit_dim']):>8}   ({orbit_note})")
-    lines.append(f"coadjoint dim  {doc['coadjoint_dim']:>8}   "
-                 f"({FORMULA_NOTES['coadjoint']})")
+    lines.append(f"coadjoint dim  {doc['coadjoint_dim']:>8}   ({coadjoint_note})")
     lines.append(f"degeneracy D   {_fmt_dim(doc['degeneracy']):>8}   ({deg_note})")
     sep = {True: "yes", False: "no", None: "undetermined"}[report.separable]
     sep_note = SEPARABLE_NOTES[report.boson_convention or report.symmetry]

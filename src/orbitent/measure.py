@@ -180,7 +180,9 @@ class DegeneracyReport:
     ``orbit_dim`` and ``degeneracy`` are exact integers where a closed form
     or the oracle provides them, a (low, high) interval for M >= 3 bounds,
     or None when unavailable.  ``oracle`` is an optional attachment dict
-    with the numerically computed ranks.
+    with the numerically computed ranks.  ``route`` names the formulas the
+    integers came from (see ``report.analyze_state``); it is not part of
+    the JSON document.
     """
 
     dims: tuple[int, ...]
@@ -192,6 +194,7 @@ class DegeneracyReport:
     clusterings: tuple[SpectrumClustering, ...]
     oracle: dict | None = None
     boson_convention: str | None = None
+    route: str | None = None
 
     def to_json_dict(self) -> dict:
         doc = {

@@ -23,24 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EnumerationTooLarge,
-    Inconsistency,
-    NotNormalized,
-    RankUnstable,
-    SymmetryViolation,
-    UnequalDims,
-)
+from .errors import EnumerationTooLarge, Inconsistency, NotNormalized, RankUnstable
 from .lie import rep_action, su_basis
-from .measure import (
-    DEFAULT_CLUSTER_TOL,
-    cluster_spectrum,
-    coadjoint_dimension,
-    degeneracy_bipartite,
-    degeneracy_bounds,
-    orbit_dimension_bipartite,
-)
-from .moment import reduced_matrices
+from .measure import DEFAULT_CLUSTER_TOL
 from .states import DISTINGUISHABLE, StateTensor
 
 #: singular values below this fraction of the largest count as zero
@@ -224,7 +209,7 @@ class ConsistencyRecord:
 
     dims: tuple[int, ...]
     symmetry: str
-    mode: str  # "exact" for closed forms, "bounds" for M >= 3
+    mode: str  # "exact", "bounds" for M >= 3, "coadjoint" without closed form
     expected: dict
     observed: dict
     passed: bool
@@ -248,68 +233,14 @@ def verify_against_formula(state: StateTensor,
                            cluster_tol: float = DEFAULT_CLUSTER_TOL,
                            rank_tol: float = DEFAULT_RANK_TOL,
                            ) -> ConsistencyRecord:
-    """Check the oracle ranks against the closed-form counts for one state.
+    """Check the oracle ranks against the formulas for one state.
 
-    Bipartite equal dims: orbit, coadjoint and degeneracy dimensions must
-    match exactly.  M >= 3: the symplectic rank must equal the coadjoint
-    formula and D must lie inside the multiplicity bounds.  Raises
-    Inconsistency (with the falsifying state serialized into the record) on
-    any mismatch.
+    Runs ``analyze_state(..., oracle="verify")`` and returns its comparison
+    record: mode "exact" for one party or two equal parties, "bounds" for
+    M >= 3, "coadjoint" for every other state.  Raises Inconsistency (with
+    the falsifying state serialized into the record) on any mismatch.
     """
-    from .io import state_to_document
+    from .report import ORACLE_VERIFY, analyze_state, check_consistency
 
-    if state.symmetry != DISTINGUISHABLE:
-        raise SymmetryViolation(
-            "closed forms cover distinguishable particles only")
-    spectra = reduced_matrices(state).spectra()
-    clusterings = tuple(cluster_spectrum(s, cluster_tol) for s in spectra)
-    rank = degeneracy_rank(state, rank_tol)
-    observed = {
-        "orbit_dim": rank.orbit_dim,
-        "coadjoint_dim": rank.symplectic_rank,
-        "degeneracy": rank.degeneracy,
-    }
-    if state.parties == 2:
-        if state.dims[0] != state.dims[1]:
-            raise UnequalDims(
-                "bipartite closed forms need equal dims; "
-                "use degeneracy_rank directly")
-        expected = {
-            "orbit_dim": orbit_dimension_bipartite(clusterings[0], state.dims[0]),
-            "coadjoint_dim": coadjoint_dimension(clusterings, state.dims),
-            "degeneracy": degeneracy_bipartite(clusterings[0]),
-        }
-        passed = expected == observed
-        mode = "exact"
-    elif state.parties >= 3:
-        low, high = degeneracy_bounds(clusterings)
-        expected = {
-            "coadjoint_dim": coadjoint_dimension(clusterings, state.dims),
-            "degeneracy_low": low,
-            "degeneracy_high": high,
-        }
-        passed = (rank.symplectic_rank == expected["coadjoint_dim"]
-                  and low <= rank.degeneracy <= high)
-        mode = "bounds"
-    else:  # single party: the orbit is all of projective space, D = 0
-        expected = {
-            "orbit_dim": coadjoint_dimension(clusterings, state.dims),
-            "coadjoint_dim": coadjoint_dimension(clusterings, state.dims),
-            "degeneracy": 0,
-        }
-        passed = expected == observed
-        mode = "exact"
-    record = ConsistencyRecord(
-        dims=state.dims,
-        symmetry=state.symmetry,
-        mode=mode,
-        expected=expected,
-        observed=observed,
-        passed=passed,
-        state_document=None if passed else state_to_document(state),
-    )
-    if not passed:
-        raise Inconsistency(
-            f"oracle ranks {observed} contradict the closed forms {expected}",
-            record=record)
-    return record
+    report = analyze_state(state, cluster_tol, rank_tol, oracle=ORACLE_VERIFY)
+    return check_consistency(report, state)

@@ -30,6 +30,9 @@ PHASE_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 #: block determinants must sit within this distance of 1
 DETERMINANT_TOL = 1e-8
+#: norms inside this range come from squares that neither underflow nor
+#: overflow; build_state prescales inputs outside it
+NORM_RANGE = (2.0**-500, 2.0**500)
 
 
 @dataclass(frozen=True)
@@ -94,11 +97,16 @@ class StateTensor:
 def build_state(raw, symmetry: str = DISTINGUISHABLE) -> StateTensor:
     """Validate, normalize and wrap a raw coefficient tensor.
 
-    Any nonzero tensor is accepted and rescaled to unit norm; the exactly
-    zero tensor is rejected.  A declared bosonic or fermionic symmetry is
-    verified, never silently imposed (use :func:`symmetrize` to project).
+    Any finite nonzero tensor is accepted and rescaled to unit norm; the
+    exactly zero tensor is rejected.  When the norm leaves ``NORM_RANGE``
+    (so squared entries may have underflowed or overflowed), the entries
+    are first scaled by a power of two taken from the largest one; that is
+    exact, so the result matches the unscaled one wherever both are
+    defined.  A declared bosonic or fermionic symmetry is verified, never
+    silently imposed (use :func:`symmetrize` to project).
 
     Raises:
+        ValueError: a NaN or infinite entry.
         ZeroState: all-zero input.
         DimensionMismatch: bad shape, or unequal dims for an
             indistinguishable-particle class.
@@ -108,9 +116,19 @@ def build_state(raw, symmetry: str = DISTINGUISHABLE) -> StateTensor:
     coeffs = np.array(raw, dtype=complex)
     if coeffs.ndim == 0:
         raise DimensionMismatch("scalar input has no parties")
-    norm = float(np.linalg.norm(coeffs))
-    if norm == 0.0:
-        raise ZeroState("the zero tensor does not define a state")
+    with np.errstate(over="ignore"):  # an overflow is caught just below
+        norm = float(np.linalg.norm(coeffs))
+    if not NORM_RANGE[0] < norm < NORM_RANGE[1]:  # also NaN
+        if not np.isfinite(coeffs).all():
+            raise ValueError("state coefficients must be finite")
+        peak = max(float(np.abs(coeffs.real).max(initial=0.0)),
+                   float(np.abs(coeffs.imag).max(initial=0.0)))
+        if peak == 0.0:
+            raise ZeroState("the zero tensor does not define a state")
+        _, exponent = math.frexp(peak)
+        coeffs.real = np.ldexp(coeffs.real, -exponent)
+        coeffs.imag = np.ldexp(coeffs.imag, -exponent)
+        norm = float(np.linalg.norm(coeffs))
     state = StateTensor(coeffs.shape, coeffs / norm, symmetry)
     if symmetry != DISTINGUISHABLE:
         _verify_exchange_symmetry(state)

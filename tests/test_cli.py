@@ -49,6 +49,23 @@ def test_analyze_bell_json_fields(capsys, bell_file):
     assert doc["oracle"]["consistent"] is True
 
 
+def test_analyze_oracle_only_labels_every_count_oracle(capsys, bell_file):
+    code, out, _ = run(capsys, "analyze", "--input", bell_file,
+                       "--oracle", "only")
+    assert code == 0
+    for label in ("orbit dim", "coadjoint dim", "degeneracy D"):
+        line = next(l for l in out.splitlines() if l.startswith(label))
+        assert "(numerical oracle)" in line
+
+
+def test_analyze_single_party_text_has_no_oracle_label(capsys, tmp_path):
+    path = tmp_path / "qutrit.json"
+    save_state(build_state([1.0, 1j, 0.0]), path)
+    code, out, _ = run(capsys, "analyze", "--input", str(path))
+    assert code == 0
+    assert "numerical oracle" not in out
+
+
 def test_analyze_json_is_byte_deterministic(capsys, ghz_file):
     _, first, _ = run(capsys, "analyze", "--input", ghz_file,
                       "--format", "json", "--oracle", "verify")
@@ -137,11 +154,28 @@ def test_verify_command(capsys):
     assert doc["passed"] == 5 and doc["failed"] == 0
 
 
-def test_verify_rejects_unsupported_class(capsys):
-    code, _, err = run(capsys, "verify", "--count", "2", "--dims", "3",
-                       "--symmetry", "bosonic")
+def test_verify_covers_every_symmetry_class(capsys):
+    for dims, symmetry in [("3", "bosonic"), ("4,4,4", "fermionic"),
+                           ("2,3", "distinguishable")]:
+        code, out, _ = run(capsys, "verify", "--count", "5", "--dims", dims,
+                           "--symmetry", symmetry, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] == 5 and doc["mode"] == "coadjoint"
+
+
+def test_analyze_verify_inconsistency_carries_the_state(capsys, bell_file,
+                                                       monkeypatch):
+    import orbitent.report
+    monkeypatch.setattr(orbitent.report, "orbit_dimension_bipartite",
+                        lambda clustering, n: 4)
+    code, _, err = run(capsys, "analyze", "--input", bell_file,
+                       "--oracle", "verify")
     assert code == 1
-    assert json.loads(err)["error"] == "SymmetryViolation"
+    doc = json.loads(err)
+    assert doc["error"] == "Inconsistency"
+    assert doc["record"]["mode"] == "exact"
+    assert doc["record"]["state"]["dims"] == [2, 2]
 
 
 def test_verify_seed_determinism(capsys):

@@ -8,8 +8,6 @@ from orbitent import (
     FERMIONIC,
     EnumerationTooLarge,
     NotNormalized,
-    SymmetryViolation,
-    UnequalDims,
     apply_local,
     build_state,
     degeneracy_rank,
@@ -169,13 +167,13 @@ def test_verify_against_formula_two_qutrit_multiplicity_pattern():
     assert rec.expected["coadjoint_dim"] == 8
 
 
-def test_verify_rejects_unsupported_classes():
-    with pytest.raises(UnequalDims):
-        verify_against_formula(random_state((2, 3),
-                                            rng=np.random.default_rng(19)))
-    with pytest.raises(SymmetryViolation):
-        verify_against_formula(
-            random_state((3, 3), BOSONIC, rng=np.random.default_rng(23)))
+def test_verify_against_formula_checks_coadjoint_without_closed_form():
+    rng = np.random.default_rng(19)
+    for dims, symmetry in [((3, 3), BOSONIC), ((4, 4, 4), FERMIONIC),
+                           ((2, 3), "distinguishable")]:
+        rec = verify_against_formula(random_state(dims, symmetry, rng=rng))
+        assert rec.passed and rec.mode == "coadjoint"
+        assert rec.observed["coadjoint_dim"] == rec.expected["coadjoint_dim"]
 
 
 def test_oracle_size_guard():

@@ -52,6 +52,25 @@ def test_build_state_rejects_zero_tensor():
         build_state(np.zeros((2, 2)))
 
 
+def test_build_state_rejects_nan_entry():
+    with pytest.raises(ValueError):
+        build_state([[np.nan, 0], [0, 1]])
+
+
+def test_build_state_normalizes_subnormal_entries():
+    # the norm of these entries underflows to zero without the prescale
+    state = build_state([[1e-320, 0], [0, 1e-320]])
+    assert state.coeffs[0, 0] == state.coeffs[1, 1] == 1 / np.sqrt(2)
+    assert state.norm == pytest.approx(1.0)
+
+
+def test_build_state_normalizes_huge_entries():
+    # the squared entries overflow to infinity without the prescale
+    state = build_state([[1e300, 0], [0, 1e300]])
+    assert state.coeffs[0, 0] == state.coeffs[1, 1] == 1 / np.sqrt(2)
+    assert state.norm == pytest.approx(1.0)
+
+
 def test_build_state_rejects_dim_one_party():
     with pytest.raises(DimensionMismatch):
         build_state(np.ones((1, 2)))
