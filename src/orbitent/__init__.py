@@ -19,7 +19,6 @@ from .errors import (
     OrbitentError,
     RankUnstable,
     SymmetryViolation,
-    UnequalDims,
     ZeroState,
 )
 from .io import load_state, save_state, state_from_document, state_to_document
@@ -97,8 +96,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousClustering", "DimensionMismatch", "EnumerationTooLarge",
     "Inconsistency", "NotAWeightVector", "NotBipartite", "NotNormalized",
-    "OrbitentError", "RankUnstable", "SymmetryViolation", "UnequalDims",
-    "ZeroState",
+    "OrbitentError", "RankUnstable", "SymmetryViolation", "ZeroState",
     "load_state", "save_state", "state_from_document", "state_to_document",
     "KSVerdict", "LieBasis", "Sl2Triple", "WeightVector", "cartan_basis",
     "highest_weight_vector", "kostant_sternberg_check", "rep_action",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -35,8 +34,6 @@ from .report import (
 )
 from .sampling import random_state
 from .states import DISTINGUISHABLE, SYMMETRY_CLASSES
-
-ENV_DEFAULT_TOL = "ORBITENT_DEFAULT_TOL"
 
 COADJOINT_NOTE = "dim(mu(O)) = sum_k (N_k^2 - 1) - (sum_{k,n} m_kn^2 - M)"
 BOUNDS_NOTE = "max_k S_k - 1 <= D <= sum_k S_k - M,  S_k = sum m_kn^2"
@@ -67,13 +64,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "their local-unitary orbits.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, cluster_tol=False, rank_tol=False):
         p.add_argument("--format", choices=("text", "json"), default="text",
                        help="report format (default: text)")
-        p.add_argument("--cluster-tol", type=float, default=None,
-                       help="relative eigenvalue clustering tolerance")
-        p.add_argument("--rank-tol", type=float, default=None,
-                       help="relative numerical rank tolerance")
+        if cluster_tol:  # the library call that takes it checks its value
+            p.add_argument("--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL,
+                           help="relative eigenvalue clustering tolerance")
+        if rank_tol:
+            p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
+                           help="relative numerical rank tolerance")
 
     p = sub.add_parser("analyze",
                        help="degeneracy report for a state file")
@@ -83,16 +82,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boson-convention", choices=BOSON_CONVENTIONS,
                    default=BOSON_SYMMETRIC_SIMPLE,
                    help="which bosonic states count as nonentangled")
-    add_common(p)
+    add_common(p, cluster_tol=True, rank_tol=True)
 
     p = sub.add_parser("schmidt", help="Schmidt data of a bipartite state")
     p.add_argument("--input", required=True)
-    add_common(p)
+    add_common(p, cluster_tol=True)
 
     p = sub.add_parser("canonical",
                        help="local-unitary canonical form of a state")
     p.add_argument("--input", required=True)
-    add_common(p)
+    add_common(p, cluster_tol=True)
 
     p = sub.add_parser("ks-check",
                        help="symplecticity verdict for every weight vector")
@@ -109,21 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetry", choices=SYMMETRY_CLASSES,
                    default=DISTINGUISHABLE)
     p.add_argument("--seed", type=int, default=0)
-    add_common(p)
+    add_common(p, cluster_tol=True, rank_tol=True)
     return parser
-
-
-def _tolerances(args) -> tuple[float, float]:
-    env = os.environ.get(ENV_DEFAULT_TOL)
-    env_tol = float(env) if env else None
-    cluster = args.cluster_tol if args.cluster_tol is not None else \
-        (env_tol if env_tol is not None else DEFAULT_CLUSTER_TOL)
-    rank = args.rank_tol if args.rank_tol is not None else \
-        (env_tol if env_tol is not None else DEFAULT_RANK_TOL)
-    for name, tol in (("cluster", cluster), ("rank", rank)):
-        if not 0.0 < tol < 1e-2:
-            raise ValueError(f"{name} tolerance {tol!r} must lie in (0, 1e-2)")
-    return cluster, rank
 
 
 def _parse_dims(text, symmetry) -> tuple[int, ...]:
@@ -182,23 +168,16 @@ def _render_report(report: DegeneracyReport) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    cluster_tol, rank_tol = _tolerances(args)
     state = load_state(args.input)
-    report = analyze_state(
-        state,
-        cluster_tol=cluster_tol,
-        rank_tol=rank_tol,
-        oracle=args.oracle,
-        boson_convention=args.boson_convention,
-    )
+    report = analyze_state(state, args.cluster_tol, args.rank_tol, args.oracle,
+                           args.boson_convention)
     _print_payload(report.to_json_dict(), _render_report(report), args.format)
     return 0
 
 
 def _cmd_schmidt(args) -> int:
-    cluster_tol, _ = _tolerances(args)
     state = load_state(args.input)
-    data = schmidt(state, cluster_tol)
+    data = schmidt(state, args.cluster_tol)
     payload = {
         "singular_values": [float(v) for v in data.singular_values],
         "block_values": list(data.block_values),
@@ -223,9 +202,8 @@ def _cmd_schmidt(args) -> int:
 
 
 def _cmd_canonical(args) -> int:
-    cluster_tol, _ = _tolerances(args)
     state = load_state(args.input)
-    canon, tuple_ = canonical_form(state, cluster_tol)
+    canon, tuple_ = canonical_form(state, args.cluster_tol)
     payload = {
         "state": state_to_document(canon),
         "local_unitaries": [complex_array_to_json(b) for b in tuple_.blocks],
@@ -239,7 +217,6 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_ks_check(args) -> int:
-    _tolerances(args)
     dims = _parse_dims(args.dims, args.symmetry)
     rows = []
     for wv in weight_table(dims, args.symmetry):
@@ -263,7 +240,6 @@ def _cmd_ks_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cluster_tol, rank_tol = _tolerances(args)
     dims = _parse_dims(args.dims, args.symmetry)
     if args.count < 1:
         raise ValueError("--count must be positive")
@@ -271,7 +247,7 @@ def _cmd_verify(args) -> int:
     mode = None
     for _ in range(args.count):
         state = random_state(dims, args.symmetry, rng)
-        record = verify_against_formula(state, cluster_tol, rank_tol)
+        record = verify_against_formula(state, args.cluster_tol, args.rank_tol)
         mode = record.mode
     payload = {
         "count": args.count,

@@ -41,10 +41,6 @@ class AmbiguousClustering(OrbitentError):
     """
 
 
-class UnequalDims(OrbitentError):
-    """Closed-form counts need equal party dimensions; use the oracle instead."""
-
-
 class RankUnstable(OrbitentError):
     """A singular value straddles the rank threshold within a factor of ten."""
 

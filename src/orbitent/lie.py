@@ -272,15 +272,27 @@ def _exact_weight(int_coeffs: np.ndarray, cartans, symmetry) -> tuple[int, ...]:
     return tuple(weight)
 
 
+def _weight_space_dims(dims, symmetry) -> tuple[int, ...]:
+    """Checked dims of a tensor / Sym^M / Wedge^M space small enough to
+    enumerate densely."""
+    dims = _check_dims(dims)
+    if symmetry != DISTINGUISHABLE and len(set(dims)) > 1:
+        raise DimensionMismatch("indistinguishable particles need equal dims")
+    if int(np.prod(dims)) > MAX_ENUMERATION:
+        raise EnumerationTooLarge(
+            f"dense tensor of size {np.prod(dims)} exceeds {MAX_ENUMERATION}")
+    if symmetry == FERMIONIC and len(dims) > dims[0]:
+        raise DimensionMismatch(f"the antisymmetric space of {len(dims)} particles "
+                                f"in dimension {dims[0]} is trivial")
+    return dims
+
+
 def _basis_index_tuples(dims, symmetry):
     n, m = dims[0], len(dims)
     if symmetry == DISTINGUISHABLE:
         return itertools.product(*[range(d) for d in dims])
     if symmetry == BOSONIC:
         return itertools.combinations_with_replacement(range(n), m)
-    if m > n:
-        raise DimensionMismatch(
-            f"the antisymmetric space of {m} particles in dimension {n} is trivial")
     return itertools.combinations(range(n), m)
 
 
@@ -327,12 +339,7 @@ def weight_table(dims, symmetry: str = DISTINGUISHABLE) -> tuple[WeightVector, .
     One entry per basis vector; weights are computed, and verified exactly,
     by applying the Cartan generators.
     """
-    dims = _check_dims(dims)
-    if symmetry != DISTINGUISHABLE and len(set(dims)) > 1:
-        raise DimensionMismatch("indistinguishable particles need equal dims")
-    if int(np.prod(dims)) > MAX_ENUMERATION:
-        raise EnumerationTooLarge(
-            f"dense tensor of size {np.prod(dims)} exceeds {MAX_ENUMERATION}")
+    dims = _weight_space_dims(dims, symmetry)
     cartans = cartan_basis(_root_dims(dims, symmetry))
     return tuple(
         _make_weight_vector(idx, dims, symmetry, cartans)
@@ -346,16 +353,8 @@ def highest_weight_vector(dims, symmetry: str = DISTINGUISHABLE) -> WeightVector
     antisymmetrized element e_1 ^ ... ^ e_M for fermions.  Annihilation is
     verified exactly.
     """
-    dims = _check_dims(dims)
-    if symmetry != DISTINGUISHABLE and len(set(dims)) > 1:
-        raise DimensionMismatch("indistinguishable particles need equal dims")
-    if int(np.prod(dims)) > MAX_ENUMERATION:
-        raise EnumerationTooLarge(
-            f"dense tensor of size {np.prod(dims)} exceeds {MAX_ENUMERATION}")
+    dims = _weight_space_dims(dims, symmetry)
     if symmetry == FERMIONIC:
-        if len(dims) > dims[0]:
-            raise DimensionMismatch(
-                "the antisymmetric space is trivial for more particles than dims")
         indices = tuple(range(len(dims)))
     else:
         indices = (0,) * len(dims)

@@ -12,8 +12,9 @@ eigenvalues) and kernel multiplicity m_{k,0}:
   separable                        S_k = 1 for every party
 
 All formulas are integer identities; the only floating-point step is the
-gap clustering that extracts the multiplicities, which refuses to guess
-when a gap sits near the tolerance.
+gap clustering that extracts the multiplicities.  It, and every rank
+decision of ``oracle``, thresholds through ``decide``, which refuses to
+guess near the cut; ``check_tolerance`` bounds every tolerance.
 """
 
 from __future__ import annotations
@@ -26,8 +27,26 @@ from .errors import AmbiguousClustering, DimensionMismatch
 
 #: default relative clustering tolerance (relative to the largest eigenvalue)
 DEFAULT_CLUSTER_TOL = 1e-7
-#: gaps within this factor of the effective tolerance are refused
+#: values within this factor of a decision cut are refused
 AMBIGUITY_FACTOR = 10.0
+
+
+def check_tolerance(tol: float, what: str) -> None:
+    """Raise ValueError unless the relative tolerance lies in (0, 1e-2)."""
+    if not 0.0 < tol < 1e-2:
+        raise ValueError(f"{what} tolerance {tol!r} must lie in (0, 1e-2)")
+
+
+def decide(values: np.ndarray, cut: float, error: type, what: str) -> np.ndarray:
+    """The mask ``values >= cut``; raises ``error`` when a value lies strictly
+    within a factor AMBIGUITY_FACTOR of the cut, where a small change of
+    tolerance would flip it and the integers counted from the mask."""
+    near = (values > cut / AMBIGUITY_FACTOR) & (values < cut * AMBIGUITY_FACTOR)
+    if near.any():
+        offender = float(values[near].min())
+        raise error(f"{what} {offender:.3e} lies within a factor {AMBIGUITY_FACTOR:g} "
+                    f"of the threshold {cut:.3e}; adjust the tolerance")
+    return values >= cut
 
 
 @dataclass(frozen=True)
@@ -86,40 +105,30 @@ def cluster_spectrum(values, tol: float = DEFAULT_CLUSTER_TOL) -> SpectrumCluste
 
     Adjacent sorted values merge into one block iff their gap is below the
     effective tolerance tol * max(values); values below it go to the kernel.
-    Raises AmbiguousClustering whenever a gap or a value lies within a
-    factor of ten of the threshold, since the resulting integer counts
-    would flip under small tolerance changes.
+    Raises AmbiguousClustering (see ``decide``) whenever a gap or a value
+    lies within a factor of ten of the threshold, since the resulting
+    integer counts would flip under small tolerance changes.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a nonempty 1-d list of eigenvalues")
-    if not 0.0 < tol < 1e-2:
-        raise ValueError("clustering tolerance must lie in (0, 1e-2)")
-    if arr.min() < -1e-10 or arr.max() > 1.0 + 1e-8:
+    check_tolerance(tol, "clustering")
+    if not (arr.min() >= -1e-10 and arr.max() <= 1.0 + 1e-8):  # also NaN
         raise ValueError("eigenvalues must lie in [0, 1]")
     if abs(arr.sum() - 1.0) > 1e-8:
         raise ValueError("spectrum must sum to 1")
     svals = np.sort(np.clip(arr, 0.0, None))[::-1]
     eff = tol * svals[0]
-    gaps = svals[:-1] - svals[1:]
-    low, high = eff / AMBIGUITY_FACTOR, eff * AMBIGUITY_FACTOR
-
-    def ambiguous(x):
-        return (low < x) & (x < high)
-
-    if ambiguous(gaps).any() or ambiguous(svals).any():
-        raise AmbiguousClustering(
-            f"a spectral gap or value lies within a factor {AMBIGUITY_FACTOR:g} "
-            f"of the threshold {eff:.3e}; adjust the clustering tolerance")
-    kernel = svals < eff
-    positive = svals[~kernel]
+    # the gaps include the one between the last positive and first kernel value
+    splits = decide(svals[:-1] - svals[1:], eff, AmbiguousClustering, "spectral gap")
+    positive = svals[decide(svals, eff, AmbiguousClustering, "eigenvalue")]
     blocks = []
     start = 0
     for stop in range(1, len(positive) + 1):
-        if stop == len(positive) or positive[stop - 1] - positive[stop] >= eff:
+        if stop == len(positive) or splits[stop - 1]:
             blocks.append((float(positive[start:stop].mean()), stop - start))
             start = stop
-    return SpectrumClustering(int(kernel.sum()), tuple(blocks), float(tol))
+    return SpectrumClustering(svals.size - positive.size, tuple(blocks), float(tol))
 
 
 def orbit_dimension_bipartite(clustering: SpectrumClustering, dim: int) -> int:

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotBipartite, SymmetryViolation
-from .measure import DEFAULT_CLUSTER_TOL, SpectrumClustering, cluster_spectrum
+from .measure import (
+    DEFAULT_CLUSTER_TOL,
+    SpectrumClustering,
+    check_tolerance,
+    cluster_spectrum,
+)
 from .states import (
     DISTINGUISHABLE,
     LocalUnitaryTuple,
@@ -190,8 +195,10 @@ def canonical_form(state: StateTensor,
     the eigenbasis of its own reduced matrix.
 
     Only ``distinguishable`` states qualify: the construction acts with
-    independent blocks per party.
+    independent blocks per party.  ``cluster_tol`` (checked on every
+    route) only clusters the Schmidt spectrum of two parties.
     """
+    check_tolerance(cluster_tol, "clustering")
     if state.symmetry != DISTINGUISHABLE:
         raise SymmetryViolation(
             "canonical_form uses independent per-party blocks; "

@@ -13,8 +13,9 @@ orbit of the moment-map image, leaving the degeneracy D = r - s.  This
 works for any state and symmetry class and cross-checks every closed-form
 count.
 
-All rank decisions share one relative threshold with an instability guard:
-a singular value within a factor ten of the cut raises instead of guessing.
+All rank decisions share one relative threshold with the refusal rule of
+``measure.decide``: a singular value within a factor ten of the cut raises
+RankUnstable instead of guessing.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import EnumerationTooLarge, Inconsistency, NotNormalized, RankUnstable
 from .lie import rep_action, su_basis
-from .measure import DEFAULT_CLUSTER_TOL
+from .measure import DEFAULT_CLUSTER_TOL, check_tolerance, decide
 from .states import DISTINGUISHABLE, StateTensor
 
 #: singular values below this fraction of the largest count as zero
@@ -47,15 +48,8 @@ def _stable_rank(values, rel_tol: float, what: str, floor: float = 1.0) -> int:
     rather than have its noise promoted to full rank.
     """
     mags = np.abs(np.asarray(values, dtype=float))
-    scale = max(float(mags.max(initial=0.0)), floor)
-    cut = rel_tol * scale
-    near = (mags > cut / 10.0) & (mags < cut * 10.0)
-    if near.any():
-        offender = float(mags[near].min())
-        raise RankUnstable(
-            f"{what}: singular value {offender:.3e} lies within a factor 10 "
-            f"of the threshold {cut:.3e}; adjust the rank tolerance")
-    return int((mags >= cut).sum())
+    cut = rel_tol * max(float(mags.max(initial=0.0)), floor)
+    return int(decide(mags, cut, RankUnstable, f"{what}: singular value").sum())
 
 
 def _generator_actions(state: StateTensor):
@@ -93,7 +87,7 @@ def _tangent_rows(state: StateTensor):
     for a, mats in enumerate(specs):
         xi = rep_action(mats, state).reshape(-1)
         rows[a] = xi - v * np.vdot(v, xi)
-    return labels, rows, v
+    return labels, rows
 
 
 @dataclass(frozen=True)
@@ -129,22 +123,25 @@ class DegeneracyRank:
         }
 
 
-def _frame_from_rows(state, labels, rows, rank_tol):
+def _frame(state, rank_tol):
+    """(frame, overlap <t_a|t_b>, Gram eigenvalues, Gram eigenvectors):
+    one ``eigh`` both decides the orbit rank and spans the tangent space."""
+    check_tolerance(rank_tol, "rank")
+    labels, rows = _tangent_rows(state)
     overlap = rows.conj() @ rows.T
     gram = (overlap.real + overlap.real.T) / 2.0
-    evals = np.linalg.eigvalsh(gram)
+    evals, evecs = np.linalg.eigh(gram)
     rank = _stable_rank(evals, rank_tol, "orbit Gram matrix")
     gram.setflags(write=False)
     rows.setflags(write=False)
-    return TangentFrame(state, labels, rows, gram, rank, rank_tol), overlap
+    frame = TangentFrame(state, labels, rows, gram, rank, rank_tol)
+    return frame, overlap, evals, evecs
 
 
 def tangent_frame(state: StateTensor,
                   rank_tol: float = DEFAULT_RANK_TOL) -> TangentFrame:
     """Tangent frame of the local-unitary orbit through the state."""
-    labels, rows, _ = _tangent_rows(state)
-    frame, _ = _frame_from_rows(state, labels, rows, rank_tol)
-    return frame
+    return _frame(state, rank_tol)[0]
 
 
 def degeneracy_rank(state: StateTensor,
@@ -156,15 +153,13 @@ def degeneracy_rank(state: StateTensor,
     above the rank cut); its even numerical rank is the coadjoint-image
     dimension.
     """
-    labels, rows, _ = _tangent_rows(state)
-    frame, overlap = _frame_from_rows(state, labels, rows, rank_tol)
+    frame, overlap, evals, evecs = _frame(state, rank_tol)
     r = frame.rank
     if r == 0:
         omega_r = np.zeros((0, 0))
         omega_r.setflags(write=False)
         return DegeneracyRank(0, 0, 0, frame, omega_r)
     omega = -(overlap.imag - overlap.imag.T) / 2.0
-    evals, evecs = np.linalg.eigh(frame.gram)
     top = evecs[:, -r:] / np.sqrt(evals[-r:])
     omega_r = top.T @ omega @ top
     omega_r = (omega_r - omega_r.T) / 2.0

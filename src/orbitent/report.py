@@ -37,6 +37,7 @@ from .io import state_to_document
 from .measure import (
     DEFAULT_CLUSTER_TOL,
     DegeneracyReport,
+    check_tolerance,
     cluster_spectrum,
     coadjoint_dimension,
     degeneracy_bipartite,
@@ -107,8 +108,11 @@ def analyze_state(state: StateTensor,
     ``oracle`` is one of off / verify / only: "verify" attaches the
     numerical ranks and checks them against the formulas (raising
     Inconsistency on disagreement), "only" checks them too and then reports
-    the oracle numbers in place of the formulas.
+    the oracle numbers in place of the formulas.  Both tolerances are
+    checked on entry, whether or not the oracle runs.
     """
+    check_tolerance(cluster_tol, "clustering")
+    check_tolerance(rank_tol, "rank")
     if oracle not in ORACLE_MODES:
         raise ValueError(f"oracle mode must be one of {ORACLE_MODES}")
     if boson_convention not in BOSON_CONVENTIONS:

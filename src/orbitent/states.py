@@ -31,7 +31,7 @@ UNITARITY_TOL = 1e-10
 #: block determinants must sit within this distance of 1
 DETERMINANT_TOL = 1e-8
 #: norms inside this range come from squares that neither underflow nor
-#: overflow; build_state prescales inputs outside it
+#: overflow; build_state and symmetrize prescale inputs outside it
 NORM_RANGE = (2.0**-500, 2.0**500)
 
 
@@ -116,6 +116,17 @@ def build_state(raw, symmetry: str = DISTINGUISHABLE) -> StateTensor:
     coeffs = np.array(raw, dtype=complex)
     if coeffs.ndim == 0:
         raise DimensionMismatch("scalar input has no parties")
+    norm = _prescale(coeffs)
+    state = StateTensor(coeffs.shape, coeffs / norm, symmetry)
+    if symmetry != DISTINGUISHABLE:
+        _verify_exchange_symmetry(state)
+    return state
+
+
+def _prescale(coeffs: np.ndarray) -> float:
+    """Norm of a complex tensor, after scaling it in place by a power of two
+    when the plain norm leaves ``NORM_RANGE``.  Raises ValueError on a NaN
+    or infinite entry, ZeroState on all zeros."""
     with np.errstate(over="ignore"):  # an overflow is caught just below
         norm = float(np.linalg.norm(coeffs))
     if not NORM_RANGE[0] < norm < NORM_RANGE[1]:  # also NaN
@@ -129,10 +140,7 @@ def build_state(raw, symmetry: str = DISTINGUISHABLE) -> StateTensor:
         coeffs.real = np.ldexp(coeffs.real, -exponent)
         coeffs.imag = np.ldexp(coeffs.imag, -exponent)
         norm = float(np.linalg.norm(coeffs))
-    state = StateTensor(coeffs.shape, coeffs / norm, symmetry)
-    if symmetry != DISTINGUISHABLE:
-        _verify_exchange_symmetry(state)
-    return state
+    return norm
 
 
 def _verify_exchange_symmetry(state: StateTensor) -> None:
@@ -169,6 +177,7 @@ def symmetrize(raw, symmetry: str) -> StateTensor:
         raise DimensionMismatch("scalar input has no parties")
     if len(set(coeffs.shape)) > 1:
         raise DimensionMismatch("symmetrization needs equal local dimensions")
+    norm = _prescale(coeffs)
     m = coeffs.ndim
     total = np.zeros_like(coeffs)
     for perm in itertools.permutations(range(m)):
@@ -178,7 +187,7 @@ def symmetrize(raw, symmetry: str) -> StateTensor:
         else:
             total += term
     total /= math.factorial(m)
-    if np.linalg.norm(total) <= 1e-12 * np.linalg.norm(coeffs):
+    if np.linalg.norm(total) <= 1e-12 * norm:
         raise ZeroState(f"the {symmetry} projection of the input vanishes")
     return build_state(total, symmetry)
 

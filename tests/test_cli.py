@@ -217,15 +217,38 @@ def test_bad_tolerance_exits_1(capsys, bell_file):
                        "--cluster-tol", "0.5")
     assert code == 1
     assert json.loads(err)["error"] == "ValueError"
+    # the rank tolerance is checked even when the oracle does not run
+    code, _, err = run(capsys, "analyze", "--input", bell_file,
+                       "--oracle", "off", "--rank-tol", "0.5")
+    assert code == 1
+    assert json.loads(err)["error"] == "ValueError"
 
 
-def test_env_var_overrides_default_tolerance(capsys, bell_file, monkeypatch):
+def test_cluster_tol_flag_reaches_the_report(capsys, bell_file):
+    code, out, _ = run(capsys, "analyze", "--input", bell_file,
+                       "--cluster-tol", "1e-6", "--format", "json")
+    assert code == 0
+    assert '"tolerance": 1e-06' in out
+
+
+def test_env_var_leaves_default_tolerance(capsys, bell_file, monkeypatch):
     monkeypatch.setenv("ORBITENT_DEFAULT_TOL", "1e-6")
     code, out, _ = run(capsys, "analyze", "--input", bell_file,
                        "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["clusterings"][0]["tolerance"] == 1e-6
+    assert doc["clusterings"][0]["tolerance"] == 1e-7
+
+
+def test_commands_take_only_the_tolerances_they_use(capsys, bell_file):
+    assert run(capsys, "ks-check", "--dims", "2,2",
+               "--cluster-tol", "1e-3")[0] == 1
+    assert run(capsys, "ks-check", "--dims", "2,2", "--rank-tol", "1e-3")[0] == 1
+    for command in ("schmidt", "canonical"):
+        assert run(capsys, command, "--input", bell_file,
+                   "--rank-tol", "1e-3")[0] == 1
+        assert run(capsys, command, "--input", bell_file,
+                   "--cluster-tol", "1e-3")[0] == 0
 
 
 def test_usage_error_exits_1(capsys):

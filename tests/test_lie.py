@@ -137,6 +137,16 @@ def test_weight_table_enumeration_guard():
         weight_table((2,) * 21)
 
 
+def test_weight_spaces_share_one_guard():
+    for enumerate_space in (weight_table, highest_weight_vector):
+        with pytest.raises(DimensionMismatch, match="is trivial"):
+            enumerate_space((2, 2, 2), FERMIONIC)
+        with pytest.raises(DimensionMismatch):
+            enumerate_space((2, 3), BOSONIC)
+        with pytest.raises(EnumerationTooLarge):
+            enumerate_space((2,) * 21)
+
+
 def test_highest_weight_vectors():
     assert highest_weight_vector((2, 2)).label == "e1*e1"
     assert highest_weight_vector((3, 3), BOSONIC).label == "e1.e1"

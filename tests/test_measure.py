@@ -46,6 +46,33 @@ def test_cluster_ambiguous_kernel_value_raises():
         cluster_spectrum(values, tol=1e-7)
 
 
+@pytest.mark.parametrize("factor, decided", [
+    (8.0, None), (12.0, (1, 1)), (1 / 8, None), (1 / 12, (2,))])
+def test_cluster_gap_refused_within_factor_ten_of_the_cut(factor, decided):
+    tol = 1e-7
+    gap = factor * tol * 0.5  # the cut is tol * max, and max is about 1/2
+    values = [0.5 + gap / 2, 0.5 - gap / 2]
+    if decided is None:
+        with pytest.raises(AmbiguousClustering):
+            cluster_spectrum(values, tol)
+    else:
+        c = cluster_spectrum(values, tol)
+        assert c.multiplicities == decided and c.kernel_dim == 0
+
+
+@pytest.mark.parametrize("factor, decided", [
+    (8.0, None), (12.0, (0, (1, 1))), (1 / 8, None), (1 / 12, (1, (1,)))])
+def test_cluster_value_refused_within_factor_ten_of_the_cut(factor, decided):
+    tol = 1e-7
+    small = factor * tol  # the cut is tol * max, and max is about 1
+    values = [1.0 - small, small]
+    if decided is None:
+        with pytest.raises(AmbiguousClustering):
+            cluster_spectrum(values, tol)
+    else:
+        assert cluster_spectrum(values, tol).profile() == decided
+
+
 def test_cluster_rejects_bad_input():
     with pytest.raises(ValueError):
         cluster_spectrum([0.9, 0.2])  # sums to 1.1
@@ -53,6 +80,8 @@ def test_cluster_rejects_bad_input():
         cluster_spectrum([1.2, -0.2])
     with pytest.raises(ValueError):
         cluster_spectrum([0.5, 0.5], tol=0.5)
+    with pytest.raises(ValueError):
+        cluster_spectrum([float("nan"), 1.0])
 
 
 def test_orbit_dimension_bipartite_examples():

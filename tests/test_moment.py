@@ -241,3 +241,9 @@ def test_canonical_form_is_reproducible():
     first, _ = canonical_form(state)
     second, _ = canonical_form(state)
     assert np.array_equal(first.coeffs, second.coeffs)
+
+
+def test_canonical_form_checks_cluster_tol_on_every_route():
+    for state in (bell_state(), ghz_state()):
+        with pytest.raises(ValueError):
+            canonical_form(state, cluster_tol=0.5)

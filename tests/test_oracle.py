@@ -188,3 +188,23 @@ def test_stable_rank_guard():
     assert _stable_rank(np.zeros(3), 1e-8, "test") == 0
     # pure float noise reads as rank zero thanks to the metric floor
     assert _stable_rank([1e-17, 2e-17], 1e-8, "test") == 0
+
+
+@pytest.mark.parametrize("factor, rank", [
+    (8.0, None), (12.0, 2), (1 / 8, None), (1 / 12, 1)])
+def test_stable_rank_refused_within_factor_ten_of_the_cut(factor, rank):
+    tol = 1e-8  # the cut is tol times the largest value, 1
+    values = [1.0, factor * tol]
+    if rank is None:
+        with pytest.raises(RankUnstable):
+            _stable_rank(values, tol, "test")
+    else:
+        assert _stable_rank(values, tol, "test") == rank
+
+
+@pytest.mark.parametrize("rank_tol", [0.0, 0.5])
+def test_rank_tolerance_outside_range_is_refused(rank_tol):
+    with pytest.raises(ValueError):
+        degeneracy_rank(bell_state(), rank_tol=rank_tol)
+    with pytest.raises(ValueError):
+        tangent_frame(bell_state(), rank_tol=rank_tol)

@@ -179,6 +179,16 @@ def test_symmetrize_repeated_index_vanishes_for_fermions():
         symmetrize(raw, FERMIONIC)
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-320])
+def test_symmetrize_normalizes_extreme_scales(scale):
+    e1, e2 = basis_vec(2, 0), basis_vec(2, 1)
+    state = symmetrize(scale * np.outer(e1, e2), BOSONIC)
+    assert state.coeffs[0, 1] == state.coeffs[1, 0] == 1 / np.sqrt(2)
+    assert state.norm == pytest.approx(1.0)
+    with pytest.raises(ZeroState):
+        symmetrize(scale * np.outer(e1, e1), FERMIONIC)
+
+
 def test_symmetrize_is_projectively_idempotent():
     rng = np.random.default_rng(19)
     for sym in (BOSONIC, FERMIONIC):
