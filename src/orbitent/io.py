@@ -16,7 +16,7 @@ nested "coeffs".  Writers always emit the nested form with [re, im] leaves.
 from __future__ import annotations
 
 import json
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -24,13 +24,31 @@ from .errors import DimensionMismatch
 from .states import StateTensor, build_state
 
 
+def _is_real(x) -> bool:
+    """A JSON number; true and false are not numbers here."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
 def _parse_scalar(leaf) -> complex:
-    if isinstance(leaf, Real):
+    if _is_real(leaf):
         return complex(leaf)
     if (isinstance(leaf, (list, tuple)) and len(leaf) == 2
-            and all(isinstance(x, Real) for x in leaf)):
+            and all(_is_real(x) for x in leaf)):
         return complex(leaf[0], leaf[1])
     raise ValueError(f"expected [re, im] or a real number, got {leaf!r}")
+
+
+def _parse_dims(raw) -> tuple[int, ...]:
+    """The "dims" entry: a list of integers (an integral float such as 2.0
+    counts, a string, a boolean or 2.9 does not)."""
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError(f"dims must be a list of integers, got {raw!r}")
+    for n in raw:
+        integral = isinstance(n, Integral) or (
+            _is_real(n) and float(n).is_integer())
+        if isinstance(n, bool) or not integral:
+            raise ValueError(f"dims must be integers, got {n!r}")
+    return tuple(int(n) for n in raw)
 
 
 def _parse_nested(node, dims):
@@ -48,7 +66,7 @@ def state_from_document(doc: dict) -> StateTensor:
         raise ValueError("state document must be a JSON object")
     try:
         symmetry = doc["symmetry"]
-        dims = tuple(int(n) for n in doc["dims"])
+        dims = _parse_dims(doc["dims"])
     except KeyError as missing:
         raise ValueError(f"state document lacks key {missing}") from None
     if "coeffs" in doc:

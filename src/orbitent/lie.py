@@ -15,7 +15,9 @@ acting diagonally on every slot.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,8 @@ from .states import (
 
 #: dense tensors above this size are refused by enumeration routines
 MAX_ENUMERATION = 10**6
+#: su_basis keeps the bases of this many most recent dims tuples
+SU_BASIS_CACHE = 64
 
 
 def _unit_entry(n: int, i: int, j: int, dtype=np.int64) -> np.ndarray:
@@ -82,8 +86,14 @@ def su_basis(dims) -> LieBasis:
 
     Ordering per party: i*H_1 ... i*H_{N-1}, then for each pair i < j in
     lexicographic order the elements E_ij - E_ji and i(E_ij + E_ji).
+    The basis is shared between calls with the same dims: it is frozen and
+    its matrices are read-only.
     """
-    dims = _check_dims(dims)
+    return _su_basis(_check_dims(dims))
+
+
+@functools.lru_cache(maxsize=SU_BASIS_CACHE)
+def _su_basis(dims: tuple[int, ...]) -> LieBasis:
     elements = []
     for k, n in enumerate(dims):
         for j in range(n - 1):
@@ -159,12 +169,28 @@ def sl2_triples(dims) -> tuple[Sl2Triple, ...]:
 
 
 def _embedded_action(mats, coeffs: np.ndarray) -> np.ndarray:
-    """Apply sum_k I (x) ... (x) A_k (x) ... (x) I to a coefficient tensor."""
+    """Apply sum_k I (x) ... (x) A_k (x) ... (x) I to a coefficient tensor.
+
+    Party k acts on the middle axis of the (prod(dims[:k]), N_k, rest)
+    view.  When the leading side is the shorter one, that is one matmul
+    batched over it.  Otherwise the party's axis is moved to the front of
+    one (N_k, prod(dims) / N_k) copy and multiplied once: the later qubits
+    of a many-qubit state would else cost hundreds of tiny matmuls.  Every
+    term is a matmul, so integer inputs stay exact.
+    """
+    shape = coeffs.shape
     out = None
     for k, m in enumerate(mats):
         if m is None:
             continue
-        term = np.moveaxis(np.tensordot(m, coeffs, axes=([1], [k])), 0, k)
+        pre, n, post = math.prod(shape[:k]), shape[k], math.prod(shape[k + 1:])
+        view = coeffs.reshape(pre, n, post)
+        if pre <= post:
+            term = m @ view
+        else:
+            wide = view.transpose(1, 0, 2).reshape(n, pre * post)
+            term = (m @ wide).reshape(n, pre, post).transpose(1, 0, 2)
+        term = term.reshape(shape)
         out = term if out is None else out + term
     if out is None:
         out = np.zeros_like(coeffs)
@@ -197,7 +223,8 @@ def _normalize_generator(generator, dims, symmetry):
     if symmetry != DISTINGUISHABLE:
         first = out[0]
         same = first is not None and all(
-            m is not None and np.array_equal(m, first) for m in out)
+            m is first or m is not None and np.array_equal(m, first)
+            for m in out)
         if not same:
             raise SymmetryViolation(
                 "indistinguishable particles take the diagonal action: "

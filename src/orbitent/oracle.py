@@ -56,21 +56,22 @@ def _generator_actions(state: StateTensor):
     """(labels, per-party matrix tuples) for the acting algebra.
 
     Distinguishable particles: every element of (+)_k su(N_k) embedded at
-    its party.  Indistinguishable particles: su(N) acting diagonally.
+    its party.  Indistinguishable particles: su(N) acting diagonally.  The
+    generator guard runs before the basis is built, so a refused state
+    never builds (or caches) a large basis.
     """
+    group = state.dims if state.symmetry == DISTINGUISHABLE else state.dims[:1]
+    count = sum(n * n - 1 for n in group)
+    if count > MAX_GENERATORS:
+        raise EnumerationTooLarge(
+            f"{count} generators exceed the oracle guard {MAX_GENERATORS}")
+    basis = su_basis(group)
     if state.symmetry == DISTINGUISHABLE:
-        basis = su_basis(state.dims)
-        specs = []
-        for el in basis.elements:
-            mats = [None] * state.parties
-            mats[el.party] = el.matrix
-            specs.append(tuple(mats))
-        labels = tuple(el.label for el in basis.elements)
+        specs = [tuple(el.matrix if k == el.party else None
+                       for k in range(state.parties)) for el in basis.elements]
     else:
-        basis = su_basis((state.dims[0],))
-        specs = [tuple(el.matrix for _ in state.dims) for el in basis.elements]
-        labels = tuple(el.label for el in basis.elements)
-    return labels, specs
+        specs = [(el.matrix,) * state.parties for el in basis.elements]
+    return tuple(el.label for el in basis.elements), specs
 
 
 def _tangent_rows(state: StateTensor):
@@ -79,9 +80,6 @@ def _tangent_rows(state: StateTensor):
             f"Hilbert dimension {state.total_dim} exceeds the oracle guard "
             f"{MAX_HILBERT_DIM}")
     labels, specs = _generator_actions(state)
-    if len(specs) > MAX_GENERATORS:
-        raise EnumerationTooLarge(
-            f"{len(specs)} generators exceed the oracle guard {MAX_GENERATORS}")
     v = state.coeffs.reshape(-1)
     rows = np.empty((len(specs), v.size), dtype=complex)
     for a, mats in enumerate(specs):

@@ -69,3 +69,17 @@ def test_missing_keys_rejected():
         state_from_document({"dims": [2, 2], "coeffs": [[1, 0], [0, 0]]})
     with pytest.raises(ValueError):
         state_from_document({"symmetry": "distinguishable", "dims": [2, 2]})
+
+
+MALFORMED_DOCUMENTS = {
+    "boolean-coefficients": {"dims": [2, 2], "coeffs": [[True, False], [False, True]]},
+    "string-dims": {"dims": "22", "coeffs": [[1, 0], [0, 1]]},
+    "non-integral-dims": {"dims": [2.9, 2], "coeffs": [[1, 0], [0, 1]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_document_rejected(name):
+    doc = dict(MALFORMED_DOCUMENTS[name], symmetry="distinguishable")
+    with pytest.raises(ValueError):
+        state_from_document(doc)

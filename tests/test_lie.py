@@ -1,5 +1,6 @@
 """Algebra bases, weights, sl2 triples, and the symplecticity criterion."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -18,6 +19,7 @@ from orbitent import (
     degeneracy_rank,
     highest_weight_vector,
     kostant_sternberg_check,
+    random_state,
     rep_action,
     sl2_triples,
     su_basis,
@@ -47,8 +49,9 @@ def test_su_basis_cartan_elements_commute():
 
 
 def test_su_basis_rejects_dim_one():
-    with pytest.raises(DimensionMismatch):
-        su_basis((1, 2))
+    for _ in range(2):  # bad dims never reach the cache
+        with pytest.raises(DimensionMismatch):
+            su_basis((1, 2))
 
 
 def test_sl2_triples_bracket_identities_exact():
@@ -89,6 +92,80 @@ def test_rep_action_on_zero_tensor_is_zero():
     z = np.zeros((2, 2))
     out = rep_action((np.eye(2), np.eye(2)), z)
     assert not out.any()
+
+
+def kron_generator(mats, dims):
+    """Dense sum_k I (x) ... (x) A_k (x) ... (x) I, built with np.kron."""
+    total = 0
+    for k, m in enumerate(mats):
+        if m is not None:
+            total = total + functools.reduce(np.kron, [
+                m if j == k else np.eye(n, dtype=m.dtype) for j, n in enumerate(dims)])
+    return total
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+KRON_POSITIONS = [(dims, k) for dims in [(2,) * 6, (3, 5), (4, 4, 4), (5,)]
+                  for k in range(len(dims))]
+
+
+@pytest.mark.parametrize("dims,k", KRON_POSITIONS)
+def test_rep_action_matches_kronecker_at_every_party(dims, k):
+    rng = np.random.default_rng(k)
+    state = build_state(complex_normal(rng, dims))
+    mats = [None] * len(dims)
+    mats[k] = complex_normal(rng, (dims[k], dims[k]))
+    expected = kron_generator(mats, dims) @ state.coeffs.reshape(-1)
+    out = rep_action(tuple(mats), state)
+    assert out.shape == dims
+    assert np.allclose(out.reshape(-1), expected, atol=1e-14)
+
+
+def test_rep_action_diagonal_matches_kronecker_on_bosons():
+    rng = np.random.default_rng(4)
+    state = random_state((3, 3, 3), BOSONIC, rng=rng)
+    a = complex_normal(rng, (3, 3))
+    expected = kron_generator([a] * 3, (3, 3, 3)) @ state.coeffs.reshape(-1)
+    assert np.allclose(rep_action(a, state).reshape(-1), expected, atol=1e-14)
+
+
+def test_rep_action_on_non_contiguous_tensor():
+    rng = np.random.default_rng(6)
+    coeffs = complex_normal(rng, (2, 4, 3)).transpose(2, 0, 1)
+    assert not coeffs.flags.c_contiguous
+    mats = [complex_normal(rng, (n, n)) for n in coeffs.shape]
+    expected = kron_generator(mats, coeffs.shape) @ coeffs.reshape(-1)
+    out = rep_action(tuple(mats), coeffs)
+    assert np.allclose(out.reshape(-1), expected, atol=1e-14)
+
+
+def test_rep_action_integer_generator_is_exact():
+    rng = np.random.default_rng(8)
+    dims = (3, 2, 4)
+    coeffs = rng.integers(-5, 6, size=dims)
+    mats = [None, rng.integers(-3, 4, size=(2, 2)),
+            rng.integers(-3, 4, size=(4, 4))]
+    expected = kron_generator(mats, dims) @ coeffs.reshape(-1)
+    out = rep_action(tuple(mats), coeffs)
+    assert out.dtype == np.int64
+    assert np.array_equal(out.reshape(-1), expected)
+
+
+def test_su_basis_is_shared_per_dims():
+    first, second = su_basis((2, 3)), su_basis([2, 3])
+    assert first.dims == second.dims == (2, 3)
+    for a, b in zip(first.elements, second.elements, strict=True):
+        assert (a.party, a.label) == (b.party, b.label)
+        assert np.array_equal(a.matrix, b.matrix)
+
+
+def test_su_basis_matrices_are_read_only():
+    el = su_basis((2, 3)).elements[0]
+    with pytest.raises(ValueError):
+        el.matrix[0, 0] = 5
 
 
 def test_weight_table_two_qubits():

@@ -1,10 +1,13 @@
 """Tangent frames, the restricted symplectic form, and formula cross-checks."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from orbitent import (
     BOSONIC,
+    DISTINGUISHABLE,
     FERMIONIC,
     EnumerationTooLarge,
     NotNormalized,
@@ -85,6 +88,35 @@ def test_tangent_rows_orthogonal_to_base_point():
     v = state.coeffs.reshape(-1)
     for row in frame.tangents:
         assert abs(np.vdot(v, row)) < 1e-12
+
+
+def dense_generator(mats, dims):
+    """Dense sum_k I (x) ... (x) A_k (x) ... (x) I, built with np.kron."""
+    return sum(functools.reduce(np.kron, [m if j == k else np.eye(n)
+                                          for j, n in enumerate(dims)])
+               for k, m in enumerate(mats) if m is not None)
+
+
+@pytest.mark.parametrize("dims,symmetry", [((2, 2, 2), DISTINGUISHABLE),
+                                           ((3, 5), DISTINGUISHABLE),
+                                           ((3, 3), BOSONIC),
+                                           ((4, 4, 4), FERMIONIC)])
+def test_tangent_rows_match_dense_kronecker_generators(dims, symmetry):
+    """su(N_k) at party k, or su(N) on every slot at once."""
+    if symmetry == DISTINGUISHABLE:
+        placed = [[el.matrix if j == el.party else None for j in range(len(dims))]
+                  for el in su_basis(dims).elements]
+    else:
+        placed = [[el.matrix] * len(dims) for el in su_basis(dims[:1]).elements]
+    state = random_state(dims, symmetry, rng=np.random.default_rng(13))
+    v = state.coeffs.reshape(-1)
+    expected = []
+    for mats in placed:
+        xi = dense_generator(mats, dims) @ v
+        expected.append(xi - v * np.vdot(v, xi))
+    tangents = tangent_frame(state).tangents
+    assert tangents.shape == (len(expected), v.size)
+    assert np.allclose(tangents, expected, rtol=0, atol=1e-13)
 
 
 def test_degeneracy_rank_product_and_bell():
@@ -179,6 +211,15 @@ def test_verify_against_formula_checks_coadjoint_without_closed_form():
 def test_oracle_size_guard():
     with pytest.raises(EnumerationTooLarge):
         tangent_frame(build_state(np.ones((2,) * 13)))
+
+
+def test_generator_guard_refuses_before_building_the_basis(monkeypatch):
+    def no_basis(dims):
+        raise AssertionError(f"su_basis({dims}) built for a refused state")
+
+    monkeypatch.setattr("orbitent.oracle.su_basis", no_basis)
+    with pytest.raises(EnumerationTooLarge, match="286 generators"):
+        tangent_frame(build_state(np.eye(12)))
 
 
 def test_stable_rank_guard():
