@@ -158,12 +158,9 @@ def _render_report(report: DegeneracyReport) -> str:
         lines.append(f"boson convention: {report.boson_convention}")
     if report.oracle:
         o = report.oracle
-        extra = ""
-        if "consistent" in o:
-            extra = f", consistent with closed forms: {o['consistent']}"
         lines.append(
             f"oracle         r={o['orbit_dim']} s={o['symplectic_rank']} "
-            f"D={o['degeneracy']}{extra}")
+            f"D={o['degeneracy']}, consistent with closed forms: {o['consistent']}")
     return "\n".join(lines)
 
 
@@ -291,10 +288,7 @@ def main(argv=None) -> int:
     except (AmbiguousClustering, RankUnstable) as exc:
         _emit_error(exc)
         return 2
-    except OrbitentError as exc:
-        _emit_error(exc)
-        return 1
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OrbitentError, OSError, ValueError, KeyError, TypeError) as exc:
         _emit_error(exc)
         return 1
 

@@ -33,7 +33,11 @@ from .states import (
     DISTINGUISHABLE,
     FERMIONIC,
     StateTensor,
+    acting_dims,
     build_state,
+    embed,
+    from_party_rows,
+    party_rows,
     permutation_sign,
 )
 
@@ -76,9 +80,6 @@ class LieBasis:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def party_elements(self, k: int):
-        return tuple(e for e in self.elements if e.party == k)
 
 
 def su_basis(dims) -> LieBasis:
@@ -173,10 +174,10 @@ def _embedded_action(mats, coeffs: np.ndarray) -> np.ndarray:
 
     Party k acts on the middle axis of the (prod(dims[:k]), N_k, rest)
     view.  When the leading side is the shorter one, that is one matmul
-    batched over it.  Otherwise the party's axis is moved to the front of
-    one (N_k, prod(dims) / N_k) copy and multiplied once: the later qubits
-    of a many-qubit state would else cost hundreds of tiny matmuls.  Every
-    term is a matmul, so integer inputs stay exact.
+    batched over it.  Otherwise it is one product with the party's rows
+    (``states.party_rows``): the later qubits of a many-qubit state would
+    else cost hundreds of tiny matmuls.  Every term is a matmul, so integer
+    inputs stay exact.
     """
     shape = coeffs.shape
     out = None
@@ -184,13 +185,10 @@ def _embedded_action(mats, coeffs: np.ndarray) -> np.ndarray:
         if m is None:
             continue
         pre, n, post = math.prod(shape[:k]), shape[k], math.prod(shape[k + 1:])
-        view = coeffs.reshape(pre, n, post)
         if pre <= post:
-            term = m @ view
+            term = (m @ coeffs.reshape(pre, n, post)).reshape(shape)
         else:
-            wide = view.transpose(1, 0, 2).reshape(n, pre * post)
-            term = (m @ wide).reshape(n, pre, post).transpose(1, 0, 2)
-        term = term.reshape(shape)
+            term = from_party_rows(m @ party_rows(coeffs, k), shape, k)
         out = term if out is None else out + term
     if out is None:
         out = np.zeros_like(coeffs)
@@ -265,22 +263,6 @@ class WeightVector:
     int_coeffs: np.ndarray
 
 
-def _root_dims(dims, symmetry) -> tuple[int, ...]:
-    """Dims of the acting group: per party for distinguishable particles,
-    the single su(N) for indistinguishable ones."""
-    return dims if symmetry == DISTINGUISHABLE else (dims[0],)
-
-
-def _int_action(matrix: np.ndarray, party, coeffs: np.ndarray) -> np.ndarray:
-    """Exact integer rep action; ``party=None`` means diagonal on all slots."""
-    if party is None:
-        mats = [matrix] * coeffs.ndim
-    else:
-        mats = [None] * coeffs.ndim
-        mats[party] = matrix
-    return _embedded_action(mats, coeffs)
-
-
 def _exact_weight(int_coeffs: np.ndarray, cartans, symmetry) -> tuple[int, ...]:
     """Eigenvalues of the Cartan generators, verified exactly."""
     flat = int_coeffs.reshape(-1)
@@ -289,8 +271,8 @@ def _exact_weight(int_coeffs: np.ndarray, cartans, symmetry) -> tuple[int, ...]:
         raise NotAWeightVector("the zero tensor is not a weight vector")
     weight = []
     for gen in cartans:
-        party = None if symmetry != DISTINGUISHABLE else gen.party
-        image = _int_action(gen.matrix, party, int_coeffs)
+        mats = embed(gen.matrix, gen.party, int_coeffs.ndim, symmetry)
+        image = _embedded_action(mats, int_coeffs)
         lam = int(image.reshape(-1)[pivot]) // int(flat[pivot])
         if not np.array_equal(image, lam * int_coeffs):
             raise NotAWeightVector(
@@ -367,7 +349,7 @@ def weight_table(dims, symmetry: str = DISTINGUISHABLE) -> tuple[WeightVector, .
     by applying the Cartan generators.
     """
     dims = _weight_space_dims(dims, symmetry)
-    cartans = cartan_basis(_root_dims(dims, symmetry))
+    cartans = cartan_basis(acting_dims(dims, symmetry))
     return tuple(
         _make_weight_vector(idx, dims, symmetry, cartans)
         for idx in _basis_index_tuples(dims, symmetry))
@@ -385,11 +367,11 @@ def highest_weight_vector(dims, symmetry: str = DISTINGUISHABLE) -> WeightVector
         indices = tuple(range(len(dims)))
     else:
         indices = (0,) * len(dims)
-    cartans = cartan_basis(_root_dims(dims, symmetry))
-    wv = _make_weight_vector(indices, dims, symmetry, cartans)
-    for triple in sl2_triples(_root_dims(dims, symmetry)):
-        party = None if symmetry != DISTINGUISHABLE else triple.party
-        if _int_action(triple.raising, party, wv.int_coeffs).any():
+    group = acting_dims(dims, symmetry)
+    wv = _make_weight_vector(indices, dims, symmetry, cartan_basis(group))
+    for triple in sl2_triples(group):
+        raising = embed(triple.raising, triple.party, len(dims), symmetry)
+        if _embedded_action(raising, wv.int_coeffs).any():
             raise NotAWeightVector(
                 f"{wv.label} is not annihilated by {triple.label}")
     return wv
@@ -407,7 +389,7 @@ class KSVerdict:
         return "symplectic" if self.symplectic else "not_symplectic"
 
 
-def kostant_sternberg_check(w: WeightVector, dims=None, symmetry=None) -> KSVerdict:
+def kostant_sternberg_check(w: WeightVector) -> KSVerdict:
     """Decide whether the K-orbit through a weight vector is symplectic.
 
     The orbit is symplectic iff for every positive root alpha with
@@ -416,23 +398,18 @@ def kostant_sternberg_check(w: WeightVector, dims=None, symmetry=None) -> KSVerd
     indistinguishable particles); returns the first violating triple as
     witness otherwise.  All eigenvalue tests are exact integer arithmetic.
     """
-    state = w.state
-    dims = state.dims if dims is None else tuple(int(n) for n in dims)
-    symmetry = state.symmetry if symmetry is None else symmetry
-    if dims != state.dims or symmetry != state.symmetry:
-        raise DimensionMismatch("dims/symmetry do not match the weight vector")
-    root_dims = _root_dims(dims, symmetry)
-    cartans = cartan_basis(root_dims)
-    if _exact_weight(w.int_coeffs, cartans, symmetry) != tuple(w.weight):
+    parties, symmetry = w.state.parties, w.state.symmetry
+    group = acting_dims(w.state.dims, symmetry)
+    if _exact_weight(w.int_coeffs, cartan_basis(group), symmetry) != tuple(w.weight):
         raise NotAWeightVector("stored weight does not match the Cartan action")
-    offsets = np.cumsum([0] + [n - 1 for n in root_dims])
-    for triple in sl2_triples(root_dims):
+    offsets = np.cumsum([0] + [n - 1 for n in group])
+    for triple in sl2_triples(group):
         base = offsets[triple.party]
         lam = sum(w.weight[base + m] for m in range(triple.i, triple.j))
         if lam != 0:
             continue
-        party = None if symmetry != DISTINGUISHABLE else triple.party
         for op in (triple.raising, triple.lowering):
-            if _int_action(op, party, w.int_coeffs).any():
+            if _embedded_action(embed(op, triple.party, parties, symmetry),
+                                w.int_coeffs).any():
                 return KSVerdict(False, triple)
     return KSVerdict(True, None)

@@ -31,12 +31,9 @@ from .states import (
     StateTensor,
     apply_local,
     build_state,
+    party_rows,
     special_unitary,
 )
-
-#: eigenvalue gaps below this (relative) size count as one degenerate block
-#: when fixing the canonical eigenbasis
-DEGENERACY_MERGE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -60,11 +57,10 @@ class MomentImage:
 
 def reduced_matrices(state: StateTensor) -> ReducedMatrices:
     """All M one-party reduced matrices, by direct contraction."""
-    conj = state.coeffs.conj()
     mats = []
     for k in range(state.parties):
-        other = [ax for ax in range(state.parties) if ax != k]
-        m = np.tensordot(conj, state.coeffs, axes=(other, other))
+        rows = party_rows(state.coeffs, k)
+        m = rows.conj() @ rows.T
         m.setflags(write=False)
         mats.append(m)
     return ReducedMatrices(tuple(mats))
@@ -163,24 +159,20 @@ def _projector_basis(block: np.ndarray) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def _deterministic_eigenbasis(hermitian: np.ndarray,
-                              merge_tol: float = DEGENERACY_MERGE_TOL) -> np.ndarray:
-    """Eigenbasis ordered by descending eigenvalue with a canonical gauge.
+def _deterministic_eigenbasis(reduced: np.ndarray, cluster_tol: float) -> np.ndarray:
+    """Eigenbasis of a reduced matrix, descending, with a canonical gauge.
 
-    Within each (near-)degenerate eigenvalue block the basis is rebuilt
-    from the spectral projector, removing the solver's arbitrary choice.
+    The degenerate blocks are those of ``cluster_spectrum`` (positive
+    multiplicities, then the kernel), so AmbiguousClustering propagates;
+    within each block the basis is rebuilt from the spectral projector,
+    removing the solver's arbitrary choice.
     """
-    vals, vecs = np.linalg.eigh(hermitian)
+    vals, vecs = np.linalg.eigh(reduced)
     order = np.argsort(-vals)
     vals, vecs = vals[order], vecs[:, order]
-    scale = max(abs(vals[0]), abs(vals[-1]), np.finfo(float).tiny)
-    cols = []
-    start = 0
-    for stop in range(1, len(vals) + 1):
-        if stop == len(vals) or vals[stop - 1] - vals[stop] > merge_tol * scale:
-            cols.append(_projector_basis(vecs[:, start:stop]))
-            start = stop
-    return np.hstack(cols)
+    clustering = cluster_spectrum(vals, cluster_tol)
+    blocks = np.split(vecs, np.cumsum(clustering.multiplicities), axis=1)
+    return np.hstack([_projector_basis(b) for b in blocks if b.size])
 
 
 def canonical_form(state: StateTensor,
@@ -195,8 +187,9 @@ def canonical_form(state: StateTensor,
     the eigenbasis of its own reduced matrix.
 
     Only ``distinguishable`` states qualify: the construction acts with
-    independent blocks per party.  ``cluster_tol`` (checked on every
-    route) only clusters the Schmidt spectrum of two parties.
+    independent blocks per party.  ``cluster_tol`` clusters the Schmidt
+    spectrum of two parties and each reduced spectrum of any other count,
+    so AmbiguousClustering propagates on every route.
     """
     check_tolerance(cluster_tol, "clustering")
     if state.symmetry != DISTINGUISHABLE:
@@ -211,6 +204,7 @@ def canonical_form(state: StateTensor,
     # C^k transforms as conj(U) C^k U^T under apply_local, so the block
     # that diagonalizes it is the transpose of its eigenvector matrix.
     blocks = tuple(
-        special_unitary(_deterministic_eigenbasis(m).T) for m in red.matrices)
+        special_unitary(_deterministic_eigenbasis(m, cluster_tol).T)
+        for m in red.matrices)
     g = LocalUnitaryTuple(blocks)
     return apply_local(state, g), g

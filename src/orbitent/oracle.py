@@ -27,7 +27,7 @@ import numpy as np
 from .errors import EnumerationTooLarge, Inconsistency, NotNormalized, RankUnstable
 from .lie import rep_action, su_basis
 from .measure import DEFAULT_CLUSTER_TOL, check_tolerance, decide
-from .states import DISTINGUISHABLE, StateTensor
+from .states import StateTensor, acting_dims, embed
 
 #: singular values below this fraction of the largest count as zero
 DEFAULT_RANK_TOL = 1e-8
@@ -60,17 +60,14 @@ def _generator_actions(state: StateTensor):
     generator guard runs before the basis is built, so a refused state
     never builds (or caches) a large basis.
     """
-    group = state.dims if state.symmetry == DISTINGUISHABLE else state.dims[:1]
+    group = acting_dims(state.dims, state.symmetry)
     count = sum(n * n - 1 for n in group)
     if count > MAX_GENERATORS:
         raise EnumerationTooLarge(
             f"{count} generators exceed the oracle guard {MAX_GENERATORS}")
     basis = su_basis(group)
-    if state.symmetry == DISTINGUISHABLE:
-        specs = [tuple(el.matrix if k == el.party else None
-                       for k in range(state.parties)) for el in basis.elements]
-    else:
-        specs = [(el.matrix,) * state.parties for el in basis.elements]
+    specs = [embed(el.matrix, el.party, state.parties, state.symmetry)
+             for el in basis.elements]
     return tuple(el.label for el in basis.elements), specs
 
 

@@ -47,7 +47,7 @@ from .measure import (
 )
 from .moment import reduced_matrices
 from .oracle import DEFAULT_RANK_TOL, ConsistencyRecord, degeneracy_rank
-from .states import DISTINGUISHABLE, FERMIONIC, StateTensor
+from .states import DISTINGUISHABLE, FERMIONIC, StateTensor, acting_dims
 
 ORACLE_OFF = "off"
 ORACLE_VERIFY = "verify"
@@ -124,10 +124,9 @@ def analyze_state(state: StateTensor,
     need_oracle = oracle != ORACLE_OFF or route == ROUTE_ORACLE
     rank = degeneracy_rank(state, rank_tol) if need_oracle else None
 
-    if state.symmetry == DISTINGUISHABLE:
-        coadjoint = coadjoint_dimension(clusterings, state.dims)
-    else:  # one common reduced matrix; the acting group is the diagonal SU(N)
-        coadjoint = coadjoint_dimension(clusterings[:1], state.dims[:1])
+    # indistinguishable particles: one common reduced matrix, one SU(N)
+    group = acting_dims(state.dims, state.symmetry)
+    coadjoint = coadjoint_dimension(clusterings[:len(group)], group)
     if route == ROUTE_BIPARTITE:
         orbit_dim = orbit_dimension_bipartite(clusterings[0], state.dims[0])
         degeneracy = degeneracy_bipartite(clusterings[0])

@@ -79,10 +79,6 @@ class StateTensor:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def vector(self) -> np.ndarray:
-        """Flat row-major copy of the coefficient tensor."""
-        return self.coeffs.reshape(-1).copy()
-
     def overlap(self, other: "StateTensor") -> complex:
         """Hermitian inner product <self|other>."""
         if self.dims != other.dims:
@@ -246,6 +242,35 @@ class LocalUnitaryTuple:
         return LocalUnitaryTuple(tuple(b.conj().T for b in self.blocks))
 
 
+def acting_dims(dims: tuple[int, ...], symmetry: str) -> tuple[int, ...]:
+    """Dims of the acting group K: one SU(N_k) per distinguishable party,
+    the single SU(N) acting on every slot for indistinguishable particles."""
+    return dims if symmetry == DISTINGUISHABLE else dims[:1]
+
+
+def embed(matrix, party: int, parties: int, symmetry: str) -> tuple:
+    """Per-slot tuple of one generator of K: the matrix at its own party
+    (``None`` elsewhere), or on every slot for indistinguishable particles."""
+    if symmetry != DISTINGUISHABLE:
+        return (matrix,) * parties
+    return tuple(matrix if k == party else None for k in range(parties))
+
+
+def party_rows(coeffs: np.ndarray, k: int) -> np.ndarray:
+    """The (N_k, dim H / N_k) matrix whose rows run over party k; the
+    columns run over the other parties in order."""
+    n = coeffs.shape[k]
+    pre = math.prod(coeffs.shape[:k])
+    return coeffs.reshape(pre, n, -1).transpose(1, 0, 2).reshape(n, -1)
+
+
+def from_party_rows(rows: np.ndarray, shape, k: int) -> np.ndarray:
+    """Inverse of :func:`party_rows`: the tensor of the given shape."""
+    n = shape[k]
+    pre = math.prod(shape[:k])
+    return rows.reshape(n, pre, -1).transpose(1, 0, 2).reshape(shape)
+
+
 def apply_local(state: StateTensor, g: LocalUnitaryTuple) -> StateTensor:
     """Act with U_1 (x) ... (x) U_M on the state.
 
@@ -264,5 +289,5 @@ def apply_local(state: StateTensor, g: LocalUnitaryTuple) -> StateTensor:
                     "indistinguishable particles must all undergo the same block")
     out = state.coeffs
     for k, block in enumerate(g.blocks):
-        out = np.moveaxis(np.tensordot(block, out, axes=([1], [k])), 0, k)
+        out = from_party_rows(block @ party_rows(out, k), state.dims, k)
     return StateTensor(state.dims, out, state.symmetry)

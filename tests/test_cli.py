@@ -116,6 +116,20 @@ def test_canonical_command(capsys, bell_file):
     assert len(doc["local_unitaries"]) == 2
 
 
+def test_canonical_three_parties_takes_cluster_tol(capsys, tmp_path):
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 0], c[1, 1, 1] = np.sqrt(0.5 + 1e-7), np.sqrt(0.5 - 1e-7)
+    path = tmp_path / "near_ghz.json"
+    save_state(build_state(c), path)
+    code, _, err = run(capsys, "canonical", "--input", str(path))
+    assert code == 2
+    assert json.loads(err)["error"] == "AmbiguousClustering"
+    code, out, err = run(capsys, "canonical", "--input", str(path),
+                         "--cluster-tol", "1e-5", "--format", "json")
+    assert code == 0 and not err
+    assert len(json.loads(out)["local_unitaries"]) == 3
+
+
 def test_ks_check_two_qubits(capsys):
     code, out, _ = run(capsys, "ks-check", "--dims", "2,2", "--format", "json")
     assert code == 0

@@ -7,6 +7,7 @@ import pytest
 
 from orbitent import (
     BOSONIC,
+    AmbiguousClustering,
     LocalUnitaryTuple,
     NotBipartite,
     SymmetryViolation,
@@ -47,12 +48,21 @@ def ghz_state():
     return build_state(c)
 
 
+def fortran_state(rng):
+    """A (3,2,4) state whose coefficients are stored in column-major order."""
+    raw = rng.normal(size=(3, 2, 4)) + 1j * rng.normal(size=(3, 2, 4))
+    state = build_state(np.asfortranarray(raw))
+    assert state.coeffs.flags.f_contiguous and not state.coeffs.flags.c_contiguous
+    return state
+
+
 def test_reduced_matches_brute_force_contraction():
     rng = np.random.default_rng(23)
-    for dims in [(2, 2), (3, 2), (2, 3, 2)]:
-        state = random_state(dims, rng=rng)
+    states = [random_state(dims, rng=rng)
+              for dims in [(2, 2), (3, 2), (2, 3, 2), (2,) * 6, (4, 4, 4), (5,)]]
+    for state in states + [fortran_state(rng)]:
         red = reduced_matrices(state)
-        for k in range(len(dims)):
+        for k in range(state.parties):
             assert np.allclose(red.matrices[k], slow_reduced(state, k),
                                atol=1e-12)
 
@@ -241,6 +251,24 @@ def test_canonical_form_is_reproducible():
     first, _ = canonical_form(state)
     second, _ = canonical_form(state)
     assert np.array_equal(first.coeffs, second.coeffs)
+
+
+def near_ghz(delta):
+    """sqrt(1/2 + delta)|000> + sqrt(1/2 - delta)|111>: every reduced
+    spectrum has a gap of 2 delta."""
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 0], c[1, 1, 1] = np.sqrt(0.5 + delta), np.sqrt(0.5 - delta)
+    return build_state(c)
+
+
+def test_canonical_form_three_parties_clusters_at_cluster_tol():
+    state = near_ghz(1e-7)  # gap 2e-7, four times the default cut 5e-8
+    with pytest.raises(AmbiguousClustering):
+        canonical_form(state)
+    canon, g = canonical_form(state, cluster_tol=1e-5)  # one block of two
+    assert np.allclose(apply_local(state, g).coeffs, canon.coeffs, atol=1e-14)
+    for m in reduced_matrices(canon).matrices:
+        assert np.allclose(m, np.diag(np.diag(m)), atol=1e-12)
 
 
 def test_canonical_form_checks_cluster_tol_on_every_route():

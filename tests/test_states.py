@@ -1,5 +1,7 @@
 """State construction, local action, and symmetrization."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,21 @@ def test_apply_local_requires_identical_blocks_on_bosons():
     same = random_local_unitaries((3, 3), BOSONIC, rng=rng)
     out = apply_local(state, same)
     assert out.symmetry == BOSONIC
+
+
+def test_apply_local_matches_kronecker_product():
+    rng = np.random.default_rng(19)
+    states = [random_state(dims, rng=rng)
+              for dims in [(2,) * 6, (3, 5), (4, 4, 4), (5,)]]
+    raw = rng.normal(size=(3, 2, 4)) + 1j * rng.normal(size=(3, 2, 4))
+    states.append(build_state(np.asfortranarray(raw)))
+    assert states[-1].coeffs.flags.f_contiguous
+    for state in states:
+        g = random_local_unitaries(state.dims, rng=rng)
+        dense = functools.reduce(np.kron, g.blocks)
+        out = apply_local(state, g).coeffs.reshape(-1)
+        assert np.allclose(out, dense @ state.coeffs.reshape(-1),
+                           rtol=0.0, atol=1e-13)
 
 
 def test_apply_local_dimension_mismatch():
