@@ -57,17 +57,15 @@ from .moment import (
 )
 from .oracle import (
     DEFAULT_RANK_TOL,
-    ConsistencyRecord,
     DegeneracyRank,
-    TangentFrame,
     degeneracy_rank,
     fubini_study_omega,
-    tangent_frame,
     verify_against_formula,
 )
 from .report import (
     BOSON_PRODUCT,
     BOSON_SYMMETRIC_SIMPLE,
+    ConsistencyRecord,
     ORACLE_OFF,
     ORACLE_ONLY,
     ORACLE_VERIFY,
@@ -106,11 +104,10 @@ __all__ = [
     "degeneracy_bounds", "orbit_dimension_bipartite", "separability_test",
     "MomentImage", "ReducedMatrices", "SchmidtData", "canonical_form",
     "moment_image", "reduced_matrices", "schmidt",
-    "DEFAULT_RANK_TOL", "ConsistencyRecord", "DegeneracyRank", "TangentFrame",
-    "degeneracy_rank", "fubini_study_omega", "tangent_frame",
-    "verify_against_formula",
-    "BOSON_PRODUCT", "BOSON_SYMMETRIC_SIMPLE", "ORACLE_OFF", "ORACLE_ONLY",
-    "ORACLE_VERIFY", "analyze_state",
+    "DEFAULT_RANK_TOL", "DegeneracyRank", "degeneracy_rank",
+    "fubini_study_omega", "verify_against_formula",
+    "BOSON_PRODUCT", "BOSON_SYMMETRIC_SIMPLE", "ConsistencyRecord",
+    "ORACLE_OFF", "ORACLE_ONLY", "ORACLE_VERIFY", "analyze_state",
     "random_local_unitaries", "random_product_state",
     "random_special_unitary", "random_state",
     "BOSONIC", "DISTINGUISHABLE", "FERMIONIC", "LocalUnitaryTuple",

@@ -132,8 +132,6 @@ def _print_payload(payload: dict, text: str, fmt: str) -> None:
 def _fmt_dim(value) -> str:
     if isinstance(value, dict):
         return f"[{value['low']}, {value['high']}]"
-    if value is None:
-        return "n/a"
     return str(value)
 
 

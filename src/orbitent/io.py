@@ -100,7 +100,10 @@ def state_to_document(state: StateTensor) -> dict:
 
 def load_state(path) -> StateTensor:
     with open(path, "r", encoding="utf-8") as fh:
-        return state_from_document(json.load(fh))
+        try:
+            return state_from_document(json.load(fh))
+        except RecursionError:
+            raise ValueError("state document nests too deeply") from None
 
 
 def save_state(state: StateTensor, path) -> None:

@@ -187,18 +187,17 @@ class DegeneracyReport:
     """Full dimension-count report for one state.
 
     ``orbit_dim`` and ``degeneracy`` are exact integers where a closed form
-    or the oracle provides them, a (low, high) interval for M >= 3 bounds,
-    or None when unavailable.  ``oracle`` is an optional attachment dict
-    with the numerically computed ranks.  ``route`` names the formulas the
-    integers came from (see ``report.analyze_state``); it is not part of
-    the JSON document.
+    or the oracle provides them, or a (low, high) interval for M >= 3
+    bounds.  ``oracle`` is an optional attachment dict with the numerically
+    computed ranks.  ``route`` names the formulas the integers came from
+    (see ``report.analyze_state``); it is not part of the JSON document.
     """
 
     dims: tuple[int, ...]
     symmetry: str
-    orbit_dim: object  # int | (int, int) | None
+    orbit_dim: object  # int | (int, int)
     coadjoint_dim: int
-    degeneracy: object  # int | (int, int) | None
+    degeneracy: object  # int | (int, int)
     separable: object  # bool | None
     clusterings: tuple[SpectrumClustering, ...]
     oracle: dict | None = None

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import NotBipartite, SymmetryViolation
 from .measure import (
     DEFAULT_CLUSTER_TOL,
-    SpectrumClustering,
     check_tolerance,
     cluster_spectrum,
 )
@@ -97,7 +96,6 @@ class SchmidtData:
     left: np.ndarray
     right: np.ndarray
     diagonal_state: StateTensor
-    clustering: SpectrumClustering  # of the squared singular values
 
 
 def schmidt(state: StateTensor, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SchmidtData:
@@ -131,7 +129,6 @@ def schmidt(state: StateTensor, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Sch
         left=left,
         right=right,
         diagonal_state=build_state(diag),
-        clustering=clustering,
     )
 
 

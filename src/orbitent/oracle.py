@@ -1,4 +1,4 @@
-"""Numerical ground truth: orbit tangent frames and the restricted
+"""Numerical ground truth: orbit tangent rows and the restricted
 Fubini-Study form.
 
 For a unit state v and each real generator A of the local algebra, the
@@ -21,6 +21,7 @@ RankUnstable instead of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from .errors import EnumerationTooLarge, Inconsistency, NotNormalized, RankUnsta
 from .lie import rep_action, su_basis
 from .measure import DEFAULT_CLUSTER_TOL, check_tolerance, decide
 from .states import StateTensor, acting_dims, embed
+
+if TYPE_CHECKING:
+    from .report import ConsistencyRecord
 
 #: singular values below this fraction of the largest count as zero
 DEFAULT_RANK_TOL = 1e-8
@@ -38,63 +42,45 @@ MAX_GENERATORS = 256
 OMEGA_CHECK_TOL = 1e-10
 
 
-def _stable_rank(values, rel_tol: float, what: str, floor: float = 1.0) -> int:
+def _stable_rank(values, rel_tol: float, what: str) -> int:
     """Count values above rel_tol * scale, refusing near-threshold cases.
 
-    ``scale`` is the largest magnitude, floored at the metric scale: both
-    the Gram matrix and the restricted symplectic form are expressed
+    ``scale`` is the largest magnitude, floored at 1.0, the metric scale:
+    both the Gram matrix and the restricted symplectic form are expressed
     against unit tangent vectors, so their entries are bounded by order
     one and a matrix that is pure float noise must read as rank zero
     rather than have its noise promoted to full rank.
     """
     mags = np.abs(np.asarray(values, dtype=float))
-    cut = rel_tol * max(float(mags.max(initial=0.0)), floor)
+    cut = rel_tol * max(float(mags.max(initial=0.0)), 1.0)
     return int(decide(mags, cut, RankUnstable, f"{what}: singular value").sum())
 
 
-def _generator_actions(state: StateTensor):
-    """(labels, per-party matrix tuples) for the acting algebra.
+def _tangent_rows(state: StateTensor) -> np.ndarray:
+    """One projected generator image t_A = Av - v<v|Av> per row, flattened.
 
-    Distinguishable particles: every element of (+)_k su(N_k) embedded at
-    its party.  Indistinguishable particles: su(N) acting diagonally.  The
-    generator guard runs before the basis is built, so a refused state
-    never builds (or caches) a large basis.
+    The acting algebra is (+)_k su(N_k), each element embedded at its party,
+    for distinguishable particles and su(N) acting on every slot otherwise.
+    Both guards run before the basis is built, so a refused state never
+    builds (or caches) a large basis.
     """
+    if state.total_dim > MAX_HILBERT_DIM:
+        raise EnumerationTooLarge(
+            f"Hilbert dimension {state.total_dim} exceeds the oracle guard "
+            f"{MAX_HILBERT_DIM}")
     group = acting_dims(state.dims, state.symmetry)
     count = sum(n * n - 1 for n in group)
     if count > MAX_GENERATORS:
         raise EnumerationTooLarge(
             f"{count} generators exceed the oracle guard {MAX_GENERATORS}")
-    basis = su_basis(group)
-    specs = [embed(el.matrix, el.party, state.parties, state.symmetry)
-             for el in basis.elements]
-    return tuple(el.label for el in basis.elements), specs
-
-
-def _tangent_rows(state: StateTensor):
-    if state.total_dim > MAX_HILBERT_DIM:
-        raise EnumerationTooLarge(
-            f"Hilbert dimension {state.total_dim} exceeds the oracle guard "
-            f"{MAX_HILBERT_DIM}")
-    labels, specs = _generator_actions(state)
+    elements = su_basis(group).elements
     v = state.coeffs.reshape(-1)
-    rows = np.empty((len(specs), v.size), dtype=complex)
-    for a, mats in enumerate(specs):
+    rows = np.empty((len(elements), v.size), dtype=complex)
+    for a, el in enumerate(elements):
+        mats = embed(el.matrix, el.party, state.parties, state.symmetry)
         xi = rep_action(mats, state).reshape(-1)
         rows[a] = xi - v * np.vdot(v, xi)
-    return labels, rows
-
-
-@dataclass(frozen=True)
-class TangentFrame:
-    """Projected generator images spanning the orbit tangent space."""
-
-    state: StateTensor
-    labels: tuple[str, ...]
-    tangents: np.ndarray  # one row per generator, flattened
-    gram: np.ndarray  # Re <t_a|t_b>
-    rank: int  # orbit dimension dim(K.x)
-    rank_tol: float
+    return rows
 
 
 @dataclass(frozen=True)
@@ -104,8 +90,6 @@ class DegeneracyRank:
     orbit_dim: int
     symplectic_rank: int  # numerical dim of the coadjoint image
     degeneracy: int
-    frame: TangentFrame
-    omega_restricted: np.ndarray
 
     def as_tuple(self) -> tuple[int, int, int]:
         return self.orbit_dim, self.symplectic_rank, self.degeneracy
@@ -118,42 +102,24 @@ class DegeneracyRank:
         }
 
 
-def _frame(state, rank_tol):
-    """(frame, overlap <t_a|t_b>, Gram eigenvalues, Gram eigenvectors):
-    one ``eigh`` both decides the orbit rank and spans the tangent space."""
-    check_tolerance(rank_tol, "rank")
-    labels, rows = _tangent_rows(state)
-    overlap = rows.conj() @ rows.T
-    gram = (overlap.real + overlap.real.T) / 2.0
-    evals, evecs = np.linalg.eigh(gram)
-    rank = _stable_rank(evals, rank_tol, "orbit Gram matrix")
-    gram.setflags(write=False)
-    rows.setflags(write=False)
-    frame = TangentFrame(state, labels, rows, gram, rank, rank_tol)
-    return frame, overlap, evals, evecs
-
-
-def tangent_frame(state: StateTensor,
-                  rank_tol: float = DEFAULT_RANK_TOL) -> TangentFrame:
-    """Tangent frame of the local-unitary orbit through the state."""
-    return _frame(state, rank_tol)[0]
-
-
 def degeneracy_rank(state: StateTensor,
                     rank_tol: float = DEFAULT_RANK_TOL) -> DegeneracyRank:
     """Orbit dimension, symplectic rank, and degeneracy D = r - s.
 
-    The antisymmetric matrix Omega_ab = -Im<t_a|t_b> is restricted to an
-    orthonormal frame of the tangent span (eigenvectors of the Gram matrix
-    above the rank cut); its even numerical rank is the coadjoint-image
-    dimension.
+    One ``eigh`` of the Gram matrix both decides the orbit rank r and spans
+    the tangent space.  The antisymmetric matrix Omega_ab = -Im<t_a|t_b> is
+    restricted to an orthonormal frame of the tangent span (eigenvectors of
+    the Gram matrix above the rank cut); its even numerical rank s is the
+    coadjoint-image dimension.
     """
-    frame, overlap, evals, evecs = _frame(state, rank_tol)
-    r = frame.rank
+    check_tolerance(rank_tol, "rank")
+    rows = _tangent_rows(state)
+    overlap = rows.conj() @ rows.T
+    gram = (overlap.real + overlap.real.T) / 2.0
+    evals, evecs = np.linalg.eigh(gram)
+    r = _stable_rank(evals, rank_tol, "orbit Gram matrix")
     if r == 0:
-        omega_r = np.zeros((0, 0))
-        omega_r.setflags(write=False)
-        return DegeneracyRank(0, 0, 0, frame, omega_r)
+        return DegeneracyRank(0, 0, 0)
     omega = -(overlap.imag - overlap.imag.T) / 2.0
     top = evecs[:, -r:] / np.sqrt(evals[-r:])
     omega_r = top.T @ omega @ top
@@ -163,8 +129,7 @@ def degeneracy_rank(state: StateTensor,
     if s % 2:
         raise RankUnstable(
             f"restricted symplectic form has odd numerical rank {s}")
-    omega_r.setflags(write=False)
-    return DegeneracyRank(r, s, r - s, frame, omega_r)
+    return DegeneracyRank(r, s, r - s)
 
 
 def fubini_study_omega(v, a, b) -> float:
@@ -191,32 +156,6 @@ def fubini_study_omega(v, a, b) -> float:
             f"-Im<Av|Bv> = {primary:.3e} disagrees with (i/2)<[A,B]v|v> = "
             f"{secondary:.3e}")
     return primary
-
-
-@dataclass(frozen=True)
-class ConsistencyRecord:
-    """One formula-versus-oracle comparison."""
-
-    dims: tuple[int, ...]
-    symmetry: str
-    mode: str  # "exact", "bounds" for M >= 3, "coadjoint" without closed form
-    expected: dict
-    observed: dict
-    passed: bool
-    state_document: dict | None = None
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "dims": list(self.dims),
-            "symmetry": self.symmetry,
-            "mode": self.mode,
-            "expected": dict(self.expected),
-            "observed": dict(self.observed),
-            "passed": self.passed,
-        }
-        if self.state_document is not None:
-            doc["state"] = self.state_document
-        return doc
 
 
 def verify_against_formula(state: StateTensor,

@@ -30,7 +30,7 @@ Separability verdicts:
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from .errors import Inconsistency
 from .io import state_to_document
@@ -46,7 +46,7 @@ from .measure import (
     separability_test,
 )
 from .moment import reduced_matrices
-from .oracle import DEFAULT_RANK_TOL, ConsistencyRecord, degeneracy_rank
+from .oracle import DEFAULT_RANK_TOL, degeneracy_rank
 from .states import DISTINGUISHABLE, FERMIONIC, StateTensor, acting_dims
 
 ORACLE_OFF = "off"
@@ -173,6 +173,32 @@ def analyze_state(state: StateTensor,
                          degeneracy=rank.degeneracy,
                          route=ROUTE_ORACLE_ONLY)
     return report
+
+
+@dataclass(frozen=True)
+class ConsistencyRecord:
+    """One formula-versus-oracle comparison."""
+
+    dims: tuple[int, ...]
+    symmetry: str
+    mode: str  # "exact", "bounds" for M >= 3, "coadjoint" without closed form
+    expected: dict
+    observed: dict
+    passed: bool
+    state_document: dict | None = None
+
+    def to_json_dict(self) -> dict:
+        doc = {
+            "dims": list(self.dims),
+            "symmetry": self.symmetry,
+            "mode": self.mode,
+            "expected": dict(self.expected),
+            "observed": dict(self.observed),
+            "passed": self.passed,
+        }
+        if self.state_document is not None:
+            doc["state"] = self.state_document
+        return doc
 
 
 def check_consistency(report: DegeneracyReport,

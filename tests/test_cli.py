@@ -215,6 +215,21 @@ def test_malformed_document_exits_1(capsys, tmp_path):
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100000,  # the JSON decoder runs out of stack
+    json.dumps({"symmetry": "distinguishable", "dims": [1] * 900,
+                "coeffs": json.loads("[" * 900 + "1" + "]" * 900)}),
+], ids=["decoder", "parser"])
+def test_deeply_nested_document_exits_1_with_json_error(capsys, tmp_path,
+                                                        text):
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    code, out, err = run(capsys, "analyze", "--input", str(deep),
+                         "--format", "json")
+    assert code == 1 and not out
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_ambiguous_clustering_exits_2(capsys, tmp_path):
     p1 = np.sqrt(0.5 + 2.5e-8)
     p2 = np.sqrt(0.5 - 2.5e-8)

@@ -1,4 +1,4 @@
-"""Tangent frames, the restricted symplectic form, and formula cross-checks."""
+"""Tangent rows, the restricted symplectic form, and formula cross-checks."""
 
 import functools
 
@@ -19,10 +19,9 @@ from orbitent import (
     random_state,
     su_basis,
     symmetrize,
-    tangent_frame,
     verify_against_formula,
 )
-from orbitent.oracle import _stable_rank
+from orbitent.oracle import _stable_rank, _tangent_rows
 from orbitent.errors import RankUnstable
 
 
@@ -76,17 +75,10 @@ def test_omega_two_evaluations_agree_on_random_triples():
         fubini_study_omega(state, tuple(mx), tuple(my))  # raises on mismatch
 
 
-def test_tangent_frame_product_and_bell():
-    prod = build_state([[1, 0], [0, 0]])
-    assert tangent_frame(prod).rank == 4
-    assert tangent_frame(bell_state()).rank == 3
-
-
 def test_tangent_rows_orthogonal_to_base_point():
     state = random_state((3, 2), rng=np.random.default_rng(7))
-    frame = tangent_frame(state)
     v = state.coeffs.reshape(-1)
-    for row in frame.tangents:
+    for row in _tangent_rows(state):
         assert abs(np.vdot(v, row)) < 1e-12
 
 
@@ -114,7 +106,7 @@ def test_tangent_rows_match_dense_kronecker_generators(dims, symmetry):
     for mats in placed:
         xi = dense_generator(mats, dims) @ v
         expected.append(xi - v * np.vdot(v, xi))
-    tangents = tangent_frame(state).tangents
+    tangents = _tangent_rows(state)
     assert tangents.shape == (len(expected), v.size)
     assert np.allclose(tangents, expected, rtol=0, atol=1e-13)
 
@@ -210,7 +202,7 @@ def test_verify_against_formula_checks_coadjoint_without_closed_form():
 
 def test_oracle_size_guard():
     with pytest.raises(EnumerationTooLarge):
-        tangent_frame(build_state(np.ones((2,) * 13)))
+        degeneracy_rank(build_state(np.ones((2,) * 13)))
 
 
 def test_generator_guard_refuses_before_building_the_basis(monkeypatch):
@@ -219,7 +211,7 @@ def test_generator_guard_refuses_before_building_the_basis(monkeypatch):
 
     monkeypatch.setattr("orbitent.oracle.su_basis", no_basis)
     with pytest.raises(EnumerationTooLarge, match="286 generators"):
-        tangent_frame(build_state(np.eye(12)))
+        degeneracy_rank(build_state(np.eye(12)))
 
 
 def test_stable_rank_guard():
@@ -247,5 +239,3 @@ def test_stable_rank_refused_within_factor_ten_of_the_cut(factor, rank):
 def test_rank_tolerance_outside_range_is_refused(rank_tol):
     with pytest.raises(ValueError):
         degeneracy_rank(bell_state(), rank_tol=rank_tol)
-    with pytest.raises(ValueError):
-        tangent_frame(bell_state(), rank_tol=rank_tol)

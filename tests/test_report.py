@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitent import (
     BOSON_PRODUCT,
@@ -9,10 +10,13 @@ from orbitent import (
     BOSONIC,
     FERMIONIC,
     analyze_state,
+    apply_local,
     build_state,
+    random_local_unitaries,
     random_product_state,
     random_state,
     symmetrize,
+    verify_against_formula,
 )
 
 
@@ -124,3 +128,36 @@ def test_invalid_modes_rejected():
         analyze_state(bell_state(), oracle="sometimes")
     with pytest.raises(ValueError):
         analyze_state(bell_state(), boson_convention="neither")
+
+
+@st.composite
+def schmidt_profiles(draw):
+    """(N, positive multiplicities m_1.., seed) with sum m <= N, so the
+    kernel m_0 = N - sum m may be nonzero."""
+    n = draw(st.integers(2, 5))
+    profile = [draw(st.integers(1, n))]
+    while sum(profile) < n and draw(st.booleans()):
+        profile.append(draw(st.integers(1, n - sum(profile))))
+    return n, tuple(profile), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(schmidt_profiles())
+def test_degenerate_bipartite_strata_match_formula_and_oracle(case):
+    """Block b carries Schmidt weight 2^-b: the m_n^2 and m_0^2 terms of
+    dim O = 2N^2 - 2 m_0^2 - sum m^2 - 1 and D = sum m^2 - 1 do real work."""
+    n, profile, seed = case
+    weights = [2.0 ** -b for b, m in enumerate(profile) for _ in range(m)]
+    diag = np.zeros((n, n))
+    diag[range(len(weights)), range(len(weights))] = np.sqrt(weights)
+    g = random_local_unitaries((n, n), rng=seed)
+    state = apply_local(build_state(diag), g)
+
+    rec = verify_against_formula(state)
+    assert rec.passed and rec.mode == "exact"
+    m0 = n - sum(profile)
+    squares = sum(m * m for m in profile)
+    rep = analyze_state(state)
+    assert rep.orbit_dim == 2 * n * n - 2 * m0 * m0 - squares - 1
+    assert rep.degeneracy == squares - 1
+    assert rep.separable is (profile == (1,))
