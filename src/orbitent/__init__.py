@@ -70,6 +70,7 @@ from .report import (
     ORACLE_ONLY,
     ORACLE_VERIFY,
     analyze_state,
+    analyze_states,
 )
 from .sampling import (
     random_local_unitaries,
@@ -82,6 +83,7 @@ from .states import (
     DISTINGUISHABLE,
     FERMIONIC,
     LocalUnitaryTuple,
+    StateStack,
     StateTensor,
     apply_local,
     build_state,
@@ -108,10 +110,11 @@ __all__ = [
     "fubini_study_omega", "verify_against_formula",
     "BOSON_PRODUCT", "BOSON_SYMMETRIC_SIMPLE", "ConsistencyRecord",
     "ORACLE_OFF", "ORACLE_ONLY", "ORACLE_VERIFY", "analyze_state",
+    "analyze_states",
     "random_local_unitaries", "random_product_state",
     "random_special_unitary", "random_state",
     "BOSONIC", "DISTINGUISHABLE", "FERMIONIC", "LocalUnitaryTuple",
-    "StateTensor", "apply_local", "build_state", "special_unitary",
+    "StateStack", "StateTensor", "apply_local", "build_state", "special_unitary",
     "symmetrize",
     "__version__",
 ]

@@ -19,18 +19,20 @@ from .io import complex_array_to_json, load_state, state_to_document
 from .lie import kostant_sternberg_check, weight_table
 from .measure import DEFAULT_CLUSTER_TOL, DegeneracyReport
 from .moment import canonical_form, schmidt
-from .oracle import DEFAULT_RANK_TOL, verify_against_formula
+from .oracle import DEFAULT_RANK_TOL
 from .report import (
     BOSON_CONVENTIONS,
     BOSON_SYMMETRIC_SIMPLE,
     ORACLE_MODES,
     ORACLE_OFF,
+    ORACLE_VERIFY,
     ROUTE_BIPARTITE,
     ROUTE_BOUNDS,
     ROUTE_ORACLE,
     ROUTE_ORACLE_ONLY,
     ROUTE_SINGLE,
     analyze_state,
+    analyze_states,
 )
 from .sampling import random_state
 from .states import DISTINGUISHABLE, SYMMETRY_CLASSES
@@ -239,11 +241,11 @@ def _cmd_verify(args) -> int:
     if args.count < 1:
         raise ValueError("--count must be positive")
     rng = np.random.default_rng(args.seed)
+    states = (random_state(dims, args.symmetry, rng) for _ in range(args.count))
     mode = None
-    for _ in range(args.count):
-        state = random_state(dims, args.symmetry, rng)
-        record = verify_against_formula(state, args.cluster_tol, args.rank_tol)
-        mode = record.mode
+    for report in analyze_states(states, args.cluster_tol, args.rank_tol,
+                                 ORACLE_VERIFY):
+        mode = report.consistency.mode
     payload = {
         "count": args.count,
         "passed": args.count,

@@ -24,6 +24,10 @@ from .errors import DimensionMismatch
 from .states import StateTensor, build_state
 
 
+#: numpy's limit on the number of array axes, one per party
+MAX_PARTIES = 64
+
+
 def _is_real(x) -> bool:
     """A JSON number; true and false are not numbers here."""
     return isinstance(x, Real) and not isinstance(x, bool)
@@ -40,9 +44,13 @@ def _parse_scalar(leaf) -> complex:
 
 def _parse_dims(raw) -> tuple[int, ...]:
     """The "dims" entry: a list of integers (an integral float such as 2.0
-    counts, a string, a boolean or 2.9 does not)."""
+    counts, a string, a boolean or 2.9 does not), at most MAX_PARTIES of
+    them, so a deep document is refused before its nesting is parsed."""
     if not isinstance(raw, (list, tuple)):
         raise ValueError(f"dims must be a list of integers, got {raw!r}")
+    if len(raw) > MAX_PARTIES:
+        raise ValueError(
+            f"dims lists {len(raw)} parties; at most {MAX_PARTIES} fit in an array")
     for n in raw:
         integral = isinstance(n, Integral) or (
             _is_real(n) and float(n).is_integer())

@@ -32,6 +32,7 @@ from .states import (
     BOSONIC,
     DISTINGUISHABLE,
     FERMIONIC,
+    StateStack,
     StateTensor,
     acting_dims,
     build_state,
@@ -170,25 +171,29 @@ def sl2_triples(dims) -> tuple[Sl2Triple, ...]:
 
 
 def _embedded_action(mats, coeffs: np.ndarray) -> np.ndarray:
-    """Apply sum_k I (x) ... (x) A_k (x) ... (x) I to a coefficient tensor.
+    """Apply sum_k I (x) ... (x) A_k (x) ... (x) I to a coefficient tensor,
+    or to each state of a stack: the parties are the trailing ``len(mats)``
+    axes, and any axes before them index states.
 
-    Party k acts on the middle axis of the (prod(dims[:k]), N_k, rest)
-    view.  When the leading side is the shorter one, that is one matmul
-    batched over it.  Otherwise it is one product with the party's rows
-    (``states.party_rows``): the later qubits of a many-qubit state would
-    else cost hundreds of tiny matmuls.  Every term is a matmul, so integer
-    inputs stay exact.
+    Party k sits on axis a (k plus the number of stack axes) and acts on
+    the middle axis of the (prod(shape[:a]), N_k, rest) view.  When the
+    leading side is the shorter one, that is one matmul batched over it.
+    Otherwise it is one product with the rows of axis a across the whole
+    stack (``states.party_rows``): the later qubits of a many-qubit state,
+    or a long stack, would else cost hundreds of tiny matmuls.  Every term
+    is a matmul, so integer inputs stay exact.
     """
     shape = coeffs.shape
     out = None
-    for k, m in enumerate(mats):
+    for axis, m in enumerate(mats, coeffs.ndim - len(mats)):
         if m is None:
             continue
-        pre, n, post = math.prod(shape[:k]), shape[k], math.prod(shape[k + 1:])
+        pre, n, post = (math.prod(shape[:axis]), shape[axis],
+                        math.prod(shape[axis + 1:]))
         if pre <= post:
             term = (m @ coeffs.reshape(pre, n, post)).reshape(shape)
         else:
-            term = from_party_rows(m @ party_rows(coeffs, k), shape, k)
+            term = from_party_rows(m @ party_rows(coeffs, axis), shape, axis)
         out = term if out is None else out + term
     if out is None:
         out = np.zeros_like(coeffs)
@@ -235,10 +240,12 @@ def rep_action(generator, state) -> np.ndarray:
 
     ``generator`` is either a single N x N matrix (diagonal action, equal
     dims) or a sequence of per-party matrices where ``None`` means no action
-    on that party.  ``state`` may be a StateTensor or a bare coefficient
-    tensor.  The result is a plain, generally unnormalized, tensor.
+    on that party.  ``state`` may be a StateTensor, a StateStack (each
+    state is acted on; the result keeps the stack axis first) or a bare
+    coefficient tensor.  The result is a plain, generally unnormalized,
+    tensor.
     """
-    if isinstance(state, StateTensor):
+    if isinstance(state, (StateTensor, StateStack)):
         coeffs, dims, symmetry = state.coeffs, state.dims, state.symmetry
     else:
         coeffs = np.asarray(state)

@@ -20,6 +20,7 @@ guess near the cut; ``check_tolerance`` bounds every tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,15 +38,22 @@ def check_tolerance(tol: float, what: str) -> None:
         raise ValueError(f"{what} tolerance {tol!r} must lie in (0, 1e-2)")
 
 
-def decide(values: np.ndarray, cut: float, error: type, what: str) -> np.ndarray:
+def decide(values: np.ndarray, cut, error: type, what: str) -> np.ndarray:
     """The mask ``values >= cut``; raises ``error`` when a value lies strictly
     within a factor AMBIGUITY_FACTOR of the cut, where a small change of
-    tolerance would flip it and the integers counted from the mask."""
+    tolerance would flip it and the integers counted from the mask.
+
+    ``cut`` is a number or an array that broadcasts against ``values``,
+    such as one cut per row of a stack; the message names the smallest
+    offending value and its own cut."""
     near = (values > cut / AMBIGUITY_FACTOR) & (values < cut * AMBIGUITY_FACTOR)
     if near.any():
-        offender = float(values[near].min())
+        offenders = values[near]
+        at = int(offenders.argmin())
+        offender = float(offenders[at])
+        threshold = float(np.broadcast_to(cut, values.shape)[near][at])
         raise error(f"{what} {offender:.3e} lies within a factor {AMBIGUITY_FACTOR:g} "
-                    f"of the threshold {cut:.3e}; adjust the tolerance")
+                    f"of the threshold {threshold:.3e}; adjust the tolerance")
     return values >= cut
 
 
@@ -66,20 +74,23 @@ class SpectrumClustering:
         if any(a <= b for a, b in zip(values, values[1:])):
             raise ValueError("block values must be strictly descending")
 
-    @property
-    def size(self) -> int:
-        return self.kernel_dim + sum(m for _, m in self.blocks)
+    # several count formulas read these for every report; a clustering is
+    # frozen, so each is computed once
 
     @property
+    def size(self) -> int:
+        return self.kernel_dim + self.positive_rank
+
+    @cached_property
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(m for _, m in self.blocks)
 
-    @property
+    @cached_property
     def positive_rank(self) -> int:
         """Number of nonzero eigenvalues, counted with multiplicity."""
         return sum(self.multiplicities)
 
-    @property
+    @cached_property
     def square_sum(self) -> int:
         """sum_{n>=1} m_n^2 over the positive blocks."""
         return sum(m * m for m in self.multiplicities)
@@ -100,7 +111,7 @@ class SpectrumClustering:
         }
 
 
-def cluster_spectrum(values, tol: float = DEFAULT_CLUSTER_TOL) -> SpectrumClustering:
+def cluster_spectrum(values, tol: float = DEFAULT_CLUSTER_TOL):
     """Greedy gap clustering of a probability spectrum.
 
     Adjacent sorted values merge into one block iff their gap is below the
@@ -108,27 +119,53 @@ def cluster_spectrum(values, tol: float = DEFAULT_CLUSTER_TOL) -> SpectrumCluste
     Raises AmbiguousClustering (see ``decide``) whenever a gap or a value
     lies within a factor of ten of the threshold, since the resulting
     integer counts would flip under small tolerance changes.
+
+    A 1-d spectrum gives one SpectrumClustering.  A 2-d array holds one
+    spectrum per row and gives a tuple with one clustering per row; the
+    checks and cuts run on all rows at once and apply row by row.  When a
+    row fails, the rows are replayed one at a time, so the first failing
+    row raises its own error, as a loop over the rows would.
     """
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a nonempty 1-d list of eigenvalues")
+    if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
+        raise ValueError("expected a nonempty spectrum, or a 2-d array of them")
     check_tolerance(tol, "clustering")
-    if not (arr.min() >= -1e-10 and arr.max() <= 1.0 + 1e-8):  # also NaN
+    if arr.ndim == 1:
+        return _cluster_rows(arr[None], tol)[0]
+    try:
+        return _cluster_rows(arr, tol)
+    except (AmbiguousClustering, ValueError):
+        for row in arr:  # the first failing row raises its own error
+            _cluster_rows(row[None], tol)
+        raise
+
+
+def _cluster_rows(rows: np.ndarray, tol: float) -> tuple[SpectrumClustering, ...]:
+    """``cluster_spectrum`` of each row of a 2-d array, checked at once."""
+    if not (rows.min() >= -1e-10 and rows.max() <= 1.0 + 1e-8):  # also NaN
         raise ValueError("eigenvalues must lie in [0, 1]")
-    if abs(arr.sum() - 1.0) > 1e-8:
+    if any(abs(total - 1.0) > 1e-8 for total in rows.sum(axis=1).tolist()):
         raise ValueError("spectrum must sum to 1")
-    svals = np.sort(np.clip(arr, 0.0, None))[::-1]
-    eff = tol * svals[0]
+    # descending and contiguous, so a block's mean sums in descending order
+    svals = -np.sort(-np.maximum(rows, 0.0), axis=1)
+    eff = tol * svals[:, :1]
     # the gaps include the one between the last positive and first kernel value
-    splits = decide(svals[:-1] - svals[1:], eff, AmbiguousClustering, "spectral gap")
-    positive = svals[decide(svals, eff, AmbiguousClustering, "eigenvalue")]
-    blocks = []
-    start = 0
-    for stop in range(1, len(positive) + 1):
-        if stop == len(positive) or splits[stop - 1]:
-            blocks.append((float(positive[start:stop].mean()), stop - start))
-            start = stop
-    return SpectrumClustering(svals.size - positive.size, tuple(blocks), float(tol))
+    splits = decide(svals[:, :-1] - svals[:, 1:], eff, AmbiguousClustering,
+                    "spectral gap")
+    # sorted descending, so the positive values are a prefix of each row
+    positive = decide(svals, eff, AmbiguousClustering, "eigenvalue").sum(axis=1)
+    out = []
+    for row, split, count in zip(svals, splits.tolist(), positive.tolist()):
+        blocks = []
+        start = 0
+        for stop in range(1, count + 1):
+            if stop == count or split[stop - 1]:
+                value = (row[start:stop].mean() if stop - start > 1
+                         else row[start])
+                blocks.append((float(value), stop - start))
+                start = stop
+        out.append(SpectrumClustering(row.size - count, tuple(blocks), float(tol)))
+    return tuple(out)
 
 
 def orbit_dimension_bipartite(clustering: SpectrumClustering, dim: int) -> int:
@@ -190,7 +227,9 @@ class DegeneracyReport:
     or the oracle provides them, or a (low, high) interval for M >= 3
     bounds.  ``oracle`` is an optional attachment dict with the numerically
     computed ranks.  ``route`` names the formulas the integers came from
-    (see ``report.analyze_state``); it is not part of the JSON document.
+    (see ``report.analyze_state``), and ``consistency`` holds the
+    formula-versus-oracle record (``report.ConsistencyRecord``) whenever the
+    oracle ran; neither is part of the JSON document.
     """
 
     dims: tuple[int, ...]
@@ -203,6 +242,7 @@ class DegeneracyReport:
     oracle: dict | None = None
     boson_convention: str | None = None
     route: str | None = None
+    consistency: object = None  # report.ConsistencyRecord | None
 
     def to_json_dict(self) -> dict:
         doc = {

@@ -27,6 +27,7 @@ from .measure import (
 from .states import (
     DISTINGUISHABLE,
     LocalUnitaryTuple,
+    StateStack,
     StateTensor,
     apply_local,
     build_state,
@@ -37,14 +38,17 @@ from .states import (
 
 @dataclass(frozen=True)
 class ReducedMatrices:
-    """One positive semidefinite trace-one matrix per party."""
+    """One positive semidefinite trace-one matrix per party, (N_k, N_k), or
+    (B, N_k, N_k) for a stack of B states."""
 
     matrices: tuple[np.ndarray, ...]
 
     def spectra(self) -> tuple[np.ndarray, ...]:
-        """Descending eigenvalue list per party."""
-        return tuple(
-            np.sort(np.linalg.eigvalsh(m))[::-1] for m in self.matrices)
+        """Descending eigenvalue list per party, (N_k,) or (B, N_k)."""
+        mats = self.matrices
+        if len({m.shape for m in mats}) == 1:  # one eigvalsh for every party
+            return tuple(np.sort(np.linalg.eigvalsh(np.array(mats)))[..., ::-1])
+        return tuple(np.sort(np.linalg.eigvalsh(m))[..., ::-1] for m in mats)
 
 
 @dataclass(frozen=True)
@@ -54,12 +58,14 @@ class MomentImage:
     blocks: tuple[np.ndarray, ...]
 
 
-def reduced_matrices(state: StateTensor) -> ReducedMatrices:
-    """All M one-party reduced matrices, by direct contraction."""
+def reduced_matrices(state: StateTensor | StateStack) -> ReducedMatrices:
+    """All M one-party reduced matrices, by direct contraction; one stack
+    of matrices per party for a StateStack."""
+    batch = state.coeffs.ndim - state.parties
     mats = []
     for k in range(state.parties):
-        rows = party_rows(state.coeffs, k)
-        m = rows.conj() @ rows.T
+        rows = party_rows(state.coeffs, k, batch)
+        m = rows.conj() @ rows.swapaxes(-1, -2)
         m.setflags(write=False)
         mats.append(m)
     return ReducedMatrices(tuple(mats))

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import EnumerationTooLarge, Inconsistency, NotNormalized, RankUnstable
 from .lie import rep_action, su_basis
 from .measure import DEFAULT_CLUSTER_TOL, check_tolerance, decide
-from .states import StateTensor, acting_dims, embed
+from .states import StateStack, StateTensor, acting_dims, embed
 
 if TYPE_CHECKING:
     from .report import ConsistencyRecord
@@ -42,27 +42,30 @@ MAX_GENERATORS = 256
 OMEGA_CHECK_TOL = 1e-10
 
 
-def _stable_rank(values, rel_tol: float, what: str) -> int:
-    """Count values above rel_tol * scale, refusing near-threshold cases.
+def _stable_rank(values, rel_tol: float, what: str) -> np.ndarray:
+    """Count values above rel_tol * scale in each row, refusing
+    near-threshold cases.
 
-    ``scale`` is the largest magnitude, floored at 1.0, the metric scale:
-    both the Gram matrix and the restricted symplectic form are expressed
-    against unit tangent vectors, so their entries are bounded by order
-    one and a matrix that is pure float noise must read as rank zero
+    ``scale`` is the row's largest magnitude, floored at 1.0, the metric
+    scale: both the Gram matrix and the restricted symplectic form are
+    expressed against unit tangent vectors, so their entries are bounded by
+    order one and a matrix that is pure float noise must read as rank zero
     rather than have its noise promoted to full rank.
     """
     mags = np.abs(np.asarray(values, dtype=float))
-    cut = rel_tol * max(float(mags.max(initial=0.0)), 1.0)
-    return int(decide(mags, cut, RankUnstable, f"{what}: singular value").sum())
+    cut = rel_tol * np.maximum(mags.max(axis=-1, keepdims=True, initial=0.0), 1.0)
+    return decide(mags, cut, RankUnstable, f"{what}: singular value").sum(axis=-1)
 
 
-def _tangent_rows(state: StateTensor) -> np.ndarray:
-    """One projected generator image t_A = Av - v<v|Av> per row, flattened.
+def _tangent_rows(state: StateTensor | StateStack) -> np.ndarray:
+    """One projected generator image t_A = Av - v<v|Av> per row, flattened:
+    (G, dim H) for a state, (B, G, dim H) for a stack of B states.
 
     The acting algebra is (+)_k su(N_k), each element embedded at its party,
     for distinguishable particles and su(N) acting on every slot otherwise.
     Both guards run before the basis is built, so a refused state never
-    builds (or caches) a large basis.
+    builds (or caches) a large basis.  Each generator acts once on the
+    whole stack, and one product projects every row.
     """
     if state.total_dim > MAX_HILBERT_DIM:
         raise EnumerationTooLarge(
@@ -74,12 +77,13 @@ def _tangent_rows(state: StateTensor) -> np.ndarray:
         raise EnumerationTooLarge(
             f"{count} generators exceed the oracle guard {MAX_GENERATORS}")
     elements = su_basis(group).elements
-    v = state.coeffs.reshape(-1)
-    rows = np.empty((len(elements), v.size), dtype=complex)
+    lead = state.coeffs.shape[:state.coeffs.ndim - state.parties]
+    v = state.coeffs.reshape(*lead, 1, -1)
+    rows = np.empty((*lead, len(elements), v.shape[-1]), dtype=complex)
     for a, el in enumerate(elements):
         mats = embed(el.matrix, el.party, state.parties, state.symmetry)
-        xi = rep_action(mats, state).reshape(-1)
-        rows[a] = xi - v * np.vdot(v, xi)
+        rows[..., a, :] = rep_action(mats, state).reshape(*lead, -1)
+    rows -= (rows @ v.conj().swapaxes(-1, -2)) * v
     return rows
 
 
@@ -102,8 +106,8 @@ class DegeneracyRank:
         }
 
 
-def degeneracy_rank(state: StateTensor,
-                    rank_tol: float = DEFAULT_RANK_TOL) -> DegeneracyRank:
+def degeneracy_rank(state: StateTensor | StateStack,
+                    rank_tol: float = DEFAULT_RANK_TOL):
     """Orbit dimension, symplectic rank, and degeneracy D = r - s.
 
     One ``eigh`` of the Gram matrix both decides the orbit rank r and spans
@@ -111,25 +115,36 @@ def degeneracy_rank(state: StateTensor,
     restricted to an orthonormal frame of the tangent span (eigenvectors of
     the Gram matrix above the rank cut); its even numerical rank s is the
     coadjoint-image dimension.
+
+    A StateTensor gives one DegeneracyRank.  A StateStack gives a list with
+    one per state: the overlap, ``eigh`` and rank cut run once over the
+    stack, the restriction and SVD once per distinct r, and a refusal of
+    any state raises for the whole stack.
     """
     check_tolerance(rank_tol, "rank")
-    rows = _tangent_rows(state)
-    overlap = rows.conj() @ rows.T
-    gram = (overlap.real + overlap.real.T) / 2.0
+    stack = state if isinstance(state, StateStack) else StateStack.of([state])
+    rows = _tangent_rows(stack)
+    overlap = rows.conj() @ rows.swapaxes(-1, -2)
+    gram = (overlap.real + overlap.real.swapaxes(-1, -2)) / 2.0
     evals, evecs = np.linalg.eigh(gram)
-    r = _stable_rank(evals, rank_tol, "orbit Gram matrix")
-    if r == 0:
-        return DegeneracyRank(0, 0, 0)
-    omega = -(overlap.imag - overlap.imag.T) / 2.0
-    top = evecs[:, -r:] / np.sqrt(evals[-r:])
-    omega_r = top.T @ omega @ top
-    omega_r = (omega_r - omega_r.T) / 2.0
-    sing = np.linalg.svd(omega_r, compute_uv=False)
-    s = _stable_rank(sing, rank_tol, "restricted symplectic form")
-    if s % 2:
-        raise RankUnstable(
-            f"restricted symplectic form has odd numerical rank {s}")
-    return DegeneracyRank(r, s, r - s)
+    orbit = _stable_rank(evals, rank_tol, "orbit Gram matrix").tolist()
+    symplectic = [0] * len(orbit)
+    omega = -(overlap.imag - overlap.imag.swapaxes(-1, -2)) / 2.0
+    for r in sorted(set(orbit) - {0}):
+        at = [i for i, x in enumerate(orbit) if x == r]
+        sel = slice(None) if len(at) == len(orbit) else at
+        top = evecs[sel, :, -r:] / np.sqrt(evals[sel, None, -r:])
+        omega_r = top.swapaxes(-1, -2) @ omega[sel] @ top
+        omega_r = (omega_r - omega_r.swapaxes(-1, -2)) / 2.0
+        sing = np.linalg.svd(omega_r, compute_uv=False)
+        found = _stable_rank(sing, rank_tol, "restricted symplectic form").tolist()
+        for i, s in zip(at, found):
+            if s % 2:
+                raise RankUnstable(
+                    f"restricted symplectic form has odd numerical rank {s}")
+            symplectic[i] = s
+    ranks = [DegeneracyRank(r, s, r - s) for r, s in zip(orbit, symplectic)]
+    return ranks if stack is state else ranks[0]
 
 
 def fubini_study_omega(v, a, b) -> float:
@@ -164,12 +179,13 @@ def verify_against_formula(state: StateTensor,
                            ) -> ConsistencyRecord:
     """Check the oracle ranks against the formulas for one state.
 
-    Runs ``analyze_state(..., oracle="verify")`` and returns its comparison
-    record: mode "exact" for one party or two equal parties, "bounds" for
-    M >= 3, "coadjoint" for every other state.  Raises Inconsistency (with
-    the falsifying state serialized into the record) on any mismatch.
+    Runs ``analyze_state(..., oracle="verify")`` and returns the comparison
+    record it built: mode "exact" for one party or two equal parties,
+    "bounds" for M >= 3, "coadjoint" for every other state.  Raises
+    Inconsistency (with the falsifying state serialized into the record) on
+    any mismatch.
     """
-    from .report import ORACLE_VERIFY, analyze_state, check_consistency
+    from .report import ORACLE_VERIFY, analyze_state
 
-    report = analyze_state(state, cluster_tol, rank_tol, oracle=ORACLE_VERIFY)
-    return check_consistency(report, state)
+    return analyze_state(state, cluster_tol, rank_tol,
+                         oracle=ORACLE_VERIFY).consistency

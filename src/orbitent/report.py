@@ -1,7 +1,8 @@
 """Assemble full degeneracy reports: spectra -> clusterings -> counts.
 
-``analyze_state`` is the one place that decides which formula gives each
-integer.  It picks one of four routes:
+``analyze_states`` (and ``analyze_state``, its stack of one) is the one
+place that decides which formula gives each integer.  It picks one of four
+routes:
 
   bipartite   two distinguishable parties of equal dim: exact closed forms
   single      one party: the orbit is all of projective space, D = 0
@@ -30,9 +31,14 @@ Separability verdicts:
 
 from __future__ import annotations
 
+import functools
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
-from .errors import Inconsistency
+import numpy as np
+
+from .errors import Inconsistency, OrbitentError
 from .io import state_to_document
 from .measure import (
     DEFAULT_CLUSTER_TOL,
@@ -47,7 +53,7 @@ from .measure import (
 )
 from .moment import reduced_matrices
 from .oracle import DEFAULT_RANK_TOL, degeneracy_rank
-from .states import DISTINGUISHABLE, FERMIONIC, StateTensor, acting_dims
+from .states import DISTINGUISHABLE, FERMIONIC, StateStack, StateTensor, acting_dims
 
 ORACLE_OFF = "off"
 ORACLE_VERIFY = "verify"
@@ -57,6 +63,10 @@ ORACLE_MODES = (ORACLE_OFF, ORACLE_VERIFY, ORACLE_ONLY)
 BOSON_SYMMETRIC_SIMPLE = "symmetric-simple-tensor"
 BOSON_PRODUCT = "product-of-same-vector"
 BOSON_CONVENTIONS = (BOSON_SYMMETRIC_SIMPLE, BOSON_PRODUCT)
+
+#: analyze_states stacks at most this many bytes of the oracle's largest
+#: per-state array into one chunk (see ``_stack_length``)
+STACK_BYTES = 2**18
 
 ROUTE_BIPARTITE = "bipartite"
 ROUTE_SINGLE = "single"
@@ -76,7 +86,7 @@ def _collapse(low: int, high: int):
     return low if low == high else (low, high)
 
 
-def _route(state: StateTensor) -> str:
+def _route(state: StateTensor | StateStack) -> str:
     if state.symmetry != DISTINGUISHABLE:
         return ROUTE_ORACLE
     if state.parties == 1:
@@ -97,6 +107,32 @@ def _boson_separable(convention, clustering, degeneracy, parties):
     return None  # no criterion available beyond the symplectic orbit
 
 
+@functools.lru_cache(maxsize=64)
+def _stack_length(dims: tuple[int, ...], symmetry: str) -> int:
+    """How many states of this class one chunk holds: that many times the
+    oracle's largest per-state array (the G x dim H tangent rows or the
+    G x G overlap, complex, for G generators of the acting group) stays
+    within STACK_BYTES."""
+    g = sum(n * n - 1 for n in acting_dims(dims, symmetry))
+    return max(1, STACK_BYTES // (16 * g * max(g, math.prod(dims))))
+
+
+def _chunks(states):
+    """Consecutive states of one class (dims and symmetry), at most
+    ``_stack_length`` of them at a time."""
+    chunk, limit = [], 0
+    for state in states:
+        if chunk and (len(chunk) == limit or state.dims != chunk[0].dims
+                      or state.symmetry != chunk[0].symmetry):
+            yield chunk
+            chunk = []
+        if not chunk:
+            limit = _stack_length(state.dims, state.symmetry)
+        chunk.append(state)
+    if chunk:
+        yield chunk
+
+
 def analyze_state(state: StateTensor,
                   cluster_tol: float = DEFAULT_CLUSTER_TOL,
                   rank_tol: float = DEFAULT_RANK_TOL,
@@ -109,7 +145,30 @@ def analyze_state(state: StateTensor,
     numerical ranks and checks them against the formulas (raising
     Inconsistency on disagreement), "only" checks them too and then reports
     the oracle numbers in place of the formulas.  Both tolerances are
-    checked on entry, whether or not the oracle runs.
+    checked on entry, whether or not the oracle runs.  The state is
+    analyzed as a stack of one by :func:`analyze_states`.
+    """
+    return next(analyze_states([state], cluster_tol, rank_tol, oracle,
+                               boson_convention))
+
+
+def analyze_states(states,
+                   cluster_tol: float = DEFAULT_CLUSTER_TOL,
+                   rank_tol: float = DEFAULT_RANK_TOL,
+                   oracle: str = ORACLE_OFF,
+                   boson_convention: str = BOSON_SYMMETRIC_SIMPLE,
+                   ) -> Iterator[DegeneracyReport]:
+    """Lazily yield the report of :func:`analyze_state` for each state of
+    an iterable, in order.
+
+    Consecutive states of one class are analyzed together as a
+    ``StateStack`` of at most STACK_BYTES per chunk: reduced matrices,
+    spectra, clusterings and the oracle ranks run once per chunk, and only
+    the integer formulas, the report and the consistency record run per
+    state.  When a chunk raises, its states are replayed one at a time, so
+    the reports before the first failing state are yielded and that state
+    raises its own exception and message, as a loop of ``analyze_state``
+    would.
     """
     check_tolerance(cluster_tol, "clustering")
     check_tolerance(rank_tol, "rank")
@@ -118,12 +177,47 @@ def analyze_state(state: StateTensor,
     if boson_convention not in BOSON_CONVENTIONS:
         raise ValueError(
             f"boson convention must be one of {BOSON_CONVENTIONS}")
-    spectra = reduced_matrices(state).spectra()
-    clusterings = tuple(cluster_spectrum(s, cluster_tol) for s in spectra)
-    route = _route(state)
-    need_oracle = oracle != ORACLE_OFF or route == ROUTE_ORACLE
-    rank = degeneracy_rank(state, rank_tol) if need_oracle else None
+    for chunk in _chunks(states):
+        yield from _analyze_chunk(chunk, cluster_tol, rank_tol, oracle,
+                                  boson_convention)
 
+
+def _analyze_chunk(chunk, cluster_tol, rank_tol, oracle, boson_convention):
+    """The reports of one chunk of same-class states, from one stack; when
+    the stack raises, from one stack per state, in order."""
+    try:
+        stack = StateStack.of(chunk)
+        clusterings = _clusterings(reduced_matrices(stack).spectra(), cluster_tol)
+        route = _route(stack)
+        need_oracle = oracle != ORACLE_OFF or route == ROUTE_ORACLE
+        ranks = (degeneracy_rank(stack, rank_tol) if need_oracle
+                 else [None] * len(chunk))
+    except (OrbitentError, ValueError):
+        if len(chunk) == 1:
+            raise
+        for state in chunk:
+            yield from _analyze_chunk([state], cluster_tol, rank_tol, oracle,
+                                      boson_convention)
+        return
+    for state, clustering, rank in zip(chunk, clusterings, ranks):
+        yield _report(state, clustering, rank, route, oracle, boson_convention)
+
+
+def _clusterings(spectra, cluster_tol):
+    """Per state, one clustering per party.  Spectra of one length go
+    through one ``cluster_spectrum`` call, state by state and party by
+    party within a state, so the first row that fails is the first failing
+    party of the first failing state."""
+    if len({s.shape for s in spectra}) > 1:
+        return list(zip(*(cluster_spectrum(s, cluster_tol) for s in spectra)))
+    parties = len(spectra)
+    rows = np.stack(spectra, axis=1).reshape(-1, spectra[0].shape[-1])
+    flat = cluster_spectrum(rows, cluster_tol)
+    return [flat[i:i + parties] for i in range(0, len(flat), parties)]
+
+
+def _report(state, clusterings, rank, route, oracle, boson_convention):
+    """The report of one state from its clusterings and oracle ranks."""
     # indistinguishable particles: one common reduced matrix, one SU(N)
     group = acting_dims(state.dims, state.symmetry)
     coadjoint = coadjoint_dimension(clusterings[:len(group)], group)
@@ -165,14 +259,13 @@ def analyze_state(state: StateTensor,
     )
     if rank is None:
         return report
-    check_consistency(report, state)
+    changes = {"consistency": check_consistency(report, state)}
     if oracle == ORACLE_ONLY:
-        report = replace(report,
-                         orbit_dim=rank.orbit_dim,
-                         coadjoint_dim=rank.symplectic_rank,
-                         degeneracy=rank.degeneracy,
-                         route=ROUTE_ORACLE_ONLY)
-    return report
+        changes.update(orbit_dim=rank.orbit_dim,
+                       coadjoint_dim=rank.symplectic_rank,
+                       degeneracy=rank.degeneracy,
+                       route=ROUTE_ORACLE_ONLY)
+    return replace(report, **changes)
 
 
 @dataclass(frozen=True)

@@ -49,23 +49,7 @@ class StateTensor:
     symmetry: str = DISTINGUISHABLE
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
-        coeffs = np.array(self.coeffs, dtype=complex)
-        if self.symmetry not in SYMMETRY_CLASSES:
-            raise ValueError(f"unknown symmetry class {self.symmetry!r}")
-        if len(dims) < 1:
-            raise DimensionMismatch("a state needs at least one party")
-        if any(n < 2 for n in dims):
-            raise DimensionMismatch("every local dimension must be >= 2")
-        if coeffs.shape != dims:
-            raise DimensionMismatch(
-                f"tensor shape {coeffs.shape} does not match dims {dims}")
-        if self.symmetry != DISTINGUISHABLE and len(set(dims)) > 1:
-            raise DimensionMismatch(
-                "indistinguishable particles share one single-particle space")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "coeffs", coeffs)
+        _store_coeffs(self)
 
     @property
     def parties(self) -> int:
@@ -88,6 +72,75 @@ class StateTensor:
     def projectively_equals(self, other: "StateTensor", tol: float = PHASE_TOL) -> bool:
         """True when the two unit states agree up to a global phase."""
         return abs(abs(self.overlap(other)) - 1.0) < tol
+
+
+@dataclass(frozen=True)
+class StateStack:
+    """States of one class stacked along a leading axis.
+
+    ``coeffs`` has shape ``(B, *dims)`` with B >= 1, and each slice is one
+    state; the stack is read-only.  Build it with :meth:`of` from
+    StateTensors that share dims and symmetry.  ``parties`` and
+    ``total_dim`` describe one state.  Kernels given a stack act on its
+    trailing party axes and keep the stack axis first.
+    """
+
+    dims: tuple[int, ...]
+    coeffs: np.ndarray
+    symmetry: str = DISTINGUISHABLE
+
+    def __post_init__(self):
+        _store_coeffs(self, stacked=True)
+
+    @classmethod
+    def of(cls, states) -> "StateStack":
+        states = list(states)
+        if not states:
+            raise DimensionMismatch("a stack needs at least one state")
+        first = states[0]
+        if any(s.dims != first.dims or s.symmetry != first.symmetry
+               for s in states):
+            raise DimensionMismatch("stacked states must share dims and symmetry")
+        return cls(first.dims, np.array([s.coeffs for s in states]),
+                   first.symmetry)
+
+    @property
+    def parties(self) -> int:
+        return len(self.dims)
+
+    @property
+    def total_dim(self) -> int:
+        return math.prod(self.dims)
+
+    def __len__(self) -> int:
+        return self.coeffs.shape[0]
+
+    def __getitem__(self, index: int) -> StateTensor:
+        return StateTensor(self.dims, self.coeffs[index], self.symmetry)
+
+
+def _store_coeffs(obj, stacked: bool = False) -> None:
+    """Validate and store the dims and a read-only complex copy of the
+    coefficients of a StateTensor or, one axis deeper, a StateStack."""
+    dims = tuple(int(n) for n in obj.dims)
+    coeffs = np.array(obj.coeffs, dtype=complex)
+    if obj.symmetry not in SYMMETRY_CLASSES:
+        raise ValueError(f"unknown symmetry class {obj.symmetry!r}")
+    if len(dims) < 1:
+        raise DimensionMismatch("a state needs at least one party")
+    if any(n < 2 for n in dims):
+        raise DimensionMismatch("every local dimension must be >= 2")
+    if (coeffs.shape[1:] if stacked else coeffs.shape) != dims:
+        raise DimensionMismatch(
+            f"tensor shape {coeffs.shape} does not match dims {dims}")
+    if stacked and coeffs.shape[0] == 0:
+        raise DimensionMismatch("a stack needs at least one state")
+    if obj.symmetry != DISTINGUISHABLE and len(set(dims)) > 1:
+        raise DimensionMismatch(
+            "indistinguishable particles share one single-particle space")
+    coeffs.setflags(write=False)
+    object.__setattr__(obj, "dims", dims)
+    object.__setattr__(obj, "coeffs", coeffs)
 
 
 def build_state(raw, symmetry: str = DISTINGUISHABLE) -> StateTensor:
@@ -256,16 +309,19 @@ def embed(matrix, party: int, parties: int, symmetry: str) -> tuple:
     return tuple(matrix if k == party else None for k in range(parties))
 
 
-def party_rows(coeffs: np.ndarray, k: int) -> np.ndarray:
+def party_rows(coeffs: np.ndarray, k: int, batch: int = 0) -> np.ndarray:
     """The (N_k, dim H / N_k) matrix whose rows run over party k; the
-    columns run over the other parties in order."""
-    n = coeffs.shape[k]
-    pre = math.prod(coeffs.shape[:k])
-    return coeffs.reshape(pre, n, -1).transpose(1, 0, 2).reshape(n, -1)
+    columns run over the other parties in order.  The first ``batch`` axes
+    index a stack of states and stay in front: party k is axis batch + k."""
+    lead = coeffs.shape[:batch]
+    n = coeffs.shape[batch + k]
+    pre = math.prod(coeffs.shape[batch:batch + k])
+    return coeffs.reshape(*lead, pre, n, -1).swapaxes(-3, -2).reshape(*lead, n, -1)
 
 
 def from_party_rows(rows: np.ndarray, shape, k: int) -> np.ndarray:
-    """Inverse of :func:`party_rows`: the tensor of the given shape."""
+    """Inverse of :func:`party_rows` with ``batch`` 0: the tensor of the
+    given shape."""
     n = shape[k]
     pre = math.prod(shape[:k])
     return rows.reshape(n, pre, -1).transpose(1, 0, 2).reshape(shape)

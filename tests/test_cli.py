@@ -192,6 +192,18 @@ def test_analyze_verify_inconsistency_carries_the_state(capsys, bell_file,
     assert doc["record"]["state"]["dims"] == [2, 2]
 
 
+def test_verify_refusal_names_the_first_refused_state(capsys):
+    # state 803 of this seed is refused; verify analyzes states in chunks,
+    # and a refused chunk is replayed state by state
+    code, out, err = run(capsys, "verify", "--count", "1000", "--dims", "3,3",
+                         "--seed", "46", "--format", "json")
+    assert code == 2 and not out
+    assert json.loads(err) == {
+        "error": "AmbiguousClustering",
+        "message": "eigenvalue 7.886e-08 lies within a factor 10 of the "
+                   "threshold 6.840e-08; adjust the tolerance"}
+
+
 def test_verify_seed_determinism(capsys):
     _, first, _ = run(capsys, "verify", "--count", "3", "--dims", "2,2,2",
                       "--seed", "9", "--format", "json")

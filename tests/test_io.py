@@ -83,3 +83,14 @@ def test_malformed_document_rejected(name):
     doc = dict(MALFORMED_DOCUMENTS[name], symmetry="distinguishable")
     with pytest.raises(ValueError):
         state_from_document(doc)
+
+
+def test_deeply_nested_dims_refused_before_parsing():
+    # one axis per party: numpy holds at most 64, and a 900-deep document
+    # would otherwise overflow the stack in the nested parser
+    coeffs = 1.0
+    for _ in range(900):
+        coeffs = [coeffs]
+    doc = {"symmetry": "distinguishable", "dims": [1] * 900, "coeffs": coeffs}
+    with pytest.raises(ValueError, match="at most 64"):
+        state_from_document(doc)

@@ -13,6 +13,7 @@ from orbitent import (
     DimensionMismatch,
     EnumerationTooLarge,
     NotAWeightVector,
+    StateStack,
     WeightVector,
     build_state,
     cartan_basis,
@@ -303,3 +304,25 @@ def test_ks_agrees_with_oracle_degeneracy(dims, sym):
         assert verdict.symplectic == (rank.degeneracy == 0), (
             f"{dims} {sym} {w.label}: KS {verdict.verdict} vs D = "
             f"{rank.degeneracy}")
+
+
+@pytest.mark.parametrize("dims, symmetry", [
+    ((2, 3, 2), DISTINGUISHABLE), ((3, 3), BOSONIC), ((4, 4, 4), FERMIONIC)])
+def test_rep_action_on_a_stack_acts_on_each_state(dims, symmetry):
+    rng = np.random.default_rng(14)
+    states = [random_state(dims, symmetry, rng=rng) for _ in range(5)]
+    stack = StateStack.of(states)
+    group = dims if symmetry == DISTINGUISHABLE else dims[:1]
+    for el in su_basis(group).elements:
+        mats = (el.matrix,) * len(dims) if symmetry != DISTINGUISHABLE else tuple(
+            el.matrix if k == el.party else None for k in range(len(dims)))
+        out = rep_action(mats, stack)
+        assert out.shape == (5, *dims)
+        for b, state in enumerate(states):
+            # one nonzero per basis-matrix row: every entry is one exact product
+            assert np.array_equal(out[b], rep_action(mats, state))
+    z = rng.standard_normal((dims[0],) * 2) + 1j * rng.standard_normal((dims[0],) * 2)
+    if symmetry != DISTINGUISHABLE:
+        out = rep_action(z, stack)
+        for b, state in enumerate(states):
+            assert np.allclose(out[b], rep_action(z, state), rtol=0, atol=1e-14)

@@ -1,5 +1,6 @@
 """Clustering and the integer dimension formulas."""
 
+import numpy as np
 import pytest
 
 from orbitent import (
@@ -13,6 +14,7 @@ from orbitent import (
     orbit_dimension_bipartite,
     separability_test,
 )
+from orbitent.measure import decide
 
 
 def test_cluster_exact_degeneracy():
@@ -172,3 +174,36 @@ def test_spectrum_clustering_validation():
         SpectrumClustering(0, ((0.5, 0),), 1e-7)
     with pytest.raises(ValueError):
         SpectrumClustering(0, ((0.4, 1), (0.6, 1)), 1e-7)  # not descending
+
+
+def test_cluster_spectrum_of_rows_equals_one_call_per_row():
+    rows = np.array([[0.5, 0.5, 0.0], [0.6, 0.3, 0.1], [1.0, 0.0, 0.0],
+                     [0.4, 0.4, 0.2], [0.25, 0.25, 0.5]])
+    clusterings = cluster_spectrum(rows)
+    assert clusterings == tuple(cluster_spectrum(row) for row in rows)
+    assert [c.profile() for c in clusterings] == [
+        (1, (2,)), (0, (1, 1, 1)), (2, (1,)), (0, (2, 1)), (0, (1, 2))]
+
+
+def test_cluster_spectrum_of_rows_raises_the_first_failing_rows_error():
+    good = [0.6, 0.3, 0.1]
+    close_pair = [0.5 + 2.5e-8, 0.5 - 2.5e-8, 0.0]  # gap 5e-8 at a 5e-8 cut
+    small = [1.0 - 2e-7, 2e-7, 0.0]  # gap 2e-7 at a 1e-7 cut
+    for first, second in ((close_pair, small), (small, close_pair)):
+        with pytest.raises(AmbiguousClustering) as alone:
+            cluster_spectrum(first)
+        with pytest.raises(AmbiguousClustering) as stacked:
+            cluster_spectrum([good, first, second])
+        assert str(stacked.value) == str(alone.value)
+    with pytest.raises(ValueError, match="sum to 1"):
+        cluster_spectrum([good, [0.9, 0.2, 0.0]])
+
+
+def test_decide_names_the_offending_rows_own_cut():
+    values = np.array([[1.0, 0.5], [3e-8, 1.0], [1.0, 1e-13]])
+    cut = np.array([[1e-6], [1e-8], [1e-10]])
+    with pytest.raises(AmbiguousClustering,
+                       match=r"value 3\.000e-08 .* threshold 1\.000e-08"):
+        decide(values, cut, AmbiguousClustering, "value")
+    assert decide(values, np.array([[1e-12], [1e-6], [1e-10]]), AmbiguousClustering,
+                  "value").tolist() == [[True, True], [False, True], [True, False]]

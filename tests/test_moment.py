@@ -7,9 +7,12 @@ import pytest
 
 from orbitent import (
     BOSONIC,
+    DISTINGUISHABLE,
+    FERMIONIC,
     AmbiguousClustering,
     LocalUnitaryTuple,
     NotBipartite,
+    StateStack,
     SymmetryViolation,
     apply_local,
     build_state,
@@ -275,3 +278,21 @@ def test_canonical_form_checks_cluster_tol_on_every_route():
     for state in (bell_state(), ghz_state()):
         with pytest.raises(ValueError):
             canonical_form(state, cluster_tol=0.5)
+
+
+@pytest.mark.parametrize("dims, symmetry", [
+    ((2, 2), DISTINGUISHABLE), ((3, 5), DISTINGUISHABLE),
+    ((2, 2, 2), DISTINGUISHABLE), ((3, 3, 3), DISTINGUISHABLE),
+    ((2, 3, 4), DISTINGUISHABLE), ((3, 3), BOSONIC), ((4, 4, 4), FERMIONIC)])
+def test_stacked_reduced_matrices_and_spectra_equal_each_states(dims, symmetry):
+    rng = np.random.default_rng(13)
+    states = [random_state(dims, symmetry, rng=rng) for _ in range(6)]
+    stacked = reduced_matrices(StateStack.of(states))
+    spectra = stacked.spectra()
+    for b, state in enumerate(states):
+        single = reduced_matrices(state)
+        for k, (m, one) in enumerate(zip(stacked.matrices, single.matrices)):
+            assert m.shape == (6, dims[k], dims[k])
+            assert np.array_equal(m[b], one)
+        for s, one in zip(spectra, single.spectra()):
+            assert np.array_equal(s[b], one)

@@ -11,6 +11,7 @@ from orbitent import (
     FERMIONIC,
     EnumerationTooLarge,
     NotNormalized,
+    StateStack,
     apply_local,
     build_state,
     degeneracy_rank,
@@ -239,3 +240,27 @@ def test_stable_rank_refused_within_factor_ten_of_the_cut(factor, rank):
 def test_rank_tolerance_outside_range_is_refused(rank_tol):
     with pytest.raises(ValueError):
         degeneracy_rank(bell_state(), rank_tol=rank_tol)
+
+
+def test_degeneracy_rank_of_a_stack_matches_each_state():
+    rng = np.random.default_rng(21)
+    bell = build_state([[0, 1], [1, 0]])
+    product = build_state([[1, 0], [0, 0]])
+    states = [random_state((2, 2), rng=rng), bell, product,
+              random_state((2, 2), rng=rng), bell]
+    ranks = degeneracy_rank(StateStack.of(states))
+    assert [r.as_tuple() for r in ranks] == [
+        degeneracy_rank(s).as_tuple() for s in states]
+    # three orbit ranks: the restriction and SVD run once per distinct r
+    assert [r.orbit_dim for r in ranks] == [5, 3, 4, 5, 3]
+
+
+@pytest.mark.parametrize("dims, symmetry", [
+    ((2, 2, 2), DISTINGUISHABLE), ((3, 5), DISTINGUISHABLE),
+    ((3, 3), BOSONIC), ((4, 4, 4), FERMIONIC)])
+def test_tangent_rows_of_a_stack_match_each_state(dims, symmetry):
+    rng = np.random.default_rng(22)
+    states = [random_state(dims, symmetry, rng=rng) for _ in range(4)]
+    rows = _tangent_rows(StateStack.of(states))
+    for b, state in enumerate(states):
+        assert np.allclose(rows[b], _tangent_rows(state), rtol=0, atol=1e-15)

@@ -1,15 +1,21 @@
 """Report assembly across symmetry classes and oracle modes."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import orbitent.report
 from orbitent import (
     BOSON_PRODUCT,
     BOSON_SYMMETRIC_SIMPLE,
     BOSONIC,
+    DISTINGUISHABLE,
     FERMIONIC,
+    AmbiguousClustering,
     analyze_state,
+    analyze_states,
     apply_local,
     build_state,
     random_local_unitaries,
@@ -161,3 +167,115 @@ def test_degenerate_bipartite_strata_match_formula_and_oracle(case):
     assert rep.orbit_dim == 2 * n * n - 2 * m0 * m0 - squares - 1
     assert rep.degeneracy == squares - 1
     assert rep.separable is (profile == (1,))
+
+
+def _special_states(dims, symmetry, rng):
+    """States off the generic stratum, so a stack holds several orbit ranks."""
+    if symmetry == BOSONIC:
+        v = rng.standard_normal(dims[0]) + 1j * rng.standard_normal(dims[0])
+        return [build_state(np.multiply.outer(v, v), BOSONIC)]
+    if symmetry == FERMIONIC:
+        vectors = rng.standard_normal((len(dims), dims[0]))
+        return [symmetrize(np.einsum("i,j,k->ijk", *vectors), FERMIONIC)]
+    ghz = np.zeros(dims)
+    for i in range(min(dims)):
+        ghz[(i,) * len(dims)] = 1.0
+    g = random_local_unitaries(dims, rng=rng)
+    return [random_product_state(dims, rng=rng), apply_local(build_state(ghz), g)]
+
+
+def _same_reports(batched, single):
+    assert len(batched) == len(single)
+    for a, b in zip(batched, single):
+        assert a.to_json_dict() == b.to_json_dict()
+        assert (a.route, a.oracle) == (b.route, b.oracle)
+
+
+@pytest.mark.parametrize("dims, symmetry", [
+    ((2, 2), DISTINGUISHABLE), ((3, 3), DISTINGUISHABLE),
+    ((2, 3), DISTINGUISHABLE), ((2, 2, 2), DISTINGUISHABLE),
+    ((3, 3, 3), DISTINGUISHABLE), ((3, 3), BOSONIC), ((4, 4, 4), FERMIONIC)])
+def test_analyze_states_equals_one_analyze_state_per_state(dims, symmetry):
+    rng = np.random.default_rng(31)
+    length = orbitent.report._stack_length(dims, symmetry)
+    states = [random_state(dims, symmetry, rng=rng) for _ in range(length + 1)]
+    special = _special_states(dims, symmetry, rng)
+    # the special states sit in the first chunk and open the second one
+    states[1:1 + len(special)] = special
+    states[length:length + len(special)] = special
+    for mode in ("off", "verify", "only"):
+        single = [analyze_state(s, oracle=mode) for s in states]
+        # one side of the chunk boundary, then across it
+        _same_reports(list(analyze_states(states[:length - 1], oracle=mode)),
+                      single[:length - 1])
+        _same_reports(list(analyze_states(states, oracle=mode)), single)
+
+
+def test_analyze_states_starts_a_new_stack_at_each_class():
+    rng = np.random.default_rng(35)
+    states = [random_state(dims, symmetry, rng=rng) for dims, symmetry in [
+        ((2, 2), DISTINGUISHABLE), ((2, 2), DISTINGUISHABLE), ((2, 3), DISTINGUISHABLE),
+        ((2, 2), BOSONIC), ((2, 2), DISTINGUISHABLE), ((3, 3, 3), FERMIONIC)]]
+    assert [len(c) for c in orbitent.report._chunks(states)] == [2, 1, 1, 1, 1]
+    for mode in ("off", "verify"):
+        _same_reports(list(analyze_states(states, oracle=mode)),
+                      [analyze_state(s, oracle=mode) for s in states])
+
+
+def _near_threshold_case(dims, party, rng, weights):
+    """A state whose Schmidt weights across ``party`` are ``weights``, with
+    random orthonormal partners on the other parties."""
+    rest = int(np.prod(dims)) // dims[party]
+    q, _ = np.linalg.qr(rng.standard_normal((rest, rest))
+                        + 1j * rng.standard_normal((rest, rest)))
+    rows = np.zeros((dims[party], rest), dtype=complex)
+    for i, w in enumerate(weights):
+        rows[i] = np.sqrt(w) * q[:, i]
+    others = dims[:party] + dims[party + 1:]
+    return build_state(np.moveaxis(rows.reshape(dims[party], *others), 0, party))
+
+
+def test_a_refused_stack_yields_up_to_the_first_refused_state():
+    rng = np.random.default_rng(32)
+    dims = (2, 2, 3)
+    good = random_state(dims, rng=rng)
+    # A: the third party has an eigenvalue near its cut; B: the first
+    # party a gap near its cut.  Party by party, the stack meets B's first.
+    refused_a = _near_threshold_case(dims, 2, rng, [0.6, 0.4 - 2e-7, 2e-7])
+    refused_b = _near_threshold_case(dims, 0, rng, [0.5 + 2.5e-8, 0.5 - 2.5e-8])
+    with pytest.raises(AmbiguousClustering) as alone:
+        analyze_state(refused_a)
+    with pytest.raises(AmbiguousClustering) as other:
+        analyze_state(refused_b)
+    assert str(alone.value) != str(other.value)
+    reports = analyze_states([good, refused_a, refused_b])
+    assert next(reports).to_json_dict() == analyze_state(good).to_json_dict()
+    with pytest.raises(AmbiguousClustering) as stacked:
+        next(reports)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_analyze_states_is_lazy():
+    rng = np.random.default_rng(33)
+    endless = (random_state((2, 2), rng=rng) for _ in itertools.count())
+    reports = analyze_states(endless, oracle="verify")
+    assert [next(reports).route for _ in range(3)] == ["bipartite"] * 3
+
+
+def test_check_consistency_runs_once_per_state(monkeypatch):
+    calls = []
+    check = orbitent.report.check_consistency
+
+    def counted(report, state):
+        calls.append(state)
+        return check(report, state)
+
+    monkeypatch.setattr(orbitent.report, "check_consistency", counted)
+    rng = np.random.default_rng(34)
+    record = verify_against_formula(random_state((3, 3), rng=rng))
+    assert record.passed and len(calls) == 1
+    states = [random_state((2, 2, 2), rng=rng) for _ in range(5)]
+    reports = list(analyze_states(states, oracle="verify"))
+    assert len(calls) == 6
+    assert all(seen is state for seen, state in zip(calls[1:], states))
+    assert all(r.consistency.mode == "bounds" for r in reports)

@@ -11,6 +11,7 @@ from orbitent import (
     FERMIONIC,
     DimensionMismatch,
     LocalUnitaryTuple,
+    StateStack,
     SymmetryViolation,
     ZeroState,
     apply_local,
@@ -20,6 +21,7 @@ from orbitent import (
     special_unitary,
     symmetrize,
 )
+from orbitent.states import party_rows
 
 EPS = np.finfo(float).eps
 
@@ -237,3 +239,35 @@ def test_special_unitary_rescales_phase():
 def test_distinguishable_ignores_exchange_checks():
     state = build_state([[0.3, 0.1], [0.9, 0.2]], DISTINGUISHABLE)
     assert state.symmetry == DISTINGUISHABLE
+
+
+def test_state_stack_holds_states_of_one_class():
+    rng = np.random.default_rng(11)
+    states = [random_state((2, 3), rng=rng) for _ in range(4)]
+    stack = StateStack.of(states)
+    assert (len(stack), stack.dims, stack.parties, stack.total_dim) == (4, (2, 3), 2, 6)
+    assert stack.coeffs.shape == (4, 2, 3)
+    assert not stack.coeffs.flags.writeable
+    assert np.array_equal(stack[2].coeffs, states[2].coeffs)
+    assert [s.dims for s in stack] == [(2, 3)] * 4
+    bosons = symmetrize(np.eye(3), BOSONIC)
+    with pytest.raises(DimensionMismatch):
+        StateStack.of([states[0], random_state((3, 2), rng=rng)])
+    with pytest.raises(DimensionMismatch):
+        StateStack.of([bosons, build_state(np.eye(3))])
+    with pytest.raises(DimensionMismatch):
+        StateStack.of([])
+    with pytest.raises(DimensionMismatch):
+        StateStack((2, 3), np.zeros((2, 3)))  # no stack axis
+    with pytest.raises(DimensionMismatch):
+        StateStack((2, 3), np.zeros((0, 2, 3)))
+
+
+def test_party_rows_keep_leading_batch_axes():
+    rng = np.random.default_rng(12)
+    coeffs = rng.standard_normal((5, 2, 3, 4)) + 1j * rng.standard_normal((5, 2, 3, 4))
+    for k in range(3):
+        rows = party_rows(coeffs, k, batch=1)
+        assert rows.shape == (5, coeffs.shape[k + 1], 24 // coeffs.shape[k + 1])
+        for b in range(5):
+            assert np.array_equal(rows[b], party_rows(coeffs[b], k))
