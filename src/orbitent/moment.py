@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotBipartite, SymmetryViolation
+from .errors import AmbiguousClustering, NotBipartite, SymmetryViolation
 from .measure import (
     DEFAULT_CLUSTER_TOL,
     check_tolerance,
@@ -122,7 +122,7 @@ def schmidt(state: StateTensor, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Sch
     values = []
     start = 0
     for m in clustering.multiplicities:
-        values.append(float(s[start:start + m].mean()))
+        values.append(float(s[start:start + m].mean() if m > 1 else s[start]))
         start += m
     diag = np.zeros(state.dims, dtype=complex)
     for i, p in enumerate(s):
@@ -138,44 +138,52 @@ def schmidt(state: StateTensor, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Sch
     )
 
 
-def _projector_basis(block: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of span(block) determined by the subspace alone.
+def _gauge(vecs: np.ndarray, clusterings) -> np.ndarray:
+    """Eigenbases with a canonical gauge, for a (P, N, N) stack of
+    eigenvector matrices with descending columns.
 
-    Gram-Schmidt over the columns of the spectral projector: the projector
-    does not depend on which eigenvectors the solver returned, so the
-    result is reproducible run to run.
+    Each block of a matrix's clustering (positive multiplicities, then the
+    kernel) gets the Gram-Schmidt basis of its spectral projector's
+    columns, which does not depend on which eigenvectors the solver
+    returned.  All (matrix, block) pairs of one multiplicity run at once.
+    Each new vector leaves every later column at once: per column the same
+    operations in the same order as a column-by-column loop, and stacked
+    ``matmul`` gives the same bits as ``vdot`` and ``norm`` per vector.
     """
-    proj = block @ block.conj().T
-    want = block.shape[1]
-    basis: list[np.ndarray] = []
-    for j in range(proj.shape[0]):
-        w = proj[:, j].copy()
-        for b in basis:
-            w -= b * np.vdot(b, w)
-        norm = np.linalg.norm(w)
-        if norm > 1e-6:
-            basis.append(w / norm)
-            if len(basis) == want:
+    spans: dict[int, list[tuple[int, int]]] = {}  # multiplicity -> (matrix, column)
+    for p, c in enumerate(clusterings):
+        start = 0
+        for m in c.multiplicities + ((c.kernel_dim,) if c.kernel_dim else ()):
+            spans.setdefault(m, []).append((p, start))
+            start += m
+    n = vecs.shape[-1]
+    out = np.empty(vecs.shape, dtype=complex)
+    for m, at in spans.items():
+        party, start = np.array(at).T
+        cols = start[:, None] + np.arange(m)
+        block = vecs[party[:, None, None], np.arange(n)[:, None], cols[:, None, :]]
+        proj = block @ block.conj().swapaxes(-1, -2)
+        w = proj.swapaxes(-1, -2).copy()  # w[k, j]: column j of pair k's projector
+        found = np.zeros(w.shape[:2], dtype=bool)
+        count = np.zeros(len(at), dtype=int)
+        for j in range(n):
+            x = w[:, j]
+            re, im = x.real[:, None], x.imag[:, None]
+            norm = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0]
+            keep = (norm > 1e-6) & (count < m)
+            np.divide(x, norm[:, None], out=x, where=keep[:, None])
+            found[:, j] = keep
+            count += keep
+            if count.min() == m:
                 break
-    if len(basis) != want:  # impossible for an orthogonal projector
-        raise ArithmeticError("projector basis extraction failed")
-    return np.column_stack(basis)
-
-
-def _deterministic_eigenbasis(reduced: np.ndarray, cluster_tol: float) -> np.ndarray:
-    """Eigenbasis of a reduced matrix, descending, with a canonical gauge.
-
-    The degenerate blocks are those of ``cluster_spectrum`` (positive
-    multiplicities, then the kernel), so AmbiguousClustering propagates;
-    within each block the basis is rebuilt from the spectral projector,
-    removing the solver's arbitrary choice.
-    """
-    vals, vecs = np.linalg.eigh(reduced)
-    order = np.argsort(-vals)
-    vals, vecs = vals[order], vecs[:, order]
-    clustering = cluster_spectrum(vals, cluster_tol)
-    blocks = np.split(vecs, np.cumsum(clustering.multiplicities), axis=1)
-    return np.hstack([_projector_basis(b) for b in blocks if b.size])
+            b = x[:, None]
+            rest = w[:, j + 1:]
+            step = rest - b * (b.conj()[..., None, :] @ rest[..., None])[..., 0]
+            w[:, j + 1:] = np.where(keep[:, None, None], step, rest)
+        if (count < m).any():  # impossible for an orthogonal projector
+            raise ArithmeticError("projector basis extraction failed")
+        out[party[:, None], :, cols] = w[found].reshape(-1, m, n)
+    return out
 
 
 def canonical_form(state: StateTensor,
@@ -187,12 +195,14 @@ def canonical_form(state: StateTensor,
     the canonical state exactly, and each C^k diagonal with descending
     entries.  For two parties the representative is the Schmidt diagonal
     state (projectively); for other party counts each party is rotated into
-    the eigenbasis of its own reduced matrix.
+    the eigenbasis of its own reduced matrix, and the parties of one dim
+    share one ``eigh``, one clustering and one gauge pass.
 
     Only ``distinguishable`` states qualify: the construction acts with
     independent blocks per party.  ``cluster_tol`` clusters the Schmidt
     spectrum of two parties and each reduced spectrum of any other count,
-    so AmbiguousClustering propagates on every route.
+    so AmbiguousClustering propagates on every route, from the first
+    refused party.
     """
     check_tolerance(cluster_tol, "clustering")
     if state.symmetry != DISTINGUISHABLE:
@@ -204,10 +214,29 @@ def canonical_form(state: StateTensor,
         g = LocalUnitaryTuple((data.left, data.right.T))
         return apply_local(state, g), g
     red = reduced_matrices(state)
-    # C^k transforms as conj(U) C^k U^T under apply_local, so the block
-    # that diagonalizes it is the transpose of its eigenvector matrix.
-    blocks = tuple(
-        special_unitary(_deterministic_eigenbasis(m, cluster_tol).T)
-        for m in red.matrices)
-    g = LocalUnitaryTuple(blocks)
+    groups: dict[int, list[int]] = {}  # dim -> parties, each dim one stack
+    for k, n in enumerate(state.dims):
+        groups.setdefault(n, []).append(k)
+    spectra = {}
+    for n, parties in groups.items():
+        vals, vecs = np.linalg.eigh(np.array([red.matrices[k] for k in parties]))
+        order = np.argsort(-vals, axis=-1)  # descending; vectors are columns
+        at = np.arange(len(parties))[:, None]
+        spectra[n] = (vals[at, order],
+                      vecs.swapaxes(-1, -2)[at, order].swapaxes(-1, -2))
+    try:
+        clusterings = {n: cluster_spectrum(vals, cluster_tol)
+                       for n, (vals, _) in spectra.items()}
+    except (AmbiguousClustering, ValueError):
+        for k, n in enumerate(state.dims):  # the first refused party raises
+            cluster_spectrum(spectra[n][0][groups[n].index(k)], cluster_tol)
+        raise
+    blocks = [None] * state.parties
+    for n, parties in groups.items():
+        # C^k transforms as conj(U) C^k U^T under apply_local, so the block
+        # that diagonalizes it is the transpose of its eigenvector matrix.
+        bases = _gauge(spectra[n][1], clusterings[n])
+        for k, block in zip(parties, special_unitary(bases.swapaxes(-1, -2))):
+            blocks[k] = block
+    g = LocalUnitaryTuple(tuple(blocks))
     return apply_local(state, g), g

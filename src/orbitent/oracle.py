@@ -40,6 +40,9 @@ MAX_HILBERT_DIM = 4096
 MAX_GENERATORS = 256
 #: the two evaluations of omega must agree this tightly
 OMEGA_CHECK_TOL = 1e-10
+#: _tangent_rows projects at most this many bytes of rows at once, so the
+#: projection's temporary stays in cache
+PROJECTION_BYTES = 2**19
 
 
 def _stable_rank(values, rel_tol: float, what: str) -> np.ndarray:
@@ -65,7 +68,8 @@ def _tangent_rows(state: StateTensor | StateStack) -> np.ndarray:
     for distinguishable particles and su(N) acting on every slot otherwise.
     Both guards run before the basis is built, so a refused state never
     builds (or caches) a large basis.  Each generator acts once on the
-    whole stack, and one product projects every row.
+    whole stack, and the rows are projected in chunks of at most
+    PROJECTION_BYTES.
     """
     if state.total_dim > MAX_HILBERT_DIM:
         raise EnumerationTooLarge(
@@ -83,7 +87,11 @@ def _tangent_rows(state: StateTensor | StateStack) -> np.ndarray:
     for a, el in enumerate(elements):
         mats = embed(el.matrix, el.party, state.parties, state.symmetry)
         rows[..., a, :] = rep_action(mats, state).reshape(*lead, -1)
-    rows -= (rows @ v.conj().swapaxes(-1, -2)) * v
+    vh = v.conj().swapaxes(-1, -2)
+    step = max(1, PROJECTION_BYTES * len(elements) // rows.nbytes)
+    for a in range(0, len(elements), step):
+        part = rows[..., a:a + step, :]
+        part -= (part @ vh) * v
     return rows
 
 

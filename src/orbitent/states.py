@@ -242,12 +242,15 @@ def symmetrize(raw, symmetry: str) -> StateTensor:
 
 
 def special_unitary(matrix) -> np.ndarray:
-    """Rescale a unitary by det^(-1/N) so its determinant becomes 1."""
+    """Rescale a unitary by det^(-1/N) so its determinant becomes 1; a
+    (..., N, N) stack is rescaled matrix by matrix, with one ``det``."""
     m = np.array(matrix, dtype=complex)
     det = np.linalg.det(m)
-    if abs(abs(det) - 1.0) > DETERMINANT_TOL:
+    if (abs(abs(det) - 1.0) > DETERMINANT_TOL).any():
         raise ValueError("matrix determinant does not have unit modulus")
-    return m * np.exp(-1j * np.angle(det) / m.shape[0])
+    # one scalar phase per matrix: on an array, exp can differ in the last bit
+    phases = [np.exp(-1j * np.angle(d) / m.shape[-1]) for d in np.ravel(det)]
+    return m * np.reshape(phases, (*det.shape, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -261,21 +264,29 @@ class LocalUnitaryTuple:
     blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        checked = []
-        for b in self.blocks:
-            m = np.array(b, dtype=complex)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        checked = tuple(np.array(b, dtype=complex) for b in self.blocks)
+        sizes: dict[int, list[int]] = {}
+        for k, m in enumerate(checked):
+            if m.ndim == 2 and m.shape[0] == m.shape[1]:
+                sizes.setdefault(m.shape[0], []).append(k)
+        # blocks of one size are checked as one stack
+        drift, dets = {}, {}
+        for n, at in sizes.items():
+            stack = np.array([checked[k] for k in at])
+            gram = stack.conj().swapaxes(-1, -2) @ stack
+            drift.update(zip(at, np.abs(gram - np.eye(n)).max(axis=(-2, -1)).tolist()))
+            dets.update(zip(at, np.linalg.det(stack).tolist()))
+        for k, m in enumerate(checked):  # the first failing block raises
+            if k not in drift:
                 raise DimensionMismatch("unitary blocks must be square")
-            n = m.shape[0]
-            if np.abs(m.conj().T @ m - np.eye(n)).max() > UNITARITY_TOL:
+            if drift[k] > UNITARITY_TOL:
                 raise ValueError("block is not unitary within tolerance")
-            if abs(np.linalg.det(m) - 1.0) > DETERMINANT_TOL:
+            if abs(dets[k] - 1.0) > DETERMINANT_TOL:
                 raise ValueError(
                     "block determinant must equal 1 "
                     "(use from_blocks(..., fix_determinant=True) to rescale)")
             m.setflags(write=False)
-            checked.append(m)
-        object.__setattr__(self, "blocks", tuple(checked))
+        object.__setattr__(self, "blocks", checked)
 
     @classmethod
     def from_blocks(cls, blocks, fix_determinant: bool = False) -> "LocalUnitaryTuple":

@@ -23,8 +23,10 @@ from orbitent import (
     random_state,
     reduced_matrices,
     schmidt,
+    special_unitary,
     symmetrize,
 )
+from orbitent.measure import DEFAULT_CLUSTER_TOL, cluster_spectrum
 
 
 def slow_reduced(state, party):
@@ -296,3 +298,119 @@ def test_stacked_reduced_matrices_and_spectra_equal_each_states(dims, symmetry):
             assert np.array_equal(m[b], one)
         for s, one in zip(spectra, single.spectra()):
             assert np.array_equal(s[b], one)
+
+
+def projector_basis(block):
+    """Gram-Schmidt over the columns of the spectral projector of one block,
+    one vector at a time."""
+    proj = block @ block.conj().T
+    basis = []
+    for j in range(proj.shape[0]):
+        w = proj[:, j].copy()
+        for b in basis:
+            w -= b * np.vdot(b, w)
+        norm = np.linalg.norm(w)
+        if norm > 1e-6:
+            basis.append(w / norm)
+            if len(basis) == block.shape[1]:
+                break
+    assert len(basis) == block.shape[1]
+    return np.column_stack(basis)
+
+
+def reference_canonical_form(state, cluster_tol=DEFAULT_CLUSTER_TOL):
+    """canonical_form off the two-party route, one party at a time: its own
+    eigh, clustering, per-block gauge and SU rescale."""
+    blocks = []
+    for m in reduced_matrices(state).matrices:
+        vals, vecs = np.linalg.eigh(m)
+        order = np.argsort(-vals)
+        vals, vecs = vals[order], vecs[:, order]
+        clustering = cluster_spectrum(vals, cluster_tol)
+        split = np.split(vecs, np.cumsum(clustering.multiplicities), axis=1)
+        basis = np.hstack([projector_basis(b) for b in split if b.size])
+        blocks.append(special_unitary(basis.T))
+    g = LocalUnitaryTuple(tuple(blocks))
+    return apply_local(state, g), g
+
+
+def ghz(dims):
+    c = np.zeros(dims)
+    for i in range(min(dims)):
+        c[(i,) * len(dims)] = 1
+    return build_state(c)
+
+
+def w_state(qubits):
+    c = np.zeros(2 ** qubits)
+    c[[2 ** k for k in range(qubits)]] = 1  # one excitation on each qubit
+    return build_state(c.reshape((2,) * qubits))
+
+
+def diagonal_state(weights):
+    """sum_i sqrt(p_i) e_i (x) e_i (x) e_i: every reduced spectrum is p."""
+    n = len(weights)
+    c = np.zeros((n, n, n))
+    c[np.arange(n), np.arange(n), np.arange(n)] = np.sqrt(weights)
+    return build_state(c)
+
+
+CANONICAL_CASES = {
+    "(5,)": lambda rng: random_state((5,), rng=rng),
+    "(2,2,2)": lambda rng: random_state((2, 2, 2), rng=rng),
+    "(2,)^6": lambda rng: random_state((2,) * 6, rng=rng),
+    "(3,3,3)": lambda rng: random_state((3, 3, 3), rng=rng),
+    "(2,3,4)": lambda rng: random_state((2, 3, 4), rng=rng),
+    "(2,3,2)": lambda rng: random_state((2, 3, 2), rng=rng),
+    "ghz(3,3,3)": lambda rng: ghz((3, 3, 3)),
+    "w(4)": lambda rng: w_state(4),
+    "product(2,3,2)": lambda rng: random_product_state((2, 3, 2), rng=rng),
+    "blocks of 2": lambda rng: diagonal_state([0.3, 0.3, 0.4]),
+    "blocks of 3": lambda rng: diagonal_state([0.2, 0.2, 0.2, 0.4]),
+}
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+@pytest.mark.parametrize("case", sorted(CANONICAL_CASES))
+def test_canonical_form_equals_per_party_reference(case, rotate):
+    rng = np.random.default_rng(83)
+    state = CANONICAL_CASES[case](rng)
+    if rotate:
+        state = apply_local(state, random_local_unitaries(state.dims, rng=rng))
+    canon, g = canonical_form(state)
+    ref, ref_g = reference_canonical_form(state)
+    assert np.array_equal(canon.coeffs, ref.coeffs)
+    for block, ref_block in zip(g.blocks, ref_g.blocks, strict=True):
+        assert np.array_equal(block, ref_block)
+
+
+def product_of_pairs(dims, links):
+    """Product over links (a, b, p) of sqrt(p)|00> + sqrt(1-p)|11> on
+    parties a and b: both reduced spectra hold p and 1 - p."""
+    c, order = np.ones(()), []
+    for a, b, p in links:
+        pair = np.zeros((dims[a], dims[b]))
+        pair[0, 0], pair[1, 1] = np.sqrt(p), np.sqrt(1 - p)
+        c = np.multiply.outer(c, pair)
+        order += [a, b]
+    return build_state(np.transpose(c, np.argsort(order)))
+
+
+@pytest.mark.parametrize("dims", [(2,) * 6, (2, 3, 2, 2, 3, 2)])
+def test_canonical_form_refuses_with_the_first_refused_party(dims):
+    # party 0 clears the cut; parties 1 and 2 sit near it with gaps 2e-7 and
+    # 3e-8, so the two refusals name different values.  In the mixed dims
+    # party 1 has dim 3 and party 2 shares the stack of dim 2 with party 0.
+    state = product_of_pairs(dims, [(0, 5, 0.3), (1, 3, 0.5 - 1e-7),
+                                    (2, 4, 0.5 - 1.5e-8)])
+    spectra = reduced_matrices(state).spectra()
+    cluster_spectrum(spectra[0])
+    messages = []
+    for k in (1, 2):
+        with pytest.raises(AmbiguousClustering) as refusal:
+            cluster_spectrum(spectra[k])
+        messages.append(str(refusal.value))
+    assert messages[0] != messages[1]
+    with pytest.raises(AmbiguousClustering) as refusal:
+        canonical_form(state)
+    assert str(refusal.value) == messages[0]

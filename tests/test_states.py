@@ -1,6 +1,7 @@
 """State construction, local action, and symmetrization."""
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -228,6 +229,37 @@ def test_unitary_tuple_rejects_unit_modulus_det_without_request():
 def test_unitary_tuple_rejects_nonunitary():
     with pytest.raises(ValueError):
         LocalUnitaryTuple((np.array([[1.0, 1.0], [0.0, 1.0]]),))
+
+
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)  # det -1
+SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])  # det 1, not unitary
+NOT_UNITARY = "block is not unitary within tolerance"
+NOT_SPECIAL = "block determinant must equal 1"
+
+
+@pytest.mark.parametrize("blocks, error, message", [
+    ((np.eye(2), SHEAR, HADAMARD), ValueError, NOT_UNITARY),
+    ((np.eye(2), HADAMARD, SHEAR), ValueError, NOT_SPECIAL),
+    # the 3x3 block fails first; the stack of 2x2 blocks holds a later fault
+    ((np.eye(2), np.diag([1.0, 1.0, 1j]), SHEAR), ValueError, NOT_SPECIAL),
+    ((np.eye(2), np.ones((3, 3)), HADAMARD), ValueError, NOT_UNITARY),
+    ((HADAMARD, np.ones((2, 3))), ValueError, NOT_SPECIAL),
+    ((np.ones((2, 3)), HADAMARD), DimensionMismatch, "must be square"),
+])
+def test_unitary_tuple_raises_the_first_bad_blocks_error(blocks, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        LocalUnitaryTuple(blocks)
+
+
+def test_special_unitary_of_a_stack_equals_each_matrix():
+    rng = np.random.default_rng(29)
+    for n in (2, 3, 5):
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(4, 1, 1)))
+        stack = [random_local_unitaries((n,), rng=rng).blocks[0] for _ in range(4)]
+        stack = np.array(stack) * phases
+        rescaled = special_unitary(stack)
+        for m, one in zip(stack, rescaled, strict=True):
+            assert np.array_equal(one, special_unitary(m))
 
 
 def test_special_unitary_rescales_phase():
