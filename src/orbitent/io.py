@@ -16,6 +16,7 @@ nested "coeffs".  Writers always emit the nested form with [re, im] leaves.
 from __future__ import annotations
 
 import json
+import math
 from numbers import Integral, Real
 
 import numpy as np
@@ -81,7 +82,7 @@ def state_from_document(doc: dict) -> StateTensor:
         coeffs = np.array(_parse_nested(doc["coeffs"], dims), dtype=complex)
     elif "coeffs_flat" in doc:
         flat = [_parse_scalar(x) for x in doc["coeffs_flat"]]
-        if len(flat) != int(np.prod(dims)):
+        if len(flat) != math.prod(dims):
             raise DimensionMismatch(
                 f"coeffs_flat has {len(flat)} entries for dims {list(dims)}")
         coeffs = np.array(flat, dtype=complex).reshape(dims)

@@ -294,9 +294,9 @@ def _weight_space_dims(dims, symmetry) -> tuple[int, ...]:
     dims = _check_dims(dims)
     if symmetry != DISTINGUISHABLE and len(set(dims)) > 1:
         raise DimensionMismatch("indistinguishable particles need equal dims")
-    if int(np.prod(dims)) > MAX_ENUMERATION:
+    if math.prod(dims) > MAX_ENUMERATION:
         raise EnumerationTooLarge(
-            f"dense tensor of size {np.prod(dims)} exceeds {MAX_ENUMERATION}")
+            f"dense tensor of size {math.prod(dims)} exceeds {MAX_ENUMERATION}")
     if symmetry == FERMIONIC and len(dims) > dims[0]:
         raise DimensionMismatch(f"the antisymmetric space of {len(dims)} particles "
                                 f"in dimension {dims[0]} is trivial")

@@ -1,17 +1,19 @@
-"""Numerical ground truth: orbit tangent rows and the restricted
-Fubini-Study form.
+"""Numerical ground truth: the orbit's metric and symplectic form pulled
+back to the local algebra k.
 
-For a unit state v and each real generator A of the local algebra, the
-projective tangent vector is t_A = Av - v<v|Av>.  The orbit dimension r is
-the real rank of the Gram matrix G_ab = Re<t_a|t_b>; the symplectic form
-on tangent vectors is
+For a unit state v and each real generator A_a of k, let R_a = A_a v and
+alpha_a = Im<v|A_a v>, the moment map on A_a.  A -> Av - v<v|Av> maps k
+onto the tangent space of the projective orbit, so both ranks can be read
+in generator coordinates, without a frame of that space:
 
-    omega(t_a, t_b) = -Im<Av|Bv> = (i/2) <[A,B]v|v>,
+    G_ab     = Re<R_a|R_b> - alpha_a alpha_b          rank r = dim O
+    Omega_ab = -Im<R_a|R_b> = (i/2) <[A_a,A_b]v|v>    rank s
 
-whose rank s on the tangent span equals the dimension of the coadjoint
-orbit of the moment-map image, leaving the degeneracy D = r - s.  This
-works for any state and symmetry class and cross-checks every closed-form
-count.
+Omega is the Kirillov-Kostant-Souriau form at mu(v), so s is the dimension
+of the coadjoint orbit of the moment-map image, and D = r - s.  The term
+alpha alpha^T is all that is left of the projection onto the tangent
+space.  This works for any state and symmetry class and cross-checks every
+closed-form count.
 
 All rank decisions share one relative threshold with the refusal rule of
 ``measure.decide``: a singular value within a factor ten of the cut raises
@@ -40,9 +42,6 @@ MAX_HILBERT_DIM = 4096
 MAX_GENERATORS = 256
 #: the two evaluations of omega must agree this tightly
 OMEGA_CHECK_TOL = 1e-10
-#: _tangent_rows projects at most this many bytes of rows at once, so the
-#: projection's temporary stays in cache
-PROJECTION_BYTES = 2**19
 
 
 def _stable_rank(values, rel_tol: float, what: str) -> np.ndarray:
@@ -50,26 +49,26 @@ def _stable_rank(values, rel_tol: float, what: str) -> np.ndarray:
     near-threshold cases.
 
     ``scale`` is the row's largest magnitude, floored at 1.0, the metric
-    scale: both the Gram matrix and the restricted symplectic form are
-    expressed against unit tangent vectors, so their entries are bounded by
-    order one and a matrix that is pure float noise must read as rank zero
-    rather than have its noise promoted to full rank.
+    scale: both forms are overlaps of generator images Av with unit v, so
+    their entries are bounded by order one (by M^2 for M indistinguishable
+    particles, whose generators act on every slot), and a matrix that is
+    pure float noise must read as rank zero rather than have its noise
+    promoted to full rank.
     """
     mags = np.abs(np.asarray(values, dtype=float))
     cut = rel_tol * np.maximum(mags.max(axis=-1, keepdims=True, initial=0.0), 1.0)
     return decide(mags, cut, RankUnstable, f"{what}: singular value").sum(axis=-1)
 
 
-def _tangent_rows(state: StateTensor | StateStack) -> np.ndarray:
-    """One projected generator image t_A = Av - v<v|Av> per row, flattened:
-    (G, dim H) for a state, (B, G, dim H) for a stack of B states.
+def _generator_rows(state: StateTensor | StateStack) -> np.ndarray:
+    """One generator image R_a = A_a v per row, flattened: (G, dim H) for a
+    state, (B, G, dim H) for a stack of B states.
 
     The acting algebra is (+)_k su(N_k), each element embedded at its party,
     for distinguishable particles and su(N) acting on every slot otherwise.
     Both guards run before the basis is built, so a refused state never
     builds (or caches) a large basis.  Each generator acts once on the
-    whole stack, and the rows are projected in chunks of at most
-    PROJECTION_BYTES.
+    whole stack.
     """
     if state.total_dim > MAX_HILBERT_DIM:
         raise EnumerationTooLarge(
@@ -82,16 +81,10 @@ def _tangent_rows(state: StateTensor | StateStack) -> np.ndarray:
             f"{count} generators exceed the oracle guard {MAX_GENERATORS}")
     elements = su_basis(group).elements
     lead = state.coeffs.shape[:state.coeffs.ndim - state.parties]
-    v = state.coeffs.reshape(*lead, 1, -1)
-    rows = np.empty((*lead, len(elements), v.shape[-1]), dtype=complex)
+    rows = np.empty((*lead, len(elements), state.total_dim), dtype=complex)
     for a, el in enumerate(elements):
         mats = embed(el.matrix, el.party, state.parties, state.symmetry)
         rows[..., a, :] = rep_action(mats, state).reshape(*lead, -1)
-    vh = v.conj().swapaxes(-1, -2)
-    step = max(1, PROJECTION_BYTES * len(elements) // rows.nbytes)
-    for a in range(0, len(elements), step):
-        part = rows[..., a:a + step, :]
-        part -= (part @ vh) * v
     return rows
 
 
@@ -118,39 +111,35 @@ def degeneracy_rank(state: StateTensor | StateStack,
                     rank_tol: float = DEFAULT_RANK_TOL):
     """Orbit dimension, symplectic rank, and degeneracy D = r - s.
 
-    One ``eigh`` of the Gram matrix both decides the orbit rank r and spans
-    the tangent space.  The antisymmetric matrix Omega_ab = -Im<t_a|t_b> is
-    restricted to an orthonormal frame of the tangent span (eigenvectors of
-    the Gram matrix above the rank cut); its even numerical rank s is the
-    coadjoint-image dimension.
+    One overlap R^* R^T of the generator images gives both forms: r is the
+    rank of G = sym(Re R^* R^T) - alpha alpha^T, read off its eigenvalues,
+    and s the even numerical rank of Omega = antisym(-Im R^* R^T), read off
+    its singular values.  Exactly, s <= r.  Near a degenerate stratum the
+    eigenvalues of G shrink with the square of the spectral gaps but the
+    singular values of Omega only linearly, so the two cuts can disagree;
+    s > r is refused rather than reported as a negative D.
 
     A StateTensor gives one DegeneracyRank.  A StateStack gives a list with
-    one per state: the overlap, ``eigh`` and rank cut run once over the
-    stack, the restriction and SVD once per distinct r, and a refusal of
-    any state raises for the whole stack.
+    one per state: the overlap, both spectra and both rank cuts run once
+    over the stack, and a refusal of any state raises for the whole stack.
     """
     check_tolerance(rank_tol, "rank")
     stack = state if isinstance(state, StateStack) else StateStack.of([state])
-    rows = _tangent_rows(stack)
+    rows = _generator_rows(stack)
     overlap = rows.conj() @ rows.swapaxes(-1, -2)
-    gram = (overlap.real + overlap.real.swapaxes(-1, -2)) / 2.0
-    evals, evecs = np.linalg.eigh(gram)
-    orbit = _stable_rank(evals, rank_tol, "orbit Gram matrix").tolist()
-    symplectic = [0] * len(orbit)
+    alpha = (rows @ stack.coeffs.reshape(len(stack), -1, 1).conj()).imag
+    gram = ((overlap.real + overlap.real.swapaxes(-1, -2)) / 2.0
+            - alpha * alpha.swapaxes(-1, -2))
+    orbit = _stable_rank(np.linalg.eigvalsh(gram), rank_tol,
+                         "orbit Gram matrix").tolist()
     omega = -(overlap.imag - overlap.imag.swapaxes(-1, -2)) / 2.0
-    for r in sorted(set(orbit) - {0}):
-        at = [i for i, x in enumerate(orbit) if x == r]
-        sel = slice(None) if len(at) == len(orbit) else at
-        top = evecs[sel, :, -r:] / np.sqrt(evals[sel, None, -r:])
-        omega_r = top.swapaxes(-1, -2) @ omega[sel] @ top
-        omega_r = (omega_r - omega_r.swapaxes(-1, -2)) / 2.0
-        sing = np.linalg.svd(omega_r, compute_uv=False)
-        found = _stable_rank(sing, rank_tol, "restricted symplectic form").tolist()
-        for i, s in zip(at, found):
-            if s % 2:
-                raise RankUnstable(
-                    f"restricted symplectic form has odd numerical rank {s}")
-            symplectic[i] = s
+    sing = np.linalg.svd(omega, compute_uv=False)
+    symplectic = _stable_rank(sing, rank_tol, "symplectic form").tolist()
+    for r, s in zip(orbit, symplectic):
+        if s % 2:
+            raise RankUnstable(f"symplectic form has odd numerical rank {s}")
+        if s > r:
+            raise RankUnstable(f"symplectic rank {s} exceeds the orbit rank {r}")
     ranks = [DegeneracyRank(r, s, r - s) for r, s in zip(orbit, symplectic)]
     return ranks if stack is state else ranks[0]
 

@@ -110,7 +110,7 @@ def _boson_separable(convention, clustering, degeneracy, parties):
 @functools.lru_cache(maxsize=64)
 def _stack_length(dims: tuple[int, ...], symmetry: str) -> int:
     """How many states of this class one chunk holds: that many times the
-    oracle's largest per-state array (the G x dim H tangent rows or the
+    oracle's largest per-state array (the G x dim H generator rows or the
     G x G overlap, complex, for G generators of the acting group) stays
     within STACK_BYTES."""
     g = sum(n * n - 1 for n in acting_dims(dims, symmetry))

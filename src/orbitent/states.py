@@ -57,7 +57,7 @@ class StateTensor:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def norm(self) -> float:
@@ -267,7 +267,7 @@ class LocalUnitaryTuple:
         checked = tuple(np.array(b, dtype=complex) for b in self.blocks)
         sizes: dict[int, list[int]] = {}
         for k, m in enumerate(checked):
-            if m.ndim == 2 and m.shape[0] == m.shape[1]:
+            if m.ndim == 2 and m.shape[0] == m.shape[1] and np.isfinite(m).all():
                 sizes.setdefault(m.shape[0], []).append(k)
         # blocks of one size are checked as one stack
         drift, dets = {}, {}
@@ -278,7 +278,9 @@ class LocalUnitaryTuple:
             dets.update(zip(at, np.linalg.det(stack).tolist()))
         for k, m in enumerate(checked):  # the first failing block raises
             if k not in drift:
-                raise DimensionMismatch("unitary blocks must be square")
+                if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                    raise DimensionMismatch("unitary blocks must be square")
+                raise ValueError("block entries must be finite")
             if drift[k] > UNITARITY_TOL:
                 raise ValueError("block is not unitary within tolerance")
             if abs(dets[k] - 1.0) > DETERMINANT_TOL:

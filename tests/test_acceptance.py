@@ -195,7 +195,7 @@ def test_criterion_7_local_unitary_invariance():
 
 
 @criterion(8, "symplectic-form identity to 1e-10 over 1000 random triples; "
-              "restricted form rank always even")
+              "symplectic form rank always even")
 def test_criterion_8_symplectic_form_identity():
     rng = np.random.default_rng(808)
     dims_pool = [(2, 2), (3, 2), (2, 2, 2), (4,)]

@@ -138,6 +138,14 @@ def test_ks_check_two_qubits(capsys):
     assert all(r["verdict"] == "symplectic" for r in doc["rows"])
 
 
+def test_ks_check_refuses_64_qubits_by_its_enumeration_guard(capsys):
+    code, out, err = run(capsys, "ks-check", "--dims", ",".join(["2"] * 64))
+    assert code == 1 and not out
+    assert json.loads(err) == {
+        "error": "EnumerationTooLarge",
+        "message": f"dense tensor of size {2**64} exceeds 1000000"}
+
+
 def test_ks_check_bosonic_single_dim_means_two_particles(capsys):
     code, out, _ = run(capsys, "ks-check", "--dims", "3",
                        "--symmetry", "bosonic", "--format", "json")

@@ -94,3 +94,10 @@ def test_deeply_nested_dims_refused_before_parsing():
     doc = {"symmetry": "distinguishable", "dims": [1] * 900, "coeffs": coeffs}
     with pytest.raises(ValueError, match="at most 64"):
         state_from_document(doc)
+
+
+def test_flat_coefficients_counted_exactly_at_64_parties():
+    # 2**64 entries, which an int64 product of the dims wraps to zero
+    doc = {"symmetry": "distinguishable", "dims": [2] * 64, "coeffs_flat": []}
+    with pytest.raises(DimensionMismatch, match="0 entries"):
+        state_from_document(doc)

@@ -215,6 +215,13 @@ def test_weight_table_enumeration_guard():
         weight_table((2,) * 21)
 
 
+@pytest.mark.parametrize("parties", [63, 64])
+def test_enumeration_guard_counts_sizes_exactly(parties):
+    # the int64 product of these dims wraps to a negative number or zero
+    with pytest.raises(EnumerationTooLarge, match=str(2**parties)):
+        weight_table((2,) * parties)
+
+
 def test_weight_spaces_share_one_guard():
     for enumerate_space in (weight_table, highest_weight_vector):
         with pytest.raises(DimensionMismatch, match="is trivial"):

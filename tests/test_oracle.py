@@ -1,4 +1,5 @@
-"""Tangent rows, the restricted symplectic form, and formula cross-checks."""
+"""Generator rows, the pulled-back metric and symplectic form, and formula
+cross-checks."""
 
 import functools
 
@@ -22,7 +23,7 @@ from orbitent import (
     symmetrize,
     verify_against_formula,
 )
-from orbitent.oracle import _stable_rank, _tangent_rows
+from orbitent.oracle import DEFAULT_RANK_TOL, _generator_rows, _stable_rank
 from orbitent.errors import RankUnstable
 
 
@@ -76,11 +77,22 @@ def test_omega_two_evaluations_agree_on_random_triples():
         fubini_study_omega(state, tuple(mx), tuple(my))  # raises on mismatch
 
 
-def test_tangent_rows_orthogonal_to_base_point():
-    state = random_state((3, 2), rng=np.random.default_rng(7))
-    v = state.coeffs.reshape(-1)
-    for row in _tangent_rows(state):
-        assert abs(np.vdot(v, row)) < 1e-12
+def test_projection_is_the_moment_map_term():
+    """Projecting R_a = A_a v to t_a = R_a - v<v|R_a> leaves Im<R_a|R_b>
+    and takes alpha_a alpha_b, alpha_a = Im<v|A_a v>, off Re<R_a|R_b>."""
+    for dims, symmetry in [((3, 2), DISTINGUISHABLE), ((3, 3), BOSONIC)]:
+        state = random_state(dims, symmetry, rng=np.random.default_rng(7))
+        v = state.coeffs.reshape(-1)
+        rows = _generator_rows(state)
+        pairing = rows @ v.conj()
+        assert np.abs(pairing.real).max() < 1e-15
+        tangents = rows - np.outer(pairing, v)
+        raw = rows.conj() @ rows.T
+        projected = tangents.conj() @ tangents.T
+        alpha = pairing.imag
+        assert np.allclose(projected.real, raw.real - np.outer(alpha, alpha),
+                           rtol=0, atol=1e-14)
+        assert np.allclose(projected.imag, raw.imag, rtol=0, atol=1e-14)
 
 
 def dense_generator(mats, dims):
@@ -103,13 +115,10 @@ def test_tangent_rows_match_dense_kronecker_generators(dims, symmetry):
         placed = [[el.matrix] * len(dims) for el in su_basis(dims[:1]).elements]
     state = random_state(dims, symmetry, rng=np.random.default_rng(13))
     v = state.coeffs.reshape(-1)
-    expected = []
-    for mats in placed:
-        xi = dense_generator(mats, dims) @ v
-        expected.append(xi - v * np.vdot(v, xi))
-    tangents = _tangent_rows(state)
-    assert tangents.shape == (len(expected), v.size)
-    assert np.allclose(tangents, expected, rtol=0, atol=1e-13)
+    expected = [dense_generator(mats, dims) @ v for mats in placed]
+    rows = _generator_rows(state)
+    assert rows.shape == (len(expected), v.size)
+    assert np.allclose(rows, expected, rtol=0, atol=1e-13)
 
 
 def test_degeneracy_rank_product_and_bell():
@@ -251,7 +260,7 @@ def test_degeneracy_rank_of_a_stack_matches_each_state():
     ranks = degeneracy_rank(StateStack.of(states))
     assert [r.as_tuple() for r in ranks] == [
         degeneracy_rank(s).as_tuple() for s in states]
-    # three orbit ranks: the restriction and SVD run once per distinct r
+    # three orbit ranks in one stack
     assert [r.orbit_dim for r in ranks] == [5, 3, 4, 5, 3]
 
 
@@ -261,6 +270,98 @@ def test_degeneracy_rank_of_a_stack_matches_each_state():
 def test_tangent_rows_of_a_stack_match_each_state(dims, symmetry):
     rng = np.random.default_rng(22)
     states = [random_state(dims, symmetry, rng=rng) for _ in range(4)]
-    rows = _tangent_rows(StateStack.of(states))
+    rows = _generator_rows(StateStack.of(states))
     for b, state in enumerate(states):
-        assert np.allclose(rows[b], _tangent_rows(state), rtol=0, atol=1e-15)
+        assert np.allclose(rows[b], _generator_rows(state), rtol=0, atol=1e-15)
+
+
+def reference_ranks(state, rank_tol=DEFAULT_RANK_TOL):
+    """The projected-frame oracle: project each generator image onto the
+    tangent space, span that space with the Gram eigenvectors above the
+    rank cut, whiten them, restrict omega to the orthonormal frame and read
+    s off its singular values."""
+    rows = _generator_rows(state)
+    v = state.coeffs.reshape(1, -1)
+    tangents = rows - (rows @ v.conj().T) * v
+    overlap = tangents.conj() @ tangents.T
+    evals, evecs = np.linalg.eigh((overlap.real + overlap.real.T) / 2.0)
+    r = int(_stable_rank(evals, rank_tol, "reference Gram matrix"))
+    if r == 0:
+        return 0, 0, 0
+    frame = evecs[:, -r:] / np.sqrt(evals[-r:])
+    omega = frame.T @ (-(overlap.imag - overlap.imag.T) / 2.0) @ frame
+    sing = np.linalg.svd((omega - omega.T) / 2.0, compute_uv=False)
+    s = int(_stable_rank(sing, rank_tol, "reference restricted form"))
+    assert s % 2 == 0
+    return r, s, r - s
+
+
+def _basis_tensor(dims, *indices):
+    c = np.zeros(dims, dtype=complex)
+    for index in indices:
+        c[index] = 1.0
+    return c
+
+
+def _power(v, m):
+    return functools.reduce(np.multiply.outer, [v] * m)
+
+
+def degenerate_strata():
+    """One state per degenerate stratum of each class, as (name, state)."""
+    v = np.array([1.0, 0.5 - 0.5j, 0.25j])
+    kernel_23 = np.zeros((2, 3)); kernel_23[0, 0] = 0.8; kernel_23[1, 1] = 0.6
+    return [
+        ("product", build_state(_basis_tensor((2, 2), (0, 0)))),
+        ("bell", bell_state()),
+        ("ghz-2", build_state(_basis_tensor((2, 2, 2), (0, 0, 0), (1, 1, 1)))),
+        ("ghz-3", build_state(_basis_tensor((3, 3, 3), *[(i, i, i) for i in range(3)]))),
+        ("w-3", build_state(_basis_tensor((2, 2, 2), (1, 0, 0), (0, 1, 0), (0, 0, 1)))),
+        ("w-4", build_state(_basis_tensor(
+            (2,) * 4, *[tuple(int(j == i) for j in range(4)) for i in range(4)]))),
+        ("bell-product", build_state(_basis_tensor((2, 2, 3), (0, 1, 0), (1, 0, 0)))),
+        ("boson-vv", build_state(_power(v, 2), BOSONIC)),
+        ("boson-vvv", build_state(_power(v, 3), BOSONIC)),
+        ("slater-4", symmetrize(_basis_tensor((4, 4), (0, 1)), FERMIONIC)),
+        ("slater-5", symmetrize(_basis_tensor((5, 5, 5), (0, 1, 2)), FERMIONIC)),
+        ("kernel-23", build_state(kernel_23)),
+        ("kernel-35", build_state(_basis_tensor((3, 5), (0, 0), (1, 1)))),
+    ]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in degenerate_strata()])
+def test_degeneracy_rank_equals_the_projected_frame_reference(name):
+    state = dict(degenerate_strata())[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    moved = apply_local(state, random_local_unitaries(state.dims, state.symmetry,
+                                                       rng=rng))
+    for s in (state, moved):
+        assert degeneracy_rank(s).as_tuple() == reference_ranks(s)
+
+
+def test_stack_of_mixed_orbit_ranks_equals_the_reference():
+    rng = np.random.default_rng(23)
+    states = [s for _, s in degenerate_strata() if s.dims == (2, 2, 2)]
+    states += [build_state(_basis_tensor((2, 2, 2), (0, 0, 0))),
+               random_state((2, 2, 2), rng=rng)]
+    states = [apply_local(s, random_local_unitaries((2, 2, 2), rng=rng))
+              for s in states]
+    ranks = [r.as_tuple() for r in degeneracy_rank(StateStack.of(states))]
+    assert ranks == [reference_ranks(s) for s in states]
+    assert len({r[0] for r in ranks}) == 4
+
+
+def test_symplectic_rank_above_the_orbit_rank_is_refused():
+    """Schmidt weights 1/2 +- 1e-5: the metric's eigenvalues shrink with the
+    squared gap and read the Bell orbit (r = 3), while Omega's singular
+    values shrink with the gap and read s = 4.  The closed form gives
+    (5, 4, 1); the oracle refuses instead of reporting D = -1."""
+    d = 1e-5
+    state = build_state(np.diag([np.sqrt(0.5 + d), np.sqrt(0.5 - d)]))
+    moved = apply_local(state, random_local_unitaries((2, 2),
+                                                      rng=np.random.default_rng(31)))
+    for s in (state, moved):
+        with pytest.raises(RankUnstable, match="rank 4 exceeds the orbit rank 3"):
+            degeneracy_rank(s)
+        with pytest.raises(RankUnstable):
+            verify_against_formula(s)

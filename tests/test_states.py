@@ -235,6 +235,7 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)  # det -1
 SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])  # det 1, not unitary
 NOT_UNITARY = "block is not unitary within tolerance"
 NOT_SPECIAL = "block determinant must equal 1"
+NOT_FINITE = "block entries must be finite"
 
 
 @pytest.mark.parametrize("blocks, error, message", [
@@ -245,6 +246,11 @@ NOT_SPECIAL = "block determinant must equal 1"
     ((np.eye(2), np.ones((3, 3)), HADAMARD), ValueError, NOT_UNITARY),
     ((HADAMARD, np.ones((2, 3))), ValueError, NOT_SPECIAL),
     ((np.ones((2, 3)), HADAMARD), DimensionMismatch, "must be square"),
+    # non-finite blocks never reach the stacked det, which would warn
+    ((np.eye(2), np.full((2, 2), np.nan)), ValueError, NOT_FINITE),
+    ((np.diag([np.inf, 1.0]), np.eye(3)), ValueError, NOT_FINITE),
+    ((np.eye(2), np.full((2, 2), np.nan), SHEAR), ValueError, NOT_FINITE),
+    ((np.eye(2), SHEAR, np.full((2, 2), np.nan)), ValueError, NOT_UNITARY),
 ])
 def test_unitary_tuple_raises_the_first_bad_blocks_error(blocks, error, message):
     with pytest.raises(error, match=re.escape(message)):
