@@ -36,6 +36,7 @@ from .states import (
     StateTensor,
     acting_dims,
     build_state,
+    check_dims,
     embed,
     from_party_rows,
     party_rows,
@@ -52,15 +53,6 @@ def _unit_entry(n: int, i: int, j: int, dtype=np.int64) -> np.ndarray:
     e = np.zeros((n, n), dtype=dtype)
     e[i, j] = 1
     return e
-
-
-def _check_dims(dims) -> tuple[int, ...]:
-    dims = tuple(int(n) for n in dims)
-    if not dims:
-        raise DimensionMismatch("need at least one party")
-    if any(n < 2 for n in dims):
-        raise DimensionMismatch("su(N) needs N >= 2")
-    return dims
 
 
 @dataclass(frozen=True)
@@ -91,7 +83,7 @@ def su_basis(dims) -> LieBasis:
     The basis is shared between calls with the same dims: it is frozen and
     its matrices are read-only.
     """
-    return _su_basis(_check_dims(dims))
+    return _su_basis(check_dims(dims))
 
 
 @functools.lru_cache(maxsize=SU_BASIS_CACHE)
@@ -124,7 +116,7 @@ class CartanGenerator:
 
 def cartan_basis(dims) -> tuple[CartanGenerator, ...]:
     """Fixed Cartan basis, party-major: H_1 ... H_{N_k - 1} per party."""
-    dims = _check_dims(dims)
+    dims = check_dims(dims)
     gens = []
     for k, n in enumerate(dims):
         for m in range(n - 1):
@@ -157,7 +149,7 @@ class Sl2Triple:
 
 def sl2_triples(dims) -> tuple[Sl2Triple, ...]:
     """All positive-root sl2 triples of (+)_k sl(N_k, C), party-major."""
-    dims = _check_dims(dims)
+    dims = check_dims(dims)
     triples = []
     for k, n in enumerate(dims):
         for i, j in itertools.combinations(range(n), 2):
@@ -291,15 +283,10 @@ def _exact_weight(int_coeffs: np.ndarray, cartans, symmetry) -> tuple[int, ...]:
 def _weight_space_dims(dims, symmetry) -> tuple[int, ...]:
     """Checked dims of a tensor / Sym^M / Wedge^M space small enough to
     enumerate densely."""
-    dims = _check_dims(dims)
-    if symmetry != DISTINGUISHABLE and len(set(dims)) > 1:
-        raise DimensionMismatch("indistinguishable particles need equal dims")
+    dims = check_dims(dims, symmetry)
     if math.prod(dims) > MAX_ENUMERATION:
         raise EnumerationTooLarge(
             f"dense tensor of size {math.prod(dims)} exceeds {MAX_ENUMERATION}")
-    if symmetry == FERMIONIC and len(dims) > dims[0]:
-        raise DimensionMismatch(f"the antisymmetric space of {len(dims)} particles "
-                                f"in dimension {dims[0]} is trivial")
     return dims
 
 

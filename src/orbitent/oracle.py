@@ -15,6 +15,14 @@ alpha alpha^T is all that is left of the projection onto the tangent
 space.  This works for any state and symmetry class and cross-checks every
 closed-form count.
 
+K = SU(N_1) x ... x SU(N_M) is a product, and generators of different
+factors commute, so Omega = (+)_k Omega_k exactly: Omega_k is the KKS form
+of SU(N_k) at rho_k, the orbit of mu(v) = (rho_1, ..., rho_M) is the
+product of the orbits of the rho_k, and s = sum_k s_k.  Only the diagonal
+blocks of Omega are decomposed, one batched SVD per factor dim.
+Indistinguishable particles have one factor, the SU(N) acting on every
+slot.
+
 All rank decisions share one relative threshold with the refusal rule of
 ``measure.decide``: a singular value within a factor ten of the cut raises
 RankUnstable instead of guessing.
@@ -22,13 +30,14 @@ RankUnstable instead of guessing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import EnumerationTooLarge, Inconsistency, NotNormalized, RankUnstable
-from .lie import rep_action, su_basis
+from .lie import SU_BASIS_CACHE, rep_action, su_basis
 from .measure import DEFAULT_CLUSTER_TOL, check_tolerance, decide
 from .states import StateStack, StateTensor, acting_dims, embed
 
@@ -88,6 +97,23 @@ def _generator_rows(state: StateTensor | StateStack) -> np.ndarray:
     return rows
 
 
+@functools.lru_cache(maxsize=SU_BASIS_CACHE)
+def _factor_blocks(group: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Row and column indices of the diagonal blocks of Omega, one pair of
+    (P, g, 1) and (P, 1, g) arrays per dim N of the P factors SU(N) in
+    ``group``, with g = N^2 - 1.  Indexing a (..., G, G) array with a pair
+    gathers that dim's P blocks as (..., P, g, g): ``su_basis`` is
+    party-major, so factor k owns the g consecutive generators after those
+    of factors 0..k-1."""
+    starts = np.cumsum([0, *(n * n - 1 for n in group)])[:-1]
+    blocks = []
+    for n in dict.fromkeys(group):
+        at = np.add.outer(starts[np.array(group) == n], np.arange(n * n - 1))
+        at.setflags(write=False)
+        blocks.append((at[:, :, None], at[:, None, :]))
+    return tuple(blocks)
+
+
 @dataclass(frozen=True)
 class DegeneracyRank:
     """Oracle output: (orbit dim, symplectic rank, degeneracy)."""
@@ -113,11 +139,14 @@ def degeneracy_rank(state: StateTensor | StateStack,
 
     One overlap R^* R^T of the generator images gives both forms: r is the
     rank of G = sym(Re R^* R^T) - alpha alpha^T, read off its eigenvalues,
-    and s the even numerical rank of Omega = antisym(-Im R^* R^T), read off
-    its singular values.  Exactly, s <= r.  Near a degenerate stratum the
-    eigenvalues of G shrink with the square of the spectral gaps but the
-    singular values of Omega only linearly, so the two cuts can disagree;
-    s > r is refused rather than reported as a negative D.
+    and s the even numerical rank of Omega = antisym(-Im R^* R^T).  Omega is
+    the direct sum of the KKS forms Omega_k at each rho_k, one per factor
+    SU(N_k) of K, so s is read off the singular values of its diagonal
+    blocks: one batched SVD per factor dim, all values cut against the
+    largest.  Exactly, s <= r.  Near a degenerate stratum the eigenvalues
+    of G shrink with the square of the spectral gaps but the singular
+    values of Omega only linearly, so the two cuts can disagree; s > r is
+    refused rather than reported as a negative D.
 
     A StateTensor gives one DegeneracyRank.  A StateStack gives a list with
     one per state: the overlap, both spectra and both rank cuts run once
@@ -132,9 +161,13 @@ def degeneracy_rank(state: StateTensor | StateStack,
             - alpha * alpha.swapaxes(-1, -2))
     orbit = _stable_rank(np.linalg.eigvalsh(gram), rank_tol,
                          "orbit Gram matrix").tolist()
-    omega = -(overlap.imag - overlap.imag.swapaxes(-1, -2)) / 2.0
-    sing = np.linalg.svd(omega, compute_uv=False)
-    symplectic = _stable_rank(sing, rank_tol, "symplectic form").tolist()
+    sing = []
+    for rows_at, cols_at in _factor_blocks(acting_dims(stack.dims, stack.symmetry)):
+        block = overlap.imag[..., rows_at, cols_at]
+        omega = (block.swapaxes(-1, -2) - block) * 0.5  # antisym(-Im)
+        sing.append(np.linalg.svd(omega, compute_uv=False).reshape(len(stack), -1))
+    symplectic = _stable_rank(np.concatenate(sing, axis=-1), rank_tol,
+                              "symplectic form").tolist()
     for r, s in zip(orbit, symplectic):
         if s % 2:
             raise RankUnstable(f"symplectic form has odd numerical rank {s}")

@@ -15,6 +15,7 @@ from .states import (
     LocalUnitaryTuple,
     StateTensor,
     build_state,
+    check_dims,
     special_unitary,
     symmetrize,
 )
@@ -29,7 +30,7 @@ def _rng(seed_or_rng) -> np.random.Generator:
 def random_state(dims, symmetry: str = DISTINGUISHABLE, rng=None) -> StateTensor:
     """Normalized complex-Gaussian tensor, (anti)symmetrized if requested."""
     rng = _rng(rng)
-    dims = tuple(int(n) for n in dims)
+    dims = check_dims(dims, symmetry)
     raw = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
     if symmetry == DISTINGUISHABLE:
         return build_state(raw)

@@ -119,25 +119,38 @@ class StateStack:
         return StateTensor(self.dims, self.coeffs[index], self.symmetry)
 
 
-def _store_coeffs(obj, stacked: bool = False) -> None:
-    """Validate and store the dims and a read-only complex copy of the
-    coefficients of a StateTensor or, one axis deeper, a StateStack."""
-    dims = tuple(int(n) for n in obj.dims)
-    coeffs = np.array(obj.coeffs, dtype=complex)
-    if obj.symmetry not in SYMMETRY_CLASSES:
-        raise ValueError(f"unknown symmetry class {obj.symmetry!r}")
+def check_dims(dims, symmetry: str = DISTINGUISHABLE) -> tuple[int, ...]:
+    """The dims as a tuple of ints, checked against the one rule every
+    entry point applies before any arithmetic: a known symmetry class, at
+    least one party, every local dimension >= 2, one shared dimension for
+    indistinguishable particles, and no more fermions than single-particle
+    states (their antisymmetric space would be trivial)."""
+    if symmetry not in SYMMETRY_CLASSES:
+        raise ValueError(f"unknown symmetry class {symmetry!r}")
+    dims = tuple(int(n) for n in dims)
     if len(dims) < 1:
         raise DimensionMismatch("a state needs at least one party")
     if any(n < 2 for n in dims):
         raise DimensionMismatch("every local dimension must be >= 2")
+    if symmetry != DISTINGUISHABLE and len(set(dims)) > 1:
+        raise DimensionMismatch(
+            "indistinguishable particles share one single-particle space")
+    if symmetry == FERMIONIC and len(dims) > dims[0]:
+        raise DimensionMismatch(f"the antisymmetric space of {len(dims)} particles "
+                                f"in dimension {dims[0]} is trivial")
+    return dims
+
+
+def _store_coeffs(obj, stacked: bool = False) -> None:
+    """Validate and store the dims and a read-only complex copy of the
+    coefficients of a StateTensor or, one axis deeper, a StateStack."""
+    dims = check_dims(obj.dims, obj.symmetry)
+    coeffs = np.array(obj.coeffs, dtype=complex)
     if (coeffs.shape[1:] if stacked else coeffs.shape) != dims:
         raise DimensionMismatch(
             f"tensor shape {coeffs.shape} does not match dims {dims}")
     if stacked and coeffs.shape[0] == 0:
         raise DimensionMismatch("a stack needs at least one state")
-    if obj.symmetry != DISTINGUISHABLE and len(set(dims)) > 1:
-        raise DimensionMismatch(
-            "indistinguishable particles share one single-particle space")
     coeffs.setflags(write=False)
     object.__setattr__(obj, "dims", dims)
     object.__setattr__(obj, "coeffs", coeffs)
@@ -155,16 +168,15 @@ def build_state(raw, symmetry: str = DISTINGUISHABLE) -> StateTensor:
     silently imposed (use :func:`symmetrize` to project).
 
     Raises:
-        ValueError: a NaN or infinite entry.
+        DimensionMismatch: a shape that breaks :func:`check_dims`, checked
+            before any arithmetic.
+        ValueError: a NaN or infinite entry, or an unknown symmetry class.
         ZeroState: all-zero input.
-        DimensionMismatch: bad shape, or unequal dims for an
-            indistinguishable-particle class.
         SymmetryViolation: tensor fails the declared symmetry beyond
             ``SYMMETRY_TOL`` relative to its largest entry.
     """
     coeffs = np.array(raw, dtype=complex)
-    if coeffs.ndim == 0:
-        raise DimensionMismatch("scalar input has no parties")
+    check_dims(coeffs.shape, symmetry)
     norm = _prescale(coeffs)
     state = StateTensor(coeffs.shape, coeffs / norm, symmetry)
     if symmetry != DISTINGUISHABLE:
@@ -216,16 +228,15 @@ def symmetrize(raw, symmetry: str) -> StateTensor:
     """Project a raw tensor onto the totally (anti)symmetric subspace.
 
     For ``distinguishable`` the projection is the identity and the input is
-    just normalized.  Raises ZeroState when the projection vanishes (for
-    example the antisymmetrization of e_i x e_i).
+    just normalized.  The shape must pass :func:`check_dims`, so a trivial
+    antisymmetric space raises DimensionMismatch before any arithmetic.
+    Raises ZeroState when the projection vanishes (for example the
+    antisymmetrization of e_i x e_i).
     """
     coeffs = np.array(raw, dtype=complex)
     if symmetry == DISTINGUISHABLE:
         return build_state(coeffs, symmetry)
-    if coeffs.ndim == 0:
-        raise DimensionMismatch("scalar input has no parties")
-    if len(set(coeffs.shape)) > 1:
-        raise DimensionMismatch("symmetrization needs equal local dimensions")
+    check_dims(coeffs.shape, symmetry)
     norm = _prescale(coeffs)
     m = coeffs.ndim
     total = np.zeros_like(coeffs)

@@ -186,6 +186,31 @@ def test_verify_covers_every_symmetry_class(capsys):
         assert doc["passed"] == 5 and doc["mode"] == "coadjoint"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--dims", "4,4,4,4,4", "--symmetry", "fermionic"),
+     "the antisymmetric space of 5 particles in dimension 4 is trivial"),
+    (("ks-check", "--dims", "4,4,4,4,4", "--symmetry", "fermionic"),
+     "the antisymmetric space of 5 particles in dimension 4 is trivial"),
+    (("verify", "--dims", "0"), "every local dimension must be >= 2"),
+    (("verify", "--dims", "1"), "every local dimension must be >= 2"),
+    (("ks-check", "--dims", "1"), "every local dimension must be >= 2"),
+])
+def test_bad_dims_exit_1_with_one_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert json.loads(err) == {"error": "DimensionMismatch", "message": message}
+
+
+def test_document_with_a_zero_dim_exits_1_with_dimension_mismatch(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"symmetry": "distinguishable", "dims": [2, 0],
+                                "coeffs": [[], []]}))
+    code, out, err = run(capsys, "analyze", "--input", str(path))
+    assert code == 1 and not out
+    assert json.loads(err) == {"error": "DimensionMismatch",
+                               "message": "every local dimension must be >= 2"}
+
+
 def test_analyze_verify_inconsistency_carries_the_state(capsys, bell_file,
                                                        monkeypatch):
     import orbitent.report

@@ -26,6 +26,7 @@ from orbitent import (
     su_basis,
     weight_table,
 )
+from orbitent.states import check_dims
 
 
 @pytest.mark.parametrize("dims,count", [((2,), 3), ((2, 2), 6), ((3,), 8)])
@@ -230,6 +231,17 @@ def test_weight_spaces_share_one_guard():
             enumerate_space((2, 3), BOSONIC)
         with pytest.raises(EnumerationTooLarge):
             enumerate_space((2,) * 21)
+
+
+@pytest.mark.parametrize("dims, symmetry", [
+    ((1, 2), DISTINGUISHABLE), ((2, 3), BOSONIC), ((2,) * 22, FERMIONIC)])
+def test_weight_spaces_apply_the_states_dims_rule(dims, symmetry):
+    """The error of states.check_dims, ahead of the enumeration guard."""
+    with pytest.raises(DimensionMismatch) as rule:
+        check_dims(dims, symmetry)
+    for enumerate_space in (weight_table, highest_weight_vector):
+        with pytest.raises(DimensionMismatch, match=str(rule.value)):
+            enumerate_space(dims, symmetry)
 
 
 def test_highest_weight_vectors():

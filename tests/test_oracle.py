@@ -365,3 +365,87 @@ def test_symplectic_rank_above_the_orbit_rank_is_refused():
             degeneracy_rank(s)
         with pytest.raises(RankUnstable):
             verify_against_formula(s)
+
+
+def _factor_offsets(dims):
+    offsets = np.cumsum([0, *(n * n - 1 for n in dims)])
+    return list(zip(offsets[:-1], offsets[1:]))
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (3, 3, 3), (2,) * 6])
+def test_cross_factor_blocks_of_the_overlap_vanish(dims):
+    """Generators of different parties commute, so A_a^dag B_b is Hermitian
+    and Im<A_a v|B_b v> = 0: Omega is block diagonal, one block per party."""
+    state = random_state(dims, rng=np.random.default_rng(len(dims)))
+    rows = _generator_rows(state)
+    im = (rows.conj() @ rows.T).imag
+    for k, (a, b) in enumerate(_factor_offsets(dims)):
+        for l, (c, d) in enumerate(_factor_offsets(dims)):
+            if k != l:
+                assert np.abs(im[a:b, c:d]).max() <= 1e-14
+            else:
+                assert np.abs(im[a:b, c:d]).max() > 1e-3
+
+
+def split_cases():
+    """States whose acting factors are split into dim groups: equal dims
+    that are not adjacent, and factors in different strata."""
+    rng = np.random.default_rng(41)
+    return [
+        ("generic-232", random_state((2, 3, 2), rng=rng)),
+        ("generic-3232", random_state((3, 2, 3, 2), rng=rng)),
+        ("generic-234", random_state((2, 3, 4), rng=rng)),
+        # parties 1-2 maximally mixed, party 3 pure: a kernel of 2
+        ("bell-x-qutrit", build_state(_basis_tensor((2, 2, 3), (0, 0, 1), (1, 1, 1)))),
+        ("bell-13-x-qutrit", build_state(_basis_tensor((2, 3, 2), (0, 2, 0), (1, 2, 1)))),
+    ]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in split_cases()])
+def test_split_symplectic_rank_equals_the_projected_frame_reference(name):
+    state = dict(split_cases())[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    moved = apply_local(state, random_local_unitaries(state.dims, rng=rng))
+    for s in (state, moved):
+        assert degeneracy_rank(s).as_tuple() == reference_ranks(s)
+
+
+def test_bell_times_qutrit_adds_the_factor_ranks():
+    """rho_1 = rho_2 = I/2 are fixed by SU(2), so only the qutrit's KKS
+    form counts: its orbit through a rank-one projector is CP^2, s = 4."""
+    state = dict(split_cases())["bell-x-qutrit"]
+    assert degeneracy_rank(state).as_tuple() == (7, 4, 3)
+
+
+def test_split_stack_of_mixed_orbit_ranks_equals_the_reference():
+    rng = np.random.default_rng(43)
+    dims = (2, 3, 2)
+    states = [build_state(_basis_tensor(dims, (0, 0, 0))),
+              build_state(_basis_tensor(dims, (0, 2, 0), (1, 2, 1))),
+              build_state(_basis_tensor(dims, (0, 0, 0), (1, 1, 1))),
+              random_state(dims, rng=rng)]
+    states = [apply_local(s, random_local_unitaries(dims, rng=rng)) for s in states]
+    ranks = [r.as_tuple() for r in degeneracy_rank(StateStack.of(states))]
+    assert ranks == [reference_ranks(s) for s in states]
+    assert len({r[0] for r in ranks}) == 4
+
+
+@pytest.mark.parametrize("dims, symmetry, shapes", [
+    ((11, 11), DISTINGUISHABLE, [(1, 2, 120, 120)]),
+    ((2, 3, 2), DISTINGUISHABLE, [(1, 1, 8, 8), (1, 2, 3, 3)]),
+    ((3, 3), BOSONIC, [(1, 1, 8, 8)]),
+], ids=["11x11", "2x3x2", "bosons-3x3"])
+def test_symplectic_rank_takes_one_svd_per_factor_dim(monkeypatch, dims, symmetry,
+                                                      shapes):
+    """Omega's diagonal blocks, never the whole G x G matrix."""
+    state = random_state(dims, symmetry, rng=np.random.default_rng(47))
+    seen = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        seen.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr("orbitent.oracle.np.linalg.svd", recording_svd)
+    degeneracy_rank(state)
+    assert sorted(seen) == shapes

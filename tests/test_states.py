@@ -13,6 +13,7 @@ from orbitent import (
     DimensionMismatch,
     LocalUnitaryTuple,
     StateStack,
+    StateTensor,
     SymmetryViolation,
     ZeroState,
     apply_local,
@@ -22,7 +23,7 @@ from orbitent import (
     special_unitary,
     symmetrize,
 )
-from orbitent.states import party_rows
+from orbitent.states import check_dims, party_rows
 
 EPS = np.finfo(float).eps
 
@@ -84,6 +85,44 @@ def test_build_state_rejects_dim_one_party():
 def test_build_state_rejects_unequal_dims_for_bosons():
     with pytest.raises(DimensionMismatch):
         build_state(np.ones((2, 3)), BOSONIC)
+
+
+BAD_DIMS = [
+    ((2, 0), DISTINGUISHABLE, "every local dimension must be >= 2"),
+    ((1, 2), DISTINGUISHABLE, "every local dimension must be >= 2"),
+    ((), DISTINGUISHABLE, "a state needs at least one party"),
+    ((2, 3), BOSONIC, "share one single-particle space"),
+    ((2, 2, 2), FERMIONIC, "3 particles in dimension 2 is trivial"),
+    ((4,) * 5, FERMIONIC, "5 particles in dimension 4 is trivial"),
+]
+
+
+@pytest.mark.parametrize("dims, symmetry, message", BAD_DIMS)
+def test_one_dims_rule_raises_before_any_arithmetic(monkeypatch, dims, symmetry,
+                                                    message):
+    """build_state, symmetrize, random_state and the raw constructor all
+    refuse these dims with the same DimensionMismatch, before the input is
+    scaled, projected or drawn (the generator's state does not move)."""
+    def no_arithmetic(*args):
+        raise AssertionError("arithmetic on refused dims")
+
+    monkeypatch.setattr("orbitent.states._prescale", no_arithmetic)
+    rng = np.random.default_rng(0)
+    drawn = rng.bit_generator.state
+    raw = np.full(dims, np.nan)
+    for make in (lambda: check_dims(dims, symmetry),
+                 lambda: build_state(raw, symmetry),
+                 lambda: symmetrize(raw, symmetry),
+                 lambda: random_state(dims, symmetry, rng=rng),
+                 lambda: StateTensor(dims, raw, symmetry)):
+        with pytest.raises(DimensionMismatch, match=message):
+            make()
+    assert rng.bit_generator.state == drawn
+
+
+def test_unknown_symmetry_class_is_refused_before_any_arithmetic():
+    with pytest.raises(ValueError, match="unknown symmetry class"):
+        build_state(np.zeros((2, 2)), "anyonic")
 
 
 def test_bosonic_declaration_verified_not_imposed():
