@@ -168,8 +168,10 @@ def _embedded_action(mats, coeffs: np.ndarray) -> np.ndarray:
     axes, and any axes before them index states.
 
     Party k sits on axis a (k plus the number of stack axes) and acts on
-    the middle axis of the (prod(shape[:a]), N_k, rest) view.  When the
-    leading side is the shorter one, that is one matmul batched over it.
+    the middle axis of the (prod(shape[:a]), N_k, rest) view.  When either
+    side is empty (the first party of one state, or the last party) that
+    view is a matrix, and the action is one 2-d product on it.  When the
+    leading side is the shorter one, it is one matmul batched over it.
     Otherwise it is one product with the rows of axis a across the whole
     stack (``states.party_rows``): the later qubits of a many-qubit state,
     or a long stack, would else cost hundreds of tiny matmuls.  Every term
@@ -182,7 +184,11 @@ def _embedded_action(mats, coeffs: np.ndarray) -> np.ndarray:
             continue
         pre, n, post = (math.prod(shape[:axis]), shape[axis],
                         math.prod(shape[axis + 1:]))
-        if pre <= post:
+        if pre == 1:
+            term = (m @ coeffs.reshape(n, post)).reshape(shape)
+        elif post == 1:
+            term = (coeffs.reshape(pre, n) @ m.T).reshape(shape)
+        elif pre <= post:
             term = (m @ coeffs.reshape(pre, n, post)).reshape(shape)
         else:
             term = from_party_rows(m @ party_rows(coeffs, axis), shape, axis)

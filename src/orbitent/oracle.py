@@ -18,10 +18,13 @@ closed-form count.
 K = SU(N_1) x ... x SU(N_M) is a product, and generators of different
 factors commute, so Omega = (+)_k Omega_k exactly: Omega_k is the KKS form
 of SU(N_k) at rho_k, the orbit of mu(v) = (rho_1, ..., rho_M) is the
-product of the orbits of the rho_k, and s = sum_k s_k.  Only the diagonal
-blocks of Omega are decomposed, one batched SVD per factor dim.
+product of the orbits of the rho_k, and s = sum_k s_k.  So s needs no
+rows: Omega_k[a, b] = (M_k / 2) Im tr(rho_k [A_a, A_b]) is built from the
+reduced matrices, and decomposed with one batched SVD per factor dim.
 Indistinguishable particles have one factor, the SU(N) acting on every
-slot.
+slot, with M_k = M; otherwise M_k = 1.  The rows serve r alone: G is one
+real product of their float view, Re<x|y> being the dot product of the
+real views, with one more row, i v, whose products are the alpha_a.
 
 All rank decisions share one relative threshold with the refusal rule of
 ``measure.decide``: a singular value within a factor ten of the cut raises
@@ -39,7 +42,8 @@ import numpy as np
 from .errors import EnumerationTooLarge, Inconsistency, NotNormalized, RankUnstable
 from .lie import SU_BASIS_CACHE, rep_action, su_basis
 from .measure import DEFAULT_CLUSTER_TOL, check_tolerance, decide
-from .states import StateStack, StateTensor, acting_dims, embed
+from .moment import reduced_matrices
+from .states import DISTINGUISHABLE, StateStack, StateTensor, acting_dims, embed
 
 if TYPE_CHECKING:
     from .report import ConsistencyRecord
@@ -58,7 +62,7 @@ def _stable_rank(values, rel_tol: float, what: str) -> np.ndarray:
     near-threshold cases.
 
     ``scale`` is the row's largest magnitude, floored at 1.0, the metric
-    scale: both forms are overlaps of generator images Av with unit v, so
+    scale: both forms pair generator images Av at a unit v, so
     their entries are bounded by order one (by M^2 for M indistinguishable
     particles, whose generators act on every slot), and a matrix that is
     pure float noise must read as rank zero rather than have its noise
@@ -69,9 +73,37 @@ def _stable_rank(values, rel_tol: float, what: str) -> np.ndarray:
     return decide(mags, cut, RankUnstable, f"{what}: singular value").sum(axis=-1)
 
 
-def _generator_rows(state: StateTensor | StateStack) -> np.ndarray:
+@functools.lru_cache(maxsize=SU_BASIS_CACHE)
+def _operands(dims: tuple[int, ...], symmetry: str):
+    """What the oracle acts with on states of one class, built once.
+
+    First, each generator A_a of K as its per-slot tuple (``embed``), in
+    ``su_basis`` order.  Second, per factor dim N of K, in order of first
+    appearance: the factors of that dim and the two operands of their KKS
+    forms (see ``_kks_forms``), built from the g = N^2 - 1 basis matrices
+    of su(N): the A_a^T stacked as one (g N, N) matrix, and the real view
+    of the flattened i conj(A_b) as a (2 N^2, g) matrix.
+    """
+    group = acting_dims(dims, symmetry)
+    generators = tuple(embed(el.matrix, el.party, len(dims), symmetry)
+                       for el in su_basis(group).elements)
+    factors = []
+    for n in dict.fromkeys(group):
+        mats = np.array([el.matrix for el in su_basis((n,)).elements])
+        lhs = mats.transpose(0, 2, 1).reshape(-1, n)
+        rhs = (1j * mats.conj()).reshape(len(mats), n * n).view(float).T
+        lhs.setflags(write=False)
+        rhs.setflags(write=False)
+        factors.append((tuple(k for k, m in enumerate(group) if m == n), lhs, rhs))
+    return generators, tuple(factors)
+
+
+def _generator_rows(state: StateTensor | StateStack,
+                    phase_row: bool = False) -> np.ndarray:
     """One generator image R_a = A_a v per row, flattened: (G, dim H) for a
-    state, (B, G, dim H) for a stack of B states.
+    state, (B, G, dim H) for a stack of B states.  With ``phase_row`` one
+    more row follows the G: i v, the image of the phase generator i 1, so
+    that Re<i v|R_a> = Im<v|A_a v> = alpha_a.
 
     The acting algebra is (+)_k su(N_k), each element embedded at its party,
     for distinguishable particles and su(N) acting on every slot otherwise.
@@ -83,35 +115,62 @@ def _generator_rows(state: StateTensor | StateStack) -> np.ndarray:
         raise EnumerationTooLarge(
             f"Hilbert dimension {state.total_dim} exceeds the oracle guard "
             f"{MAX_HILBERT_DIM}")
-    group = acting_dims(state.dims, state.symmetry)
-    count = sum(n * n - 1 for n in group)
+    count = sum(n * n - 1 for n in acting_dims(state.dims, state.symmetry))
     if count > MAX_GENERATORS:
         raise EnumerationTooLarge(
             f"{count} generators exceed the oracle guard {MAX_GENERATORS}")
-    elements = su_basis(group).elements
+    generators, _ = _operands(state.dims, state.symmetry)
     lead = state.coeffs.shape[:state.coeffs.ndim - state.parties]
-    rows = np.empty((*lead, len(elements), state.total_dim), dtype=complex)
-    for a, el in enumerate(elements):
-        mats = embed(el.matrix, el.party, state.parties, state.symmetry)
+    rows = np.empty((*lead, count + phase_row, state.total_dim), dtype=complex)
+    for a, mats in enumerate(generators):
         rows[..., a, :] = rep_action(mats, state).reshape(*lead, -1)
+    if phase_row:
+        np.multiply(state.coeffs.reshape(*lead, -1), 1j, out=rows[..., -1, :])
     return rows
 
 
-@functools.lru_cache(maxsize=SU_BASIS_CACHE)
-def _factor_blocks(group: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Row and column indices of the diagonal blocks of Omega, one pair of
-    (P, g, 1) and (P, 1, g) arrays per dim N of the P factors SU(N) in
-    ``group``, with g = N^2 - 1.  Indexing a (..., G, G) array with a pair
-    gathers that dim's P blocks as (..., P, g, g): ``su_basis`` is
-    party-major, so factor k owns the g consecutive generators after those
-    of factors 0..k-1."""
-    starts = np.cumsum([0, *(n * n - 1 for n in group)])[:-1]
-    blocks = []
-    for n in dict.fromkeys(group):
-        at = np.add.outer(starts[np.array(group) == n], np.arange(n * n - 1))
-        at.setflags(write=False)
-        blocks.append((at[:, :, None], at[:, None, :]))
-    return tuple(blocks)
+def _orbit_metric(stack: StateStack) -> np.ndarray:
+    """G = Re<R_a|R_b> - alpha_a alpha_b for each state, (B, G, G).
+
+    Re<x|y> is the dot product of the real views of x and y, so one real
+    product of the rows' float view with itself gives Re<R_a|R_b> and, on
+    the phase row, alpha_a: a plain 2-d product (a symmetric rank update)
+    for one state.  The moment-map term is then taken off in place.
+    """
+    real = _generator_rows(stack, phase_row=True).view(float)
+    if len(stack) == 1:
+        metric = (real[0] @ real[0].T)[None]
+    else:
+        metric = real @ real.swapaxes(-1, -2)
+    gram, alpha = metric[..., :-1, :-1], metric[..., :-1, -1:]
+    gram -= alpha * alpha.swapaxes(-1, -2)
+    return gram
+
+
+def _kks_forms(stack: StateStack):
+    """Omega_k[a, b] = (M_k / 2) Im tr(rho_k [A_a, A_b]) for each factor
+    SU(N_k) of K, grouped by dim: one (B, P, g, g) array per factor dim,
+    holding its P factors (``_operands`` order).
+
+    With C^k = rho_k^T the reduced matrix (``moment.reduced_matrices``),
+    X[a, b] = tr(rho_k A_a A_b) is the entrywise pairing of A_a^T C^k with
+    A_b.  X is Hermitian, since rho_k is and the A_a are anti-Hermitian, so
+    Omega_k = (Im X - Im X^T) / 2 = Im X: one complex product of the
+    stacked A_a^T with each C^k, then one real 2-d product of its real
+    view, all states and factors in its rows, with the view of the
+    i conj(A_b), which pairs Re with Im.  Indistinguishable particles
+    have one factor acting on every slot, whose moment map is the sum of
+    the M slot marginals, M rho.
+    """
+    marginals = reduced_matrices(stack).matrices
+    if stack.symmetry != DISTINGUISHABLE:
+        marginals = (sum(marginals),)
+    _, factors = _operands(stack.dims, stack.symmetry)
+    for parties, lhs, rhs in factors:
+        rho = np.stack([marginals[k] for k in parties], axis=-3)
+        g = rhs.shape[1]
+        paired = (lhs @ rho).view(float).reshape(-1, rhs.shape[0])
+        yield (paired @ rhs).reshape(*rho.shape[:-2], g, g)
 
 
 @dataclass(frozen=True)
@@ -137,35 +196,28 @@ def degeneracy_rank(state: StateTensor | StateStack,
                     rank_tol: float = DEFAULT_RANK_TOL):
     """Orbit dimension, symplectic rank, and degeneracy D = r - s.
 
-    One overlap R^* R^T of the generator images gives both forms: r is the
-    rank of G = sym(Re R^* R^T) - alpha alpha^T, read off its eigenvalues,
-    and s the even numerical rank of Omega = antisym(-Im R^* R^T).  Omega is
-    the direct sum of the KKS forms Omega_k at each rho_k, one per factor
-    SU(N_k) of K, so s is read off the singular values of its diagonal
-    blocks: one batched SVD per factor dim, all values cut against the
-    largest.  Exactly, s <= r.  Near a degenerate stratum the eigenvalues
-    of G shrink with the square of the spectral gaps but the singular
-    values of Omega only linearly, so the two cuts can disagree; s > r is
-    refused rather than reported as a negative D.
+    r is the rank of the metric G = Re<R_a|R_b> - alpha_a alpha_b, read off
+    its eigenvalues; G is one real product of the generator rows with
+    themselves (``_orbit_metric``).  s is the even numerical rank of
+    Omega = (+)_k Omega_k, the KKS forms at the reduced matrices rho_k, one
+    per factor SU(N_k) of K (``_kks_forms``): s is read off the singular
+    values of the Omega_k, one batched SVD per factor dim, all values cut
+    against the largest.  Exactly, s <= r.  Near a degenerate stratum the
+    eigenvalues of G shrink with the square of the spectral gaps but the
+    singular values of Omega only linearly, so the two cuts can disagree;
+    s > r is refused rather than reported as a negative D.
 
     A StateTensor gives one DegeneracyRank.  A StateStack gives a list with
-    one per state: the overlap, both spectra and both rank cuts run once
-    over the stack, and a refusal of any state raises for the whole stack.
+    one per state: the rows, both forms, both spectra and both rank cuts
+    run once over the stack, and a refusal of any state raises for the
+    whole stack.
     """
     check_tolerance(rank_tol, "rank")
     stack = state if isinstance(state, StateStack) else StateStack.of([state])
-    rows = _generator_rows(stack)
-    overlap = rows.conj() @ rows.swapaxes(-1, -2)
-    alpha = (rows @ stack.coeffs.reshape(len(stack), -1, 1).conj()).imag
-    gram = ((overlap.real + overlap.real.swapaxes(-1, -2)) / 2.0
-            - alpha * alpha.swapaxes(-1, -2))
-    orbit = _stable_rank(np.linalg.eigvalsh(gram), rank_tol,
+    orbit = _stable_rank(np.linalg.eigvalsh(_orbit_metric(stack)), rank_tol,
                          "orbit Gram matrix").tolist()
-    sing = []
-    for rows_at, cols_at in _factor_blocks(acting_dims(stack.dims, stack.symmetry)):
-        block = overlap.imag[..., rows_at, cols_at]
-        omega = (block.swapaxes(-1, -2) - block) * 0.5  # antisym(-Im)
-        sing.append(np.linalg.svd(omega, compute_uv=False).reshape(len(stack), -1))
+    sing = [np.linalg.svd(omega, compute_uv=False).reshape(len(stack), -1)
+            for omega in _kks_forms(stack)]
     symplectic = _stable_rank(np.concatenate(sing, axis=-1), rank_tol,
                               "symplectic form").tolist()
     for r, s in zip(orbit, symplectic):
@@ -189,7 +241,7 @@ def fubini_study_omega(v, a, b) -> float:
         state = v
     else:
         state = StateTensor(np.asarray(v, dtype=complex).shape, v)
-    if abs(state.norm - 1.0) > 1e-8:
+    if not abs(state.norm - 1.0) <= 1e-8:  # a NaN norm fails too
         raise NotNormalized("fubini_study_omega needs a unit vector")
     av = rep_action(a, state)
     bv = rep_action(b, state)

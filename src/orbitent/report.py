@@ -109,10 +109,11 @@ def _boson_separable(convention, clustering, degeneracy, parties):
 
 @functools.lru_cache(maxsize=64)
 def _stack_length(dims: tuple[int, ...], symmetry: str) -> int:
-    """How many states of this class one chunk holds: that many times the
-    oracle's largest per-state array (the G x dim H generator rows or the
-    G x G overlap, complex, for G generators of the acting group) stays
-    within STACK_BYTES."""
+    """How many states of this class one chunk holds: that many times
+    16 G max(G, dim H) bytes, for G generators of the acting group, stays
+    within STACK_BYTES.  16 G dim H bytes are the oracle's complex
+    generator rows.  Its G x G metric is real, at 8 bytes an entry, so
+    when G exceeds dim H the rule leaves it room for two."""
     g = sum(n * n - 1 for n in acting_dims(dims, symmetry))
     return max(1, STACK_BYTES // (16 * g * max(g, math.prod(dims))))
 

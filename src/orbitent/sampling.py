@@ -60,9 +60,9 @@ def random_special_unitary(n: int, rng=None) -> np.ndarray:
 def random_local_unitaries(dims, symmetry: str = DISTINGUISHABLE,
                            rng=None) -> LocalUnitaryTuple:
     """Random tuple of SU(N_k) blocks; one shared block when the particles
-    are indistinguishable."""
+    are indistinguishable.  The dims follow ``states.check_dims``."""
+    dims = check_dims(dims, symmetry)
     rng = _rng(rng)
-    dims = tuple(int(n) for n in dims)
     if symmetry == DISTINGUISHABLE:
         blocks = tuple(random_special_unitary(n, rng) for n in dims)
     else:

@@ -124,6 +124,14 @@ def test_rep_action_matches_kronecker_at_every_party(dims, k):
     out = rep_action(tuple(mats), state)
     assert out.shape == dims
     assert np.allclose(out.reshape(-1), expected, atol=1e-14)
+    # the same party of a 3-state stack, the stack axis in front
+    states = [state] + [build_state(complex_normal(rng, dims)) for _ in range(2)]
+    out = rep_action(tuple(mats), StateStack.of(states))
+    assert out.shape == (3, *dims)
+    dense = kron_generator(mats, dims)
+    for b, s in enumerate(states):
+        assert np.allclose(out[b].reshape(-1), dense @ s.coeffs.reshape(-1),
+                           atol=1e-14)
 
 
 def test_rep_action_diagonal_matches_kronecker_on_bosons():

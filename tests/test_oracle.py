@@ -23,7 +23,15 @@ from orbitent import (
     symmetrize,
     verify_against_formula,
 )
-from orbitent.oracle import DEFAULT_RANK_TOL, _generator_rows, _stable_rank
+from orbitent.moment import reduced_matrices
+from orbitent.oracle import (
+    DEFAULT_RANK_TOL,
+    _generator_rows,
+    _kks_forms,
+    _operands,
+    _orbit_metric,
+    _stable_rank,
+)
 from orbitent.errors import RankUnstable
 
 
@@ -60,9 +68,9 @@ def test_omega_zero_on_bell_tangent_pairs():
 
 
 def test_omega_requires_unit_vector():
-    with pytest.raises(NotNormalized):
-        fubini_study_omega(np.array([2.0, 0.0]), (np.eye(2) * 1j,),
-                           (np.eye(2) * 1j,))
+    for v in (np.array([2.0, 0.0]), np.full(2, np.nan)):
+        with pytest.raises(NotNormalized):
+            fubini_study_omega(v, (np.eye(2) * 1j,), (np.eye(2) * 1j,))
 
 
 def test_omega_two_evaluations_agree_on_random_triples():
@@ -449,3 +457,48 @@ def test_symplectic_rank_takes_one_svd_per_factor_dim(monkeypatch, dims, symmetr
     monkeypatch.setattr("orbitent.oracle.np.linalg.svd", recording_svd)
     degeneracy_rank(state)
     assert sorted(seen) == shapes
+
+
+@pytest.mark.parametrize("dims, symmetry, count", [
+    ((3, 5), DISTINGUISHABLE, 1), ((2, 3, 2), DISTINGUISHABLE, 1),
+    ((3, 3, 3), BOSONIC, 1), ((4, 4), FERMIONIC, 1),
+    ((2, 2, 2), DISTINGUISHABLE, 5)])
+def test_kks_forms_and_real_view_metric_equal_the_overlap(dims, symmetry, count):
+    """The oracle's two forms against the complex overlap O = conj(R) R^T
+    of the generator rows: Omega_k from rho_k is antisym(-Im O) on factor
+    k's diagonal block, equal to (M_k / 2) Im tr(C^k^T [A_a, A_b]) with C^k
+    the reduced matrix (the conjugate convention) and M_k = M for
+    indistinguishable particles; Im O vanishes across factors; and the
+    real-view metric is sym(Re O) - alpha alpha^T."""
+    rng = np.random.default_rng(53)
+    stack = StateStack.of([random_state(dims, symmetry, rng=rng)
+                           for _ in range(count)])
+    rows = _generator_rows(stack)
+    overlap = rows.conj() @ rows.swapaxes(-1, -2)
+    alpha = (rows @ stack.coeffs.reshape(count, -1, 1).conj()).imag
+    scale = np.abs(overlap).max()
+
+    gram = (overlap.real + overlap.real.swapaxes(-1, -2)) / 2.0
+    gram -= alpha * alpha.swapaxes(-1, -2)
+    assert np.abs(_orbit_metric(stack) - gram).max() <= 1e-14 * scale
+
+    omega = (overlap.imag.swapaxes(-1, -2) - overlap.imag) / 2.0
+    group = dims if symmetry == DISTINGUISHABLE else dims[:1]
+    weight = 1 if symmetry == DISTINGUISHABLE else len(dims)
+    marginals = reduced_matrices(stack).matrices
+    blocks = _factor_offsets(group)
+    _, factors = _operands(dims, symmetry)
+    for (parties, _, _), form in zip(factors, _kks_forms(stack), strict=True):
+        n = group[parties[0]]
+        basis = np.array([el.matrix for el in su_basis((n,)).elements])
+        brackets = (np.einsum("anm,bml->abnl", basis, basis)
+                    - np.einsum("bnm,aml->abnl", basis, basis))
+        for p, k in enumerate(parties):
+            a, b = blocks[k]
+            assert np.abs(form[:, p] - omega[:, a:b, a:b]).max() <= 1e-14 * scale
+            kks = weight / 2 * np.einsum("znl,abnl->zab", marginals[k], brackets).imag
+            assert np.abs(form[:, p] - kks).max() <= 1e-14 * scale
+    for k, (a, b) in enumerate(blocks):
+        for l, (c, d) in enumerate(blocks):
+            if k != l:
+                assert np.abs(overlap.imag[:, a:b, c:d]).max() <= 1e-14 * scale

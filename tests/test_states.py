@@ -125,6 +125,22 @@ def test_unknown_symmetry_class_is_refused_before_any_arithmetic():
         build_state(np.zeros((2, 2)), "anyonic")
 
 
+@pytest.mark.parametrize("dims, symmetry, error, message", [
+    ((0,), DISTINGUISHABLE, DimensionMismatch, "every local dimension must be >= 2"),
+    ((1,), DISTINGUISHABLE, DimensionMismatch, "every local dimension must be >= 2"),
+    ((2, 3), BOSONIC, DimensionMismatch, "share one single-particle space"),
+    ((2, 2), "weird", ValueError, "unknown symmetry class"),
+], ids=["zero", "one", "bosons-2x3", "weird"])
+def test_random_local_unitaries_apply_the_dims_rule(dims, symmetry, error, message):
+    """The same refusal random_state gives, before anything is drawn."""
+    rng = np.random.default_rng(0)
+    drawn = rng.bit_generator.state
+    for draw in (random_state, random_local_unitaries):
+        with pytest.raises(error, match=message):
+            draw(dims, symmetry, rng=rng)
+    assert rng.bit_generator.state == drawn
+
+
 def test_bosonic_declaration_verified_not_imposed():
     sym = build_state([[0, 1], [1, 0]], BOSONIC)
     assert sym.symmetry == BOSONIC
