@@ -168,14 +168,14 @@ def _embedded_action(mats, coeffs: np.ndarray) -> np.ndarray:
     axes, and any axes before them index states.
 
     Party k sits on axis a (k plus the number of stack axes) and acts on
-    the middle axis of the (prod(shape[:a]), N_k, rest) view.  When either
-    side is empty (the first party of one state, or the last party) that
-    view is a matrix, and the action is one 2-d product on it.  When the
-    leading side is the shorter one, it is one matmul batched over it.
-    Otherwise it is one product with the rows of axis a across the whole
-    stack (``states.party_rows``): the later qubits of a many-qubit state,
-    or a long stack, would else cost hundreds of tiny matmuls.  Every term
-    is a matmul, so integer inputs stay exact.
+    the middle axis of the (prod(shape[:a]), N_k, rest) view.  When the
+    trailing side is empty (the last party) that view is a matrix, and the
+    action is one 2-d product on it.  When the leading side is the shorter
+    one, it is one matmul batched over it.  Otherwise it is one product
+    with the rows of axis a across the whole stack (``states.party_rows``):
+    the later qubits of a many-qubit state, or a long stack, would else
+    cost hundreds of tiny matmuls.  Every term is a matmul, so integer
+    inputs stay exact.
     """
     shape = coeffs.shape
     out = None
@@ -184,9 +184,7 @@ def _embedded_action(mats, coeffs: np.ndarray) -> np.ndarray:
             continue
         pre, n, post = (math.prod(shape[:axis]), shape[axis],
                         math.prod(shape[axis + 1:]))
-        if pre == 1:
-            term = (m @ coeffs.reshape(n, post)).reshape(shape)
-        elif post == 1:
+        if post == 1:
             term = (coeffs.reshape(pre, n) @ m.T).reshape(shape)
         elif pre <= post:
             term = (m @ coeffs.reshape(pre, n, post)).reshape(shape)

@@ -24,7 +24,8 @@ reduced matrices, and decomposed with one batched SVD per factor dim.
 Indistinguishable particles have one factor, the SU(N) acting on every
 slot, with M_k = M; otherwise M_k = 1.  The rows serve r alone: G is one
 real product of their float view, Re<x|y> being the dot product of the
-real views, with one more row, i v, whose products are the alpha_a.
+real views, and the alpha_a are the products of that view with the view
+of i v.
 
 All rank decisions share one relative threshold with the refusal rule of
 ``measure.decide``: a singular value within a factor ten of the cut raises
@@ -42,7 +43,7 @@ import numpy as np
 from .errors import EnumerationTooLarge, Inconsistency, NotNormalized, RankUnstable
 from .lie import SU_BASIS_CACHE, rep_action, su_basis
 from .measure import DEFAULT_CLUSTER_TOL, check_tolerance, decide
-from .moment import reduced_matrices
+from .moment import ReducedMatrices, reduced_matrices
 from .states import DISTINGUISHABLE, StateStack, StateTensor, acting_dims, embed
 
 if TYPE_CHECKING:
@@ -74,36 +75,31 @@ def _stable_rank(values, rel_tol: float, what: str) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=SU_BASIS_CACHE)
-def _operands(dims: tuple[int, ...], symmetry: str):
-    """What the oracle acts with on states of one class, built once.
-
-    First, each generator A_a of K as its per-slot tuple (``embed``), in
-    ``su_basis`` order.  Second, per factor dim N of K, in order of first
-    appearance: the factors of that dim and the two operands of their KKS
-    forms (see ``_kks_forms``), built from the g = N^2 - 1 basis matrices
-    of su(N): the A_a^T stacked as one (g N, N) matrix, and the real view
-    of the flattened i conj(A_b) as a (2 N^2, g) matrix.
-    """
+def _generators(dims: tuple[int, ...], symmetry: str) -> tuple:
+    """Each generator A_a of K as its per-slot tuple (``embed``), in
+    ``su_basis`` order, built once per class."""
     group = acting_dims(dims, symmetry)
-    generators = tuple(embed(el.matrix, el.party, len(dims), symmetry)
-                       for el in su_basis(group).elements)
-    factors = []
-    for n in dict.fromkeys(group):
-        mats = np.array([el.matrix for el in su_basis((n,)).elements])
-        lhs = mats.transpose(0, 2, 1).reshape(-1, n)
-        rhs = (1j * mats.conj()).reshape(len(mats), n * n).view(float).T
-        lhs.setflags(write=False)
-        rhs.setflags(write=False)
-        factors.append((tuple(k for k, m in enumerate(group) if m == n), lhs, rhs))
-    return generators, tuple(factors)
+    return tuple(embed(el.matrix, el.party, len(dims), symmetry)
+                 for el in su_basis(group).elements)
 
 
-def _generator_rows(state: StateTensor | StateStack,
-                    phase_row: bool = False) -> np.ndarray:
+@functools.lru_cache(maxsize=SU_BASIS_CACHE)
+def _kks_operands(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two operands of the KKS forms of SU(n) (see ``_kks_forms``),
+    from the g = n^2 - 1 basis matrices of su(n): the A_a^T stacked as one
+    (g n, n) matrix, and the real view of the flattened i conj(A_b) as a
+    (2 n^2, g) matrix."""
+    mats = np.array([el.matrix for el in su_basis((n,)).elements])
+    lhs = mats.transpose(0, 2, 1).reshape(-1, n)
+    rhs = (1j * mats.conj()).reshape(len(mats), n * n).view(float).T
+    lhs.setflags(write=False)
+    rhs.setflags(write=False)
+    return lhs, rhs
+
+
+def _generator_rows(state: StateTensor | StateStack) -> np.ndarray:
     """One generator image R_a = A_a v per row, flattened: (G, dim H) for a
-    state, (B, G, dim H) for a stack of B states.  With ``phase_row`` one
-    more row follows the G: i v, the image of the phase generator i 1, so
-    that Re<i v|R_a> = Im<v|A_a v> = alpha_a.
+    state, (B, G, dim H) for a stack of B states.
 
     The acting algebra is (+)_k su(N_k), each element embedded at its party,
     for distinguishable particles and su(N) acting on every slot otherwise.
@@ -119,13 +115,10 @@ def _generator_rows(state: StateTensor | StateStack,
     if count > MAX_GENERATORS:
         raise EnumerationTooLarge(
             f"{count} generators exceed the oracle guard {MAX_GENERATORS}")
-    generators, _ = _operands(state.dims, state.symmetry)
     lead = state.coeffs.shape[:state.coeffs.ndim - state.parties]
-    rows = np.empty((*lead, count + phase_row, state.total_dim), dtype=complex)
-    for a, mats in enumerate(generators):
+    rows = np.empty((*lead, count, state.total_dim), dtype=complex)
+    for a, mats in enumerate(_generators(state.dims, state.symmetry)):
         rows[..., a, :] = rep_action(mats, state).reshape(*lead, -1)
-    if phase_row:
-        np.multiply(state.coeffs.reshape(*lead, -1), 1j, out=rows[..., -1, :])
     return rows
 
 
@@ -133,41 +126,46 @@ def _orbit_metric(stack: StateStack) -> np.ndarray:
     """G = Re<R_a|R_b> - alpha_a alpha_b for each state, (B, G, G).
 
     Re<x|y> is the dot product of the real views of x and y, so one real
-    product of the rows' float view with itself gives Re<R_a|R_b> and, on
-    the phase row, alpha_a: a plain 2-d product (a symmetric rank update)
-    for one state.  The moment-map term is then taken off in place.
+    product of the rows' float view with itself gives Re<R_a|R_b>: a plain
+    2-d product (a symmetric rank update) for one state.  alpha_a =
+    Im<v|R_a> = Re<i v|R_a> is one matrix-vector product of the same view
+    with that of i v, and the moment-map term is taken off in place.
     """
-    real = _generator_rows(stack, phase_row=True).view(float)
+    real = _generator_rows(stack).view(float)
+    phase = (1j * stack.coeffs.reshape(len(stack), -1)).view(float)
+    alpha = real @ phase[..., None]
     if len(stack) == 1:
-        metric = (real[0] @ real[0].T)[None]
+        gram = (real[0] @ real[0].T)[None]
     else:
-        metric = real @ real.swapaxes(-1, -2)
-    gram, alpha = metric[..., :-1, :-1], metric[..., :-1, -1:]
+        gram = real @ real.swapaxes(-1, -2)
     gram -= alpha * alpha.swapaxes(-1, -2)
     return gram
 
 
-def _kks_forms(stack: StateStack):
+def _kks_forms(stack: StateStack, reduced: ReducedMatrices):
     """Omega_k[a, b] = (M_k / 2) Im tr(rho_k [A_a, A_b]) for each factor
-    SU(N_k) of K, grouped by dim: one (B, P, g, g) array per factor dim,
-    holding its P factors (``_operands`` order).
+    SU(N_k) of K, grouped by dim in order of first appearance: one
+    (B, P, g, g) array per factor dim N, holding its P factors in party
+    order.
 
-    With C^k = rho_k^T the reduced matrix (``moment.reduced_matrices``),
-    X[a, b] = tr(rho_k A_a A_b) is the entrywise pairing of A_a^T C^k with
-    A_b.  X is Hermitian, since rho_k is and the A_a are anti-Hermitian, so
-    Omega_k = (Im X - Im X^T) / 2 = Im X: one complex product of the
-    stacked A_a^T with each C^k, then one real 2-d product of its real
-    view, all states and factors in its rows, with the view of the
-    i conj(A_b), which pairs Re with Im.  Indistinguishable particles
-    have one factor acting on every slot, whose moment map is the sum of
-    the M slot marginals, M rho.
+    With C^k = rho_k^T the reduced matrix (``reduced``, the stack's
+    ``moment.reduced_matrices``), X[a, b] = tr(rho_k A_a A_b) is the
+    entrywise pairing of A_a^T C^k with A_b.  X is Hermitian, since rho_k
+    is and the A_a are anti-Hermitian, so Omega_k = (Im X - Im X^T) / 2 =
+    Im X: one complex product of the stacked A_a^T with each C^k, then one
+    real 2-d product of its real view, all states and factors in its rows,
+    with the view of the i conj(A_b), which pairs Re with Im
+    (``_kks_operands``).  Indistinguishable particles have one factor
+    acting on every slot, whose moment map is the sum of the M slot
+    marginals, M rho.
     """
-    marginals = reduced_matrices(stack).matrices
+    group = acting_dims(stack.dims, stack.symmetry)
+    marginals = reduced.matrices
     if stack.symmetry != DISTINGUISHABLE:
         marginals = (sum(marginals),)
-    _, factors = _operands(stack.dims, stack.symmetry)
-    for parties, lhs, rhs in factors:
-        rho = np.stack([marginals[k] for k in parties], axis=-3)
+    for n in dict.fromkeys(group):
+        lhs, rhs = _kks_operands(n)
+        rho = np.stack([m for m, k in zip(marginals, group) if k == n], axis=-3)
         g = rhs.shape[1]
         paired = (lhs @ rho).view(float).reshape(-1, rhs.shape[0])
         yield (paired @ rhs).reshape(*rho.shape[:-2], g, g)
@@ -193,7 +191,8 @@ class DegeneracyRank:
 
 
 def degeneracy_rank(state: StateTensor | StateStack,
-                    rank_tol: float = DEFAULT_RANK_TOL):
+                    rank_tol: float = DEFAULT_RANK_TOL,
+                    reduced: ReducedMatrices | None = None):
     """Orbit dimension, symplectic rank, and degeneracy D = r - s.
 
     r is the rank of the metric G = Re<R_a|R_b> - alpha_a alpha_b, read off
@@ -210,14 +209,17 @@ def degeneracy_rank(state: StateTensor | StateStack,
     A StateTensor gives one DegeneracyRank.  A StateStack gives a list with
     one per state: the rows, both forms, both spectra and both rank cuts
     run once over the stack, and a refusal of any state raises for the
-    whole stack.
+    whole stack.  ``reduced`` is the input's ``reduced_matrices``, for a
+    caller that already holds them; by default they are computed here.
     """
     check_tolerance(rank_tol, "rank")
     stack = state if isinstance(state, StateStack) else StateStack.of([state])
     orbit = _stable_rank(np.linalg.eigvalsh(_orbit_metric(stack)), rank_tol,
                          "orbit Gram matrix").tolist()
+    if reduced is None:
+        reduced = reduced_matrices(stack)
     sing = [np.linalg.svd(omega, compute_uv=False).reshape(len(stack), -1)
-            for omega in _kks_forms(stack)]
+            for omega in _kks_forms(stack, reduced)]
     symplectic = _stable_rank(np.concatenate(sing, axis=-1), rank_tol,
                               "symplectic form").tolist()
     for r, s in zip(orbit, symplectic):

@@ -188,10 +188,11 @@ def _analyze_chunk(chunk, cluster_tol, rank_tol, oracle, boson_convention):
     the stack raises, from one stack per state, in order."""
     try:
         stack = StateStack.of(chunk)
-        clusterings = _clusterings(reduced_matrices(stack).spectra(), cluster_tol)
+        reduced = reduced_matrices(stack)
+        clusterings = _clusterings(reduced.spectra(), cluster_tol)
         route = _route(stack)
         need_oracle = oracle != ORACLE_OFF or route == ROUTE_ORACLE
-        ranks = (degeneracy_rank(stack, rank_tol) if need_oracle
+        ranks = (degeneracy_rank(stack, rank_tol, reduced) if need_oracle
                  else [None] * len(chunk))
     except (OrbitentError, ValueError):
         if len(chunk) == 1:

@@ -28,7 +28,6 @@ from orbitent.oracle import (
     DEFAULT_RANK_TOL,
     _generator_rows,
     _kks_forms,
-    _operands,
     _orbit_metric,
     _stable_rank,
 )
@@ -485,11 +484,12 @@ def test_kks_forms_and_real_view_metric_equal_the_overlap(dims, symmetry, count)
     omega = (overlap.imag.swapaxes(-1, -2) - overlap.imag) / 2.0
     group = dims if symmetry == DISTINGUISHABLE else dims[:1]
     weight = 1 if symmetry == DISTINGUISHABLE else len(dims)
-    marginals = reduced_matrices(stack).matrices
+    reduced = reduced_matrices(stack)
+    marginals = reduced.matrices
     blocks = _factor_offsets(group)
-    _, factors = _operands(dims, symmetry)
-    for (parties, _, _), form in zip(factors, _kks_forms(stack), strict=True):
-        n = group[parties[0]]
+    factor_dims = list(dict.fromkeys(group))
+    for n, form in zip(factor_dims, _kks_forms(stack, reduced), strict=True):
+        parties = [k for k, m in enumerate(group) if m == n]
         basis = np.array([el.matrix for el in su_basis((n,)).elements])
         brackets = (np.einsum("anm,bml->abnl", basis, basis)
                     - np.einsum("bnm,aml->abnl", basis, basis))
@@ -502,3 +502,18 @@ def test_kks_forms_and_real_view_metric_equal_the_overlap(dims, symmetry, count)
         for l, (c, d) in enumerate(blocks):
             if k != l:
                 assert np.abs(overlap.imag[:, a:b, c:d]).max() <= 1e-14 * scale
+
+
+def test_degeneracy_rank_reuses_the_reduced_matrices_it_is_given(monkeypatch):
+    """A caller that holds the stack's reduced matrices passes them in, and
+    the oracle builds its KKS forms from them without recomputing."""
+    rng = np.random.default_rng(61)
+    stack = StateStack.of([random_state((2, 3, 2), rng=rng) for _ in range(4)])
+    expected = [r.as_tuple() for r in degeneracy_rank(stack)]
+    reduced = reduced_matrices(stack)
+
+    def refuse(_):
+        raise AssertionError("reduced matrices recomputed")
+
+    monkeypatch.setattr("orbitent.oracle.reduced_matrices", refuse)
+    assert [r.as_tuple() for r in degeneracy_rank(stack, reduced=reduced)] == expected
