@@ -165,10 +165,13 @@ def sl2_triples(dims) -> tuple[Sl2Triple, ...]:
 def _embedded_action(mats, coeffs: np.ndarray) -> np.ndarray:
     """Apply sum_k I (x) ... (x) A_k (x) ... (x) I to a coefficient tensor,
     or to each state of a stack: the parties are the trailing ``len(mats)``
-    axes, and any axes before them index states.
+    axes, and any axes before them index states.  A block of shape
+    (B, N_k, N_k) gives each of the B states of a stack its own A_k.
 
     Party k sits on axis a (k plus the number of stack axes) and acts on
-    the middle axis of the (prod(shape[:a]), N_k, rest) view.  When the
+    the middle axis of the (pre, N_k, rest) view, pre = prod(shape[:a]),
+    or of the (B, pre / B, N_k, rest) view when each of the B states has
+    its own block.  When the
     trailing side is empty (the last party) that view is a matrix, and the
     action is one 2-d product on it.  When the leading side is the shorter
     one, it is one matmul batched over it.  Otherwise it is one product
@@ -182,22 +185,28 @@ def _embedded_action(mats, coeffs: np.ndarray) -> np.ndarray:
     for axis, m in enumerate(mats, coeffs.ndim - len(mats)):
         if m is None:
             continue
-        pre, n, post = (math.prod(shape[:axis]), shape[axis],
+        batch = m.ndim - 2
+        lead = shape[:batch]
+        pre, n, post = (math.prod(shape[batch:axis]), shape[axis],
                         math.prod(shape[axis + 1:]))
         if post == 1:
-            term = (coeffs.reshape(pre, n) @ m.T).reshape(shape)
+            term = coeffs.reshape(*lead, pre, n) @ m.swapaxes(-1, -2)
         elif pre <= post:
-            term = (m @ coeffs.reshape(pre, n, post)).reshape(shape)
+            term = m[..., None, :, :] @ coeffs.reshape(*lead, pre, n, post)
         else:
-            term = from_party_rows(m @ party_rows(coeffs, axis), shape, axis)
+            term = from_party_rows(m @ party_rows(coeffs, axis - batch, batch),
+                                   shape, axis - batch, batch)
+        term = term.reshape(shape)
         out = term if out is None else out + term
     if out is None:
         out = np.zeros_like(coeffs)
     return out
 
 
-def _normalize_generator(generator, dims, symmetry):
-    """Expand a generator argument into one matrix (or None) per party."""
+def _normalize_generator(generator, dims, symmetry, stack: int | None = None):
+    """Expand a generator argument into one matrix (or None) per party.
+    On a stack of ``stack`` states a party's block may also be one matrix
+    per state, of shape (stack, N_k, N_k)."""
     if isinstance(generator, np.ndarray) and generator.ndim == 2:
         n = generator.shape[0]
         if generator.shape != (n, n) or any(d != n for d in dims):
@@ -214,10 +223,12 @@ def _normalize_generator(generator, dims, symmetry):
             out.append(None)
             continue
         m = np.asarray(m)
-        if m.shape != (dims[k], dims[k]):
+        square = (dims[k], dims[k])
+        if m.shape != square and (stack is None or m.shape != (stack, *square)):
+            per_state = "" if stack is None else f" or {(stack, *square)}"
             raise DimensionMismatch(
                 f"party {k} generator has shape {m.shape}, expected "
-                f"({dims[k]}, {dims[k]})")
+                f"{square}{per_state}")
         out.append(m)
     if symmetry != DISTINGUISHABLE:
         first = out[0]
@@ -238,15 +249,17 @@ def rep_action(generator, state) -> np.ndarray:
     dims) or a sequence of per-party matrices where ``None`` means no action
     on that party.  ``state`` may be a StateTensor, a StateStack (each
     state is acted on; the result keeps the stack axis first) or a bare
-    coefficient tensor.  The result is a plain, generally unnormalized,
-    tensor.
+    coefficient tensor.  On a StateStack of B states a per-party entry may
+    also be a (B, N_k, N_k) block, one matrix per state.  The result is a
+    plain, generally unnormalized, tensor.
     """
+    stack = len(state) if isinstance(state, StateStack) else None
     if isinstance(state, (StateTensor, StateStack)):
         coeffs, dims, symmetry = state.coeffs, state.dims, state.symmetry
     else:
         coeffs = np.asarray(state)
         dims, symmetry = coeffs.shape, DISTINGUISHABLE
-    mats = _normalize_generator(generator, dims, symmetry)
+    mats = _normalize_generator(generator, dims, symmetry, stack)
     return _embedded_action(mats, coeffs)
 
 

@@ -343,12 +343,13 @@ def party_rows(coeffs: np.ndarray, k: int, batch: int = 0) -> np.ndarray:
     return coeffs.reshape(*lead, pre, n, -1).swapaxes(-3, -2).reshape(*lead, n, -1)
 
 
-def from_party_rows(rows: np.ndarray, shape, k: int) -> np.ndarray:
-    """Inverse of :func:`party_rows` with ``batch`` 0: the tensor of the
-    given shape."""
-    n = shape[k]
-    pre = math.prod(shape[:k])
-    return rows.reshape(n, pre, -1).transpose(1, 0, 2).reshape(shape)
+def from_party_rows(rows: np.ndarray, shape, k: int, batch: int = 0) -> np.ndarray:
+    """Inverse of :func:`party_rows`: the tensor of the given shape, whose
+    first ``batch`` axes index a stack."""
+    lead = shape[:batch]
+    n = shape[batch + k]
+    pre = math.prod(shape[batch:batch + k])
+    return rows.reshape(*lead, n, pre, -1).swapaxes(-3, -2).reshape(shape)
 
 
 def apply_local(state: StateTensor, g: LocalUnitaryTuple) -> StateTensor:

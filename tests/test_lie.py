@@ -353,3 +353,42 @@ def test_rep_action_on_a_stack_acts_on_each_state(dims, symmetry):
         out = rep_action(z, stack)
         for b, state in enumerate(states):
             assert np.allclose(out[b], rep_action(z, state), rtol=0, atol=1e-14)
+
+
+def _random_blocks(rng, count, n):
+    return (rng.standard_normal((count, n, n))
+            + 1j * rng.standard_normal((count, n, n)))
+
+
+@pytest.mark.parametrize("dims, symmetry, party", [
+    ((2, 3, 4), DISTINGUISHABLE, 0), ((2, 3, 4), DISTINGUISHABLE, 1),
+    ((2, 3, 4), DISTINGUISHABLE, 2), ((2,) * 6, DISTINGUISHABLE, 0),
+    ((2,) * 6, DISTINGUISHABLE, 3), ((2,) * 6, DISTINGUISHABLE, 5),
+    ((3, 3, 3), BOSONIC, None), ((4, 4, 4), FERMIONIC, None)])
+def test_rep_action_with_a_block_per_state_equals_the_loop(dims, symmetry, party):
+    """A (B, N_k, N_k) block gives state b its own matrix: at one party, or
+    the same block on every slot of indistinguishable particles."""
+    rng = np.random.default_rng(15)
+    states = [random_state(dims, symmetry, rng=rng) for _ in range(4)]
+    stack = StateStack.of(states)
+    n = dims[0] if party is None else dims[party]
+    blocks = _random_blocks(rng, len(states), n)
+    if party is None:
+        mats = (blocks,) * len(dims)
+    else:
+        mats = tuple(blocks if k == party else None for k in range(len(dims)))
+    out = rep_action(mats, stack)
+    assert out.shape == (len(states), *dims)
+    for b, state in enumerate(states):
+        per_state = tuple(None if m is None else m[b] for m in mats)
+        assert np.allclose(out[b], rep_action(per_state, state), rtol=0, atol=1e-13)
+
+
+def test_rep_action_refuses_a_block_stack_of_another_length():
+    rng = np.random.default_rng(16)
+    stack = StateStack.of([random_state((2, 3), rng=rng) for _ in range(3)])
+    for count in (2, 4):
+        with pytest.raises(DimensionMismatch, match=r"expected \(3, 3\) or \(3, 3, 3\)"):
+            rep_action((None, _random_blocks(rng, count, 3)), stack)
+    with pytest.raises(DimensionMismatch):
+        rep_action((None, _random_blocks(rng, 1, 3)), stack[0])

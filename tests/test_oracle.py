@@ -13,12 +13,14 @@ from orbitent import (
     EnumerationTooLarge,
     NotNormalized,
     StateStack,
+    StateTensor,
     apply_local,
     build_state,
     degeneracy_rank,
     fubini_study_omega,
     random_local_unitaries,
     random_state,
+    rep_action,
     su_basis,
     symmetrize,
     verify_against_formula,
@@ -31,11 +33,26 @@ from orbitent.oracle import (
     _orbit_metric,
     _stable_rank,
 )
+from orbitent.states import acting_dims, embed
 from orbitent.errors import RankUnstable
+from orbitent.report import analyze_state
 
 
 def bell_state():
     return build_state([[0, 1], [1, 0]])
+
+
+def all_generators(state):
+    """Every basis generator A_a of K as its per-slot tuple, in ``su_basis``
+    order."""
+    group = acting_dims(state.dims, state.symmetry)
+    return [embed(el.matrix, el.party, state.parties, state.symmetry)
+            for el in su_basis(group).elements]
+
+
+def all_rows(state):
+    """The images A_a v of every basis generator of K."""
+    return _generator_rows(state, all_generators(state))
 
 
 def test_omega_vanishes_on_equal_arguments():
@@ -90,7 +107,7 @@ def test_projection_is_the_moment_map_term():
     for dims, symmetry in [((3, 2), DISTINGUISHABLE), ((3, 3), BOSONIC)]:
         state = random_state(dims, symmetry, rng=np.random.default_rng(7))
         v = state.coeffs.reshape(-1)
-        rows = _generator_rows(state)
+        rows = all_rows(state)
         pairing = rows @ v.conj()
         assert np.abs(pairing.real).max() < 1e-15
         tangents = rows - np.outer(pairing, v)
@@ -123,7 +140,7 @@ def test_tangent_rows_match_dense_kronecker_generators(dims, symmetry):
     state = random_state(dims, symmetry, rng=np.random.default_rng(13))
     v = state.coeffs.reshape(-1)
     expected = [dense_generator(mats, dims) @ v for mats in placed]
-    rows = _generator_rows(state)
+    rows = all_rows(state)
     assert rows.shape == (len(expected), v.size)
     assert np.allclose(rows, expected, rtol=0, atol=1e-13)
 
@@ -277,9 +294,9 @@ def test_degeneracy_rank_of_a_stack_matches_each_state():
 def test_tangent_rows_of_a_stack_match_each_state(dims, symmetry):
     rng = np.random.default_rng(22)
     states = [random_state(dims, symmetry, rng=rng) for _ in range(4)]
-    rows = _generator_rows(StateStack.of(states))
+    rows = all_rows(StateStack.of(states))
     for b, state in enumerate(states):
-        assert np.allclose(rows[b], _generator_rows(state), rtol=0, atol=1e-15)
+        assert np.allclose(rows[b], all_rows(state), rtol=0, atol=1e-15)
 
 
 def reference_ranks(state, rank_tol=DEFAULT_RANK_TOL):
@@ -287,7 +304,7 @@ def reference_ranks(state, rank_tol=DEFAULT_RANK_TOL):
     tangent space, span that space with the Gram eigenvectors above the
     rank cut, whiten them, restrict omega to the orthonormal frame and read
     s off its singular values."""
-    rows = _generator_rows(state)
+    rows = all_rows(state)
     v = state.coeffs.reshape(1, -1)
     tangents = rows - (rows @ v.conj().T) * v
     overlap = tangents.conj() @ tangents.T
@@ -358,20 +375,108 @@ def test_stack_of_mixed_orbit_ranks_equals_the_reference():
     assert len({r[0] for r in ranks}) == 4
 
 
-def test_symplectic_rank_above_the_orbit_rank_is_refused():
-    """Schmidt weights 1/2 +- 1e-5: the metric's eigenvalues shrink with the
-    squared gap and read the Bell orbit (r = 3), while Omega's singular
-    values shrink with the gap and read s = 4.  The closed form gives
-    (5, 4, 1); the oracle refuses instead of reporting D = -1."""
+def test_near_bell_schmidt_weights_give_the_closed_form():
+    """Schmidt weights 1/2 +- 1e-5: the metric on all of k has eigenvalues
+    of order the squared gap and once read the Bell orbit (r = 3) against
+    s = 4.  D is read on ker Omega, whose metric stays of order one, so the
+    oracle gives the closed form's (5, 4, 1)."""
     d = 1e-5
     state = build_state(np.diag([np.sqrt(0.5 + d), np.sqrt(0.5 - d)]))
     moved = apply_local(state, random_local_unitaries((2, 2),
                                                       rng=np.random.default_rng(31)))
     for s in (state, moved):
-        with pytest.raises(RankUnstable, match="rank 4 exceeds the orbit rank 3"):
-            degeneracy_rank(s)
-        with pytest.raises(RankUnstable):
-            verify_against_formula(s)
+        assert degeneracy_rank(s).as_tuple() == (5, 4, 1)
+        rec = verify_against_formula(s)
+        assert rec.passed and rec.observed["orbit_dim"] == 5
+
+
+def near_pair_schmidt_state(n, gap, rng):
+    """A rotated n x n Schmidt state whose weights lie well apart, but for
+    one pair that differs by ``gap`` times the largest weight."""
+    weights = np.arange(1, n) + rng.uniform(0.0, 0.5, n - 1)
+    weights = np.append(weights, weights[rng.integers(n - 1)])
+    weights[-1] += gap * weights.max()
+    state = build_state(np.diag(np.sqrt(weights / weights.sum())))
+    return apply_local(state, random_local_unitaries((n, n), rng=rng))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_near_degenerate_schmidt_pair_gives_the_closed_form(n):
+    """A pair gap of 1e-6 to 1e-3 of the largest weight: Omega's singular
+    values are linear in it, so s reads the distinct weights, and D comes
+    from the metric on ker Omega, which does not shrink with the gap.  The
+    oracle decides every such state, and agrees with the closed form of
+    distinct weights."""
+    rng = np.random.default_rng(70 + n)
+    expected = (2 * n * n - n - 1, 2 * n * n - 2 * n, n - 1)
+    for _ in range(40):
+        state = near_pair_schmidt_state(n, 10 ** rng.uniform(-6, -3), rng)
+        assert degeneracy_rank(state).as_tuple() == expected
+        report = analyze_state(state, oracle="verify")
+        assert (report.orbit_dim, report.coadjoint_dim, report.degeneracy) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_below_the_decidable_gaps_the_oracle_refuses_or_is_right(n):
+    """A pair gap of 1e-8 to 1e-6 of the largest weight lies inside the
+    clustering's refusal window, so the closed form refuses the whole band,
+    and its lower part inside the rank cut's.  The oracle refuses there or
+    reads the distinct weights, never another answer."""
+    rng = np.random.default_rng(80 + n)
+    expected = (2 * n * n - n - 1, 2 * n * n - 2 * n, n - 1)
+    decided = 0
+    for _ in range(40):
+        state = near_pair_schmidt_state(n, 10 ** rng.uniform(-8, -6), rng)
+        try:
+            ranks = degeneracy_rank(state).as_tuple()
+        except RankUnstable:
+            continue
+        assert ranks == expected
+        decided += 1
+    assert decided > 0
+
+
+def test_the_changes_example_reads_distinct_weights():
+    """(3,3) with weights 0.3331 and 0.3331 + 1e-5: the closed form's
+    (14, 12, 2), where the metric on all of k read (12, 12, 0)."""
+    weights = [0.3331, 0.3331 + 1e-5]
+    weights.append(1.0 - sum(weights))
+    state = build_state(np.diag(np.sqrt(weights)))
+    assert degeneracy_rank(state).as_tuple() == (14, 12, 2)
+    assert verify_against_formula(state).passed
+
+
+@pytest.mark.parametrize("coeffs", [
+    2 * _basis_tensor((2, 2), (0, 0)),
+    np.zeros((2, 2)),
+    np.array([[np.nan, 0.0], [0.0, 1.0]])], ids=["twice-product", "zero", "nan"])
+def test_degeneracy_rank_refuses_a_state_off_the_unit_sphere(coeffs):
+    """The raw constructor checks shapes only; the oracle refuses a norm
+    off 1 (NaN included) before any arithmetic on the state."""
+    state = StateTensor((2, 2), coeffs)
+    with pytest.raises(NotNormalized):
+        degeneracy_rank(state)
+    with pytest.raises(NotNormalized):
+        degeneracy_rank(StateStack.of([bell_state(), state]))
+
+
+@pytest.mark.parametrize("state, calls", [
+    (random_state((11, 11), rng=np.random.default_rng(3)), 20),
+    (build_state(_basis_tensor((2, 2, 2), (0, 0, 0), (1, 1, 1))), 9),
+    (build_state(np.eye(3)), 16)], ids=["generic-11x11", "ghz-222", "max-33"])
+def test_metric_rows_span_only_the_kernel_of_omega(monkeypatch, state, calls):
+    """One rep_action call per (party, kernel direction): N - 1 Cartan
+    directions per party for a generic state, and every direction of a
+    party whose marginal is maximally mixed (Omega_k = 0)."""
+    seen = []
+
+    def counting(mats, target):
+        seen.append(len(target))
+        return rep_action(mats, target)
+
+    monkeypatch.setattr("orbitent.oracle.rep_action", counting)
+    degeneracy_rank(state)
+    assert seen == [1] * calls
 
 
 def _factor_offsets(dims):
@@ -384,7 +489,7 @@ def test_cross_factor_blocks_of_the_overlap_vanish(dims):
     """Generators of different parties commute, so A_a^dag B_b is Hermitian
     and Im<A_a v|B_b v> = 0: Omega is block diagonal, one block per party."""
     state = random_state(dims, rng=np.random.default_rng(len(dims)))
-    rows = _generator_rows(state)
+    rows = all_rows(state)
     im = (rows.conj() @ rows.T).imag
     for k, (a, b) in enumerate(_factor_offsets(dims)):
         for l, (c, d) in enumerate(_factor_offsets(dims)):
@@ -472,14 +577,14 @@ def test_kks_forms_and_real_view_metric_equal_the_overlap(dims, symmetry, count)
     rng = np.random.default_rng(53)
     stack = StateStack.of([random_state(dims, symmetry, rng=rng)
                            for _ in range(count)])
-    rows = _generator_rows(stack)
+    rows = all_rows(stack)
     overlap = rows.conj() @ rows.swapaxes(-1, -2)
     alpha = (rows @ stack.coeffs.reshape(count, -1, 1).conj()).imag
     scale = np.abs(overlap).max()
 
     gram = (overlap.real + overlap.real.swapaxes(-1, -2)) / 2.0
     gram -= alpha * alpha.swapaxes(-1, -2)
-    assert np.abs(_orbit_metric(stack) - gram).max() <= 1e-14 * scale
+    assert np.abs(_orbit_metric(stack, all_generators(stack)) - gram).max() <= 1e-14 * scale
 
     omega = (overlap.imag.swapaxes(-1, -2) - overlap.imag) / 2.0
     group = dims if symmetry == DISTINGUISHABLE else dims[:1]
