@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .states import StateTensor, build_state
+from .states import StateTensor, build_state, is_integral
 
 
 #: numpy's limit on the number of array axes, one per party
@@ -53,9 +53,7 @@ def _parse_dims(raw) -> tuple[int, ...]:
         raise ValueError(
             f"dims lists {len(raw)} parties; at most {MAX_PARTIES} fit in an array")
     for n in raw:
-        integral = isinstance(n, Integral) or (
-            _is_real(n) and float(n).is_integer())
-        if isinstance(n, bool) or not integral:
+        if not is_integral(n):
             raise ValueError(f"dims must be integers, got {n!r}")
     return tuple(int(n) for n in raw)
 

@@ -15,7 +15,6 @@ acting diagonally on every slot.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,8 +44,6 @@ from .states import (
 
 #: dense tensors above this size are refused by enumeration routines
 MAX_ENUMERATION = 10**6
-#: su_basis keeps the bases of this many most recent dims tuples
-SU_BASIS_CACHE = 64
 
 
 def _unit_entry(n: int, i: int, j: int, dtype=np.int64) -> np.ndarray:
@@ -80,14 +77,9 @@ def su_basis(dims) -> LieBasis:
 
     Ordering per party: i*H_1 ... i*H_{N-1}, then for each pair i < j in
     lexicographic order the elements E_ij - E_ji and i(E_ij + E_ji).
-    The basis is shared between calls with the same dims: it is frozen and
-    its matrices are read-only.
+    The basis is frozen and its matrices are read-only.
     """
-    return _su_basis(check_dims(dims))
-
-
-@functools.lru_cache(maxsize=SU_BASIS_CACHE)
-def _su_basis(dims: tuple[int, ...]) -> LieBasis:
+    dims = check_dims(dims)
     elements = []
     for k, n in enumerate(dims):
         for j in range(n - 1):

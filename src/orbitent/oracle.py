@@ -21,31 +21,35 @@ K = SU(N_1) x ... x SU(N_M) is a product, and generators of different
 factors commute, so Omega = (+)_k Omega_k exactly: Omega_k is the KKS form
 of SU(N_k) at rho_k, the orbit of mu(v) = (rho_1, ..., rho_M) is the
 product of the orbits of the rho_k, and s = sum_k s_k.  So s needs no
-rows: Omega_k[a, b] = (M_k / 2) Im tr(rho_k [A_a, A_b]) is built from the
-reduced matrices, and one batched SVD per factor dim gives both s and a
-basis of ker Omega = (+)_k ker Omega_k.  Indistinguishable particles have
-one factor, the SU(N) acting on every slot, with M_k = M; otherwise
-M_k = 1.  Rows X_j v are built for the kernel directions alone, and G on
-them is one real product of their float view, Re<x|y> being the dot
-product of the real views; the alpha_j are the products of that view with
-the view of i v.
+rows, and no form on k either: Omega_k(X, Y) = (M_k / 2) Im tr(rho_k [X, Y])
+is fixed by the spectrum of rho_k.  In an eigenbasis u_i of rho_k it
+pairs the two directions u_i u_j^dag - u_j u_i^dag and
+i(u_i u_j^dag + u_j u_i^dag) of each i < j with weight
+M_k (lambda_i - lambda_j) and vanishes on the Cartan directions, so one
+``eigh`` of the marginals per factor dim gives both s and a basis of
+ker Omega = (+)_k ker Omega_k.  Indistinguishable particles have one
+factor, the SU(N) acting on every slot, with M_k = M; otherwise M_k = 1.
+Rows X_j v are built for the kernel directions alone, and G on them is
+one real product of their float view, Re<x|y> being the dot product of
+the real views; the alpha_j are the products of that view with the view
+of i v.
 
 All rank decisions share one relative threshold with the refusal rule of
-``measure.decide``: a singular value within a factor ten of the cut raises
-RankUnstable instead of guessing.  Both decisions act on values linear in
-the spectral gaps of the rho_k.
+``measure.decide``: a value within a factor ten of the cut raises
+RankUnstable instead of guessing.  The symplectic cut acts on the gaps
+|lambda_i - lambda_j| themselves, the singular values of Omega_k; the
+metric cut acts on the eigenvalues of G on ker Omega.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import EnumerationTooLarge, Inconsistency, NotNormalized, RankUnstable
-from .lie import SU_BASIS_CACHE, rep_action, su_basis
+from .lie import rep_action
 from .measure import DEFAULT_CLUSTER_TOL, check_tolerance, decide
 from .moment import ReducedMatrices, reduced_matrices
 from .states import DISTINGUISHABLE, StateStack, StateTensor, acting_dims, embed
@@ -53,10 +57,12 @@ from .states import DISTINGUISHABLE, StateStack, StateTensor, acting_dims, embed
 if TYPE_CHECKING:
     from .report import ConsistencyRecord
 
-#: singular values below this fraction of the largest count as zero
+#: gaps and eigenvalues below this fraction of the largest count as zero
 DEFAULT_RANK_TOL = 1e-8
-#: desk-scale guards on dim H and on the G generators of K: the forms' SVDs
-#: cost up to O(G^3), and the at most G kernel rows take G dim H entries
+#: desk-scale guards on dim H and on the G generators of K: the metric's
+#: eigvalsh costs up to O(G^3), reached when every marginal is maximally
+#: mixed and all of k is ker Omega, and the at most G kernel rows take
+#: G dim H entries
 MAX_HILBERT_DIM = 4096
 MAX_GENERATORS = 256
 #: the two evaluations of omega must agree this tightly
@@ -84,22 +90,6 @@ def _stable_mask(values, rel_tol: float, what: str) -> np.ndarray:
 def _stable_rank(values, rel_tol: float, what: str) -> np.ndarray:
     """How many values in each row lie above the cut of ``_stable_mask``."""
     return _stable_mask(values, rel_tol, what).sum(axis=-1)
-
-
-@functools.lru_cache(maxsize=SU_BASIS_CACHE)
-def _factor_operands(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The basis of su(n) and the two operands of its KKS forms (see
-    ``_kks_forms``), from its g = n^2 - 1 basis matrices A_a: the A_a
-    flattened as a (g, n^2) matrix, the A_a^T stacked as one (g n, n)
-    matrix, and the real view of the flattened i conj(A_b) as a (2 n^2, g)
-    matrix."""
-    mats = np.array([el.matrix for el in su_basis((n,)).elements])
-    flat = mats.reshape(len(mats), n * n)
-    lhs = mats.transpose(0, 2, 1).reshape(-1, n)
-    rhs = (1j * mats.conj()).reshape(len(mats), n * n).view(float).T
-    for a in (flat, lhs, rhs):
-        a.setflags(write=False)
-    return flat, lhs, rhs
 
 
 def _generator_rows(state: StateTensor | StateStack, generators) -> np.ndarray:
@@ -138,65 +128,53 @@ def _orbit_metric(stack: StateStack, generators) -> np.ndarray:
     return gram
 
 
-def _kks_forms(stack: StateStack, reduced: ReducedMatrices):
-    """Omega_k[a, b] = (M_k / 2) Im tr(rho_k [A_a, A_b]) for each factor
-    SU(N_k) of K, grouped by dim in order of first appearance: one
-    (B, P, g, g) array per factor dim N, holding its P factors in party
-    order.
+def _kernel_generators(stack: StateStack, reduced: ReducedMatrices,
+                       rank_tol: float):
+    """s for each state, and generator tuples that span ker Omega.
 
-    With C^k = rho_k^T the reduced matrix (``reduced``, the stack's
-    ``moment.reduced_matrices``), X[a, b] = tr(rho_k A_a A_b) is the
-    entrywise pairing of A_a^T C^k with A_b.  X is Hermitian, since rho_k
-    is and the A_a are anti-Hermitian, so Omega_k = (Im X - Im X^T) / 2 =
-    Im X: one complex product of the stacked A_a^T with each C^k, then one
-    real 2-d product of its real view, all states and factors in its rows,
-    with the view of the i conj(A_b), which pairs Re with Im
-    (``_factor_operands``).  Indistinguishable particles have one factor
-    acting on every slot, whose moment map is the sum of the M slot
-    marginals, M rho.
+    Omega_k(X, Y) = (M_k / 2) Im tr(rho_k [X, Y]) is fixed by the spectrum of
+    rho_k: in an eigenbasis u_i of rho_k it vanishes on the N_k - 1 Cartan
+    directions i(u_a u_a^dag - u_{a+1} u_{a+1}^dag) and pairs the two
+    directions u_i u_j^dag - u_j u_i^dag and i(u_i u_j^dag + u_j u_i^dag) of
+    each i < j with weight M_k (lambda_i - lambda_j).  So one ``eigh`` per
+    factor dim, over the stacked marginals of that dim, gives both: s counts
+    the ordered pairs whose gap lies above the cut, taken against each
+    state's largest gap, and the kernel is spanned by the Cartan directions
+    and the pairs below it.  The reduced matrix is C^k = conj(rho_k), so the
+    u_i are the conjugates of its eigenvectors; indistinguishable particles
+    have one factor acting on every slot, whose marginal is the sum of the M
+    slot marginals, M rho.  A stack takes, per party, the union of its
+    states' kernel pairs; a state whose own gap lies above the cut gets zero
+    blocks there, whose zero images add only zero eigenvalues to the metric.
     """
     group = acting_dims(stack.dims, stack.symmetry)
     marginals = reduced.matrices
     if stack.symmetry != DISTINGUISHABLE:
         marginals = (sum(marginals),)
+    factors = []
     for n in dict.fromkeys(group):
-        _, lhs, rhs = _factor_operands(n)
-        rho = np.stack([m for m, k in zip(marginals, group) if k == n], axis=-3)
-        g = rhs.shape[1]
-        paired = (lhs @ rho).view(float).reshape(-1, rhs.shape[0])
-        yield (paired @ rhs).reshape(*rho.shape[:-2], g, g)
-
-
-def _kernel_generators(stack: StateStack, reduced: ReducedMatrices,
-                       rank_tol: float):
-    """s for each state, and generator tuples whose images span T(ker Omega).
-
-    One SVD per factor dim gives the singular values of every Omega_k,
-    cut against each state's largest, and the right singular vectors of
-    those below the cut: a basis V of ker Omega_k.  Each kernel direction
-    is the generator X_j = sum_a V_ja A_a of its factor.  A stack takes,
-    per factor, as many directions as the largest kernel among its states;
-    states with a smaller kernel get zero blocks there, whose zero images
-    add only zero eigenvalues to the metric.
-    """
-    group = acting_dims(stack.dims, stack.symmetry)
-    svds = [np.linalg.svd(omega) for omega in _kks_forms(stack, reduced)]
-    sing = np.concatenate([s.reshape(len(stack), -1) for _, s, _ in svds], axis=-1)
-    above = _stable_mask(sing, rank_tol, "symplectic form")
-    generators, offset = [], 0
-    for n, (_, s, vh) in zip(dict.fromkeys(group), svds):
-        mask = above[:, offset:offset + s[0].size].reshape(s.shape)
-        offset += s[0].size
-        # sorted descending, so each kernel is a suffix of the rows of vh
-        widths = (s.shape[-1] - mask.sum(axis=-1).min(axis=0)).tolist()
-        depth = max(widths)
-        rows = slice(s.shape[-1] - depth, None)
-        kernel = vh[..., rows, :] * ~mask[..., rows, None]
-        blocks = (kernel @ _factor_operands(n)[0]).reshape(*kernel.shape[:-1], n, n)
         parties = [k for k, m in enumerate(group) if m == n]
-        for p, (party, width) in enumerate(zip(parties, widths)):
-            generators += [embed(blocks[:, p, j], party, stack.parties, stack.symmetry)
-                           for j in range(depth - width, depth)]
+        evals, evecs = np.linalg.eigh(np.stack([marginals[k] for k in parties], axis=-3))
+        gap = np.abs(evals[..., :, None] - evals[..., None, :])
+        factors.append((parties, evecs, gap))
+    gaps = np.concatenate([gap.reshape(len(stack), -1) for *_, gap in factors], axis=-1)
+    above = _stable_mask(gaps, rank_tol, "symplectic form")
+    generators, offset = [], 0
+    for parties, evecs, gap in factors:
+        kept = ~above[:, offset:offset + gap[0].size].reshape(gap.shape)
+        offset += gap[0].size
+        u = evecs.conj().swapaxes(-1, -2)  # u[b, p, a] is the eigenvector u_a
+        proj = u[..., :, None] * u.conj()[..., None, :]  # u_a u_a^dag
+        cartan = 1j * (proj[:, :, :-1] - proj[:, :, 1:])
+        generators += [embed(x, party, stack.parties, stack.symmetry)
+                       for p, party in enumerate(parties) for x in cartan[:, p].swapaxes(0, 1)]
+        for p, i, j in zip(*np.nonzero(kept.any(axis=0))):
+            if i < j:  # each pair once; the diagonal's zero gap is always kept
+                x = u[:, p, i, :, None] * u[:, p, j, None, :].conj()
+                x *= kept[:, p, i, j, None, None]
+                y = x.conj().swapaxes(-1, -2)
+                generators += [embed(z, parties[p], stack.parties, stack.symmetry)
+                               for z in (x - y, 1j * (x + y))]
     return above.sum(axis=-1).tolist(), generators
 
 
@@ -224,25 +202,25 @@ def degeneracy_rank(state: StateTensor | StateStack,
                     reduced: ReducedMatrices | None = None):
     """Orbit dimension r = s + D, symplectic rank s, and degeneracy D.
 
-    s is the even numerical rank of Omega = (+)_k Omega_k, the KKS forms at
-    the reduced matrices rho_k (``_kks_forms``), read off their singular
-    values, one batched SVD per factor dim, all values cut against the
-    largest.  Since ker T lies inside ker Omega (T being the tangent map
-    A -> Av - v<v|Av>: a stabilizer direction pairs to zero under omega),
-    r = s + D, where D is the rank of the metric G = Re<R_i|R_j> -
-    alpha_i alpha_j on the images R_j = X_j v of a basis X_j of ker Omega
-    (``_kernel_generators``, ``_orbit_metric``), read off its eigenvalues.
-    Both cuts act on values linear in the spectral gaps of the rho_k; the
-    metric on all of k, whose eigenvalues shrink with their square, is
-    never formed.
+    s is the rank of Omega = (+)_k Omega_k, the KKS forms at the reduced
+    matrices rho_k: the count of ordered pairs of eigenvalues of the rho_k
+    whose gap M_k |lambda_i - lambda_j| lies above the cut, taken against
+    the largest, from one ``eigh`` per factor dim (``_kernel_generators``).
+    The same eigenvectors give a basis X_j of ker Omega.  Since ker T lies
+    inside ker Omega (T being the tangent map A -> Av - v<v|Av>: a
+    stabilizer direction pairs to zero under omega), r = s + D, where D is
+    the rank of the metric G = Re<R_i|R_j> - alpha_i alpha_j on the images
+    R_j = X_j v (``_orbit_metric``), read off its eigenvalues.  Neither cut
+    acts on the metric on all of k, whose eigenvalues shrink with the
+    square of the spectral gaps; no SVD is taken and no su(N) basis built.
 
     A StateTensor gives one DegeneracyRank.  A StateStack gives a list with
-    one per state: the forms, their SVDs, the kernel rows, the metric, its
-    spectrum and both rank cuts run once over the stack, and a refusal of
-    any state raises for the whole stack.  ``reduced`` is the input's
+    one per state: the ``eigh``, the kernel rows, the metric, its spectrum
+    and both rank cuts run once over the stack, and a refusal of any state
+    raises for the whole stack.  ``reduced`` is the input's
     ``reduced_matrices``, for a caller that already holds them; by default
     they are computed here.  The two size guards and then the unit-norm
-    check (NotNormalized, NaN included) run before any basis is built or
+    check (NotNormalized, NaN included) run before any marginal is read or
     any arithmetic on the coefficients.
     """
     check_tolerance(rank_tol, "rank")
@@ -261,9 +239,6 @@ def degeneracy_rank(state: StateTensor | StateStack,
     if reduced is None:
         reduced = reduced_matrices(stack)
     symplectic, kernel = _kernel_generators(stack, reduced, rank_tol)
-    for s in symplectic:
-        if s % 2:
-            raise RankUnstable(f"symplectic form has odd numerical rank {s}")
     degeneracy = _stable_rank(np.linalg.eigvalsh(_orbit_metric(stack, kernel)),
                               rank_tol, "orbit Gram matrix").tolist()
     ranks = [DegeneracyRank(s + d, s, d) for s, d in zip(symplectic, degeneracy)]

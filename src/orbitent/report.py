@@ -111,10 +111,10 @@ def _boson_separable(convention, clustering, degeneracy, parties):
 def _stack_length(dims: tuple[int, ...], symmetry: str) -> int:
     """How many states of this class one chunk holds: that many times
     16 G max(G, dim H) bytes, for G generators of the acting group, stays
-    within STACK_BYTES.  The oracle's largest per-state arrays are the
-    factors of its SVDs, two real g x g matrices per factor SU(N_k), at
-    most 16 G^2 bytes together, and its complex kernel rows, at most G of
-    them, at most 16 G dim H bytes."""
+    within STACK_BYTES.  The oracle's largest per-state arrays are its
+    complex kernel rows, at most G of them, at most 16 G dim H bytes, and
+    the metric on them, at most 8 G^2 bytes; its kernel generators, at
+    most G matrices of N_k^2 entries, take at most 16 G (G + 1) bytes."""
     g = sum(n * n - 1 for n in acting_dims(dims, symmetry))
     return max(1, STACK_BYTES // (16 * g * max(g, math.prod(dims))))
 

@@ -39,10 +39,11 @@ def random_state(dims, symmetry: str = DISTINGUISHABLE, rng=None) -> StateTensor
 
 def random_product_state(dims, rng=None) -> StateTensor:
     """Tensor product of independent random single-party states."""
+    dims = check_dims(dims)
     rng = _rng(rng)
     tensor = np.ones((), dtype=complex)
     for n in dims:
-        v = rng.standard_normal(int(n)) + 1j * rng.standard_normal(int(n))
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         tensor = np.tensordot(tensor, v / np.linalg.norm(v), axes=0)
     return build_state(tensor)
 

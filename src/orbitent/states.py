@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -119,14 +120,29 @@ class StateStack:
         return StateTensor(self.dims, self.coeffs[index], self.symmetry)
 
 
+def is_integral(n) -> bool:
+    """An integer, numpy's included, or an integral float such as 2.0; a
+    boolean, a string or 2.5 is not."""
+    if isinstance(n, bool):
+        return False
+    # int first: the common case, ahead of the slower checks against the ABCs
+    return isinstance(n, (int, Integral)) or (isinstance(n, Real) and float(n).is_integer())
+
+
 def check_dims(dims, symmetry: str = DISTINGUISHABLE) -> tuple[int, ...]:
     """The dims as a tuple of ints, checked against the one rule every
     entry point applies before any arithmetic: a known symmetry class, at
-    least one party, every local dimension >= 2, one shared dimension for
-    indistinguishable particles, and no more fermions than single-particle
-    states (their antisymmetric space would be trivial)."""
+    least one party, every local dimension an integer (``is_integral``)
+    and >= 2, one shared dimension for indistinguishable particles, and no
+    more fermions than single-particle states (their antisymmetric space
+    would be trivial)."""
     if symmetry not in SYMMETRY_CLASSES:
         raise ValueError(f"unknown symmetry class {symmetry!r}")
+    dims = tuple(dims)
+    for n in dims:
+        if not is_integral(n):
+            raise DimensionMismatch(
+                f"every local dimension must be an integer, got {n!r}")
     dims = tuple(int(n) for n in dims)
     if len(dims) < 1:
         raise DimensionMismatch("a state needs at least one party")

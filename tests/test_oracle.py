@@ -29,7 +29,7 @@ from orbitent.moment import reduced_matrices
 from orbitent.oracle import (
     DEFAULT_RANK_TOL,
     _generator_rows,
-    _kks_forms,
+    _kernel_generators,
     _orbit_metric,
     _stable_rank,
 )
@@ -240,12 +240,15 @@ def test_oracle_size_guard():
 
 
 def test_generator_guard_refuses_before_building_the_basis(monkeypatch):
-    def no_basis(dims):
-        raise AssertionError(f"su_basis({dims}) built for a refused state")
+    state = build_state(np.eye(12))
 
-    monkeypatch.setattr("orbitent.oracle.su_basis", no_basis)
+    def unreached(*args, **kwargs):
+        raise AssertionError("marginals read for a refused state")
+
+    monkeypatch.setattr("orbitent.oracle.reduced_matrices", unreached)
+    monkeypatch.setattr("orbitent.oracle.np.linalg.eigh", unreached)
     with pytest.raises(EnumerationTooLarge, match="286 generators"):
-        degeneracy_rank(build_state(np.eye(12)))
+        degeneracy_rank(state)
 
 
 def test_stable_rank_guard():
@@ -373,6 +376,21 @@ def test_stack_of_mixed_orbit_ranks_equals_the_reference():
     ranks = [r.as_tuple() for r in degeneracy_rank(StateStack.of(states))]
     assert ranks == [reference_ranks(s) for s in states]
     assert len({r[0] for r in ranks}) == 4
+
+
+def test_stack_with_different_kernel_pairs_per_state_equals_the_reference():
+    """At n = 3 the states of one stack keep different pairs of eigenvectors
+    in ker Omega: none for generic weights, one pair for weights (a, a, b)
+    or (a, b, b), each its own, and all three for the maximally entangled
+    state.  The stack pads every state to the union of pairs."""
+    rng = np.random.default_rng(29)
+    weights = [(0.45, 0.35, 0.2), (0.4, 0.4, 0.2), (0.5, 0.25, 0.25),
+               (1 / 3, 1 / 3, 1 / 3), (1.0, 0.0, 0.0), (0.6, 0.4, 0.0)]
+    states = [apply_local(build_state(np.diag(np.sqrt(w))),
+                          random_local_unitaries((3, 3), rng=rng)) for w in weights]
+    ranks = [r.as_tuple() for r in degeneracy_rank(StateStack.of(states))]
+    assert ranks == [reference_ranks(s) for s in states]
+    assert len({r[0] for r in ranks}) >= 4
 
 
 def test_near_bell_schmidt_weights_give_the_closed_form():
@@ -543,24 +561,44 @@ def test_split_stack_of_mixed_orbit_ranks_equals_the_reference():
 
 
 @pytest.mark.parametrize("dims, symmetry, shapes", [
-    ((11, 11), DISTINGUISHABLE, [(1, 2, 120, 120)]),
-    ((2, 3, 2), DISTINGUISHABLE, [(1, 1, 8, 8), (1, 2, 3, 3)]),
-    ((3, 3), BOSONIC, [(1, 1, 8, 8)]),
+    ((11, 11), DISTINGUISHABLE, [(1, 2, 11, 11)]),
+    ((2, 3, 2), DISTINGUISHABLE, [(1, 1, 3, 3), (1, 2, 2, 2)]),
+    ((3, 3), BOSONIC, [(1, 1, 3, 3)]),
 ], ids=["11x11", "2x3x2", "bosons-3x3"])
-def test_symplectic_rank_takes_one_svd_per_factor_dim(monkeypatch, dims, symmetry,
-                                                      shapes):
-    """Omega's diagonal blocks, never the whole G x G matrix."""
+def test_symplectic_rank_takes_one_eigh_per_factor_dim(monkeypatch, dims, symmetry,
+                                                       shapes):
+    """The stacked marginals of each factor dim, never a form on k: no SVD
+    and no su(N) basis."""
     state = random_state(dims, symmetry, rng=np.random.default_rng(47))
     seen = []
-    svd = np.linalg.svd
+    eigh = np.linalg.eigh
 
-    def recording_svd(a, *args, **kwargs):
+    def recording_eigh(a, *args, **kwargs):
         seen.append(a.shape)
-        return svd(a, *args, **kwargs)
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr("orbitent.oracle.np.linalg.svd", recording_svd)
+    def unreached(*args, **kwargs):
+        raise AssertionError("an SVD taken or an su(N) basis built")
+
+    monkeypatch.setattr("orbitent.oracle.np.linalg.eigh", recording_eigh)
+    monkeypatch.setattr("orbitent.oracle.np.linalg.svd", unreached)
+    monkeypatch.setattr("orbitent.lie.su_basis", unreached)
     degeneracy_rank(state)
     assert sorted(seen) == shapes
+
+
+def diagonal_marginal_state(dims, symmetry):
+    """A state whose every marginal is diagonal with distinct weights in
+    the standard basis: sum_i c_i |i ... i>, or, for fermions, c_i times
+    the Slater pair (2i, 2i + 1)."""
+    coeffs = np.zeros(dims, dtype=complex)
+    if symmetry == FERMIONIC:
+        for i, c in enumerate(np.arange(dims[0] // 2, 0, -1)):
+            coeffs[2 * i, 2 * i + 1], coeffs[2 * i + 1, 2 * i] = c, -c
+    else:
+        for i, c in enumerate(np.arange(min(dims), 0, -1)):
+            coeffs[(i,) * len(dims)] = c
+    return build_state(coeffs, symmetry)
 
 
 @pytest.mark.parametrize("dims, symmetry, count", [
@@ -569,11 +607,13 @@ def test_symplectic_rank_takes_one_svd_per_factor_dim(monkeypatch, dims, symmetr
     ((2, 2, 2), DISTINGUISHABLE, 5)])
 def test_kks_forms_and_real_view_metric_equal_the_overlap(dims, symmetry, count):
     """The oracle's two forms against the complex overlap O = conj(R) R^T
-    of the generator rows: Omega_k from rho_k is antisym(-Im O) on factor
-    k's diagonal block, equal to (M_k / 2) Im tr(C^k^T [A_a, A_b]) with C^k
-    the reduced matrix (the conjugate convention) and M_k = M for
-    indistinguishable particles; Im O vanishes across factors; and the
-    real-view metric is sym(Re O) - alpha alpha^T."""
+    of the generator rows: the real-view metric is sym(Re O) - alpha
+    alpha^T; every kernel generator X pairs to zero with each basis
+    generator A_a under Omega = antisym(-Im O); and where the marginals are
+    diagonal, Omega's block on factor k has the singular values
+    M_k |lambda_i - lambda_j| of the pairs i < j, each twice, and the N_k - 1
+    zeros of the Cartan directions, with M_k = M for indistinguishable
+    particles."""
     rng = np.random.default_rng(53)
     stack = StateStack.of([random_state(dims, symmetry, rng=rng)
                            for _ in range(count)])
@@ -586,27 +626,26 @@ def test_kks_forms_and_real_view_metric_equal_the_overlap(dims, symmetry, count)
     gram -= alpha * alpha.swapaxes(-1, -2)
     assert np.abs(_orbit_metric(stack, all_generators(stack)) - gram).max() <= 1e-14 * scale
 
+    symplectic, kernel = _kernel_generators(stack, reduced_matrices(stack),
+                                            DEFAULT_RANK_TOL)
+    pairing = _generator_rows(stack, kernel).conj() @ rows.swapaxes(-1, -2)
+    assert np.abs(pairing.imag).max() <= 1e-14 * scale
     omega = (overlap.imag.swapaxes(-1, -2) - overlap.imag) / 2.0
-    group = dims if symmetry == DISTINGUISHABLE else dims[:1]
+    assert symplectic == [np.linalg.matrix_rank(w, tol=1e-8 * scale) for w in omega]
+
+    state = diagonal_marginal_state(dims, symmetry)
+    rows = all_rows(state)
+    omega = -(rows.conj() @ rows.T).imag
+    group = acting_dims(dims, symmetry)
     weight = 1 if symmetry == DISTINGUISHABLE else len(dims)
-    reduced = reduced_matrices(stack)
-    marginals = reduced.matrices
-    blocks = _factor_offsets(group)
-    factor_dims = list(dict.fromkeys(group))
-    for n, form in zip(factor_dims, _kks_forms(stack, reduced), strict=True):
-        parties = [k for k, m in enumerate(group) if m == n]
-        basis = np.array([el.matrix for el in su_basis((n,)).elements])
-        brackets = (np.einsum("anm,bml->abnl", basis, basis)
-                    - np.einsum("bnm,aml->abnl", basis, basis))
-        for p, k in enumerate(parties):
-            a, b = blocks[k]
-            assert np.abs(form[:, p] - omega[:, a:b, a:b]).max() <= 1e-14 * scale
-            kks = weight / 2 * np.einsum("znl,abnl->zab", marginals[k], brackets).imag
-            assert np.abs(form[:, p] - kks).max() <= 1e-14 * scale
-    for k, (a, b) in enumerate(blocks):
-        for l, (c, d) in enumerate(blocks):
-            if k != l:
-                assert np.abs(overlap.imag[:, a:b, c:d]).max() <= 1e-14 * scale
+    marginals = reduced_matrices(state).matrices
+    for k, (a, b) in enumerate(_factor_offsets(group)):
+        lam = weight * np.diagonal(marginals[k]).real
+        assert np.abs(marginals[k] - np.diag(lam / weight)).max() <= 1e-15
+        gaps = np.abs(np.subtract.outer(lam, lam))[np.triu_indices(len(lam), 1)]
+        expected = np.sort(np.concatenate([gaps, gaps, np.zeros(len(lam) - 1)]))
+        sing = np.sort(np.linalg.svd(omega[a:b, a:b], compute_uv=False))
+        assert np.abs(sing - expected).max() <= 1e-14
 
 
 def test_degeneracy_rank_reuses_the_reduced_matrices_it_is_given(monkeypatch):

@@ -19,8 +19,10 @@ from orbitent import (
     apply_local,
     build_state,
     random_local_unitaries,
+    random_product_state,
     random_state,
     special_unitary,
+    su_basis,
     symmetrize,
 )
 from orbitent.states import check_dims, party_rows
@@ -118,6 +120,30 @@ def test_one_dims_rule_raises_before_any_arithmetic(monkeypatch, dims, symmetry,
         with pytest.raises(DimensionMismatch, match=message):
             make()
     assert rng.bit_generator.state == drawn
+
+
+@pytest.mark.parametrize("dims, message", [
+    ((2.5, 3), "must be an integer, got 2.5"),
+    (("3", 2), "must be an integer, got '3'"),
+    ((2, True), "must be an integer, got True"),
+    ((2, -1), "must be >= 2"),
+], ids=["float", "string", "bool", "negative"])
+def test_dims_must_be_integers_before_any_draw(dims, message):
+    """A non-integral entry is refused, not truncated or parsed, by every
+    entry point, and nothing is drawn from the generator."""
+    rng = np.random.default_rng(0)
+    drawn = rng.bit_generator.state
+    for make in (lambda: check_dims(dims),
+                 lambda: random_state(dims, rng=rng),
+                 lambda: random_product_state(dims, rng=rng),
+                 lambda: su_basis(dims)):
+        with pytest.raises(DimensionMismatch, match=message):
+            make()
+    assert rng.bit_generator.state == drawn
+
+
+def test_integral_floats_and_numpy_ints_are_dims():
+    assert check_dims((2.0, np.int64(3), np.float64(4.0))) == (2, 3, 4)
 
 
 def test_unknown_symmetry_class_is_refused_before_any_arithmetic():
