@@ -37,7 +37,6 @@ from .states import (
     build_state,
     check_dims,
     embed,
-    from_party_rows,
     party_rows,
     permutation_sign,
 )
@@ -154,51 +153,74 @@ def sl2_triples(dims) -> tuple[Sl2Triple, ...]:
     return tuple(triples)
 
 
-def _embedded_action(mats, coeffs: np.ndarray) -> np.ndarray:
+def _embedded_action(mats, coeffs: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Apply sum_k I (x) ... (x) A_k (x) ... (x) I to a coefficient tensor,
     or to each state of a stack: the parties are the trailing ``len(mats)``
-    axes, and any axes before them index states.  A block of shape
-    (B, N_k, N_k) gives each of the B states of a stack its own A_k.
+    axes, and any axes before them index states.  The acting blocks share
+    one shape: (N_k, N_k), or (*stack, J, N_k, N_k) for J generators per
+    state ((J, N_k, N_k) on a lone tensor), which gives one image per
+    generator, a result of shape (*stack, J, *dims).  ``out``, when given,
+    receives the result in place; its party axes must be contiguous, as in
+    a slice of a larger array along the generator axis.
 
-    Party k sits on axis a (k plus the number of stack axes) and acts on
-    the middle axis of the (pre, N_k, rest) view, pre = prod(shape[:a]),
-    or of the (B, pre / B, N_k, rest) view when each of the B states has
-    its own block.  When the
-    trailing side is empty (the last party) that view is a matrix, and the
-    action is one 2-d product on it.  When the leading side is the shorter
-    one, it is one matmul batched over it.  Otherwise it is one product
-    with the rows of axis a across the whole stack (``states.party_rows``):
-    the later qubits of a many-qubit state, or a long stack, would else
-    cost hundreds of tiny matmuls.  Every term is a matmul, so integer
-    inputs stay exact.
+    Party k sits on axis a (after the stack and generator axes) and acts
+    on the middle axis of the (pre, N_k, rest) view, pre =
+    prod(shape[:a]); a block's leading axes stay apart in front of that
+    view.  When the trailing side is empty (the last party) the view is a
+    matrix, and the action is one product on it.  When the leading side is
+    the shorter one, it is one matmul batched over it.  Otherwise it is one
+    product with the rows of axis a across the whole stack
+    (``states.party_rows``): the later qubits of a many-qubit state, or a
+    long stack, would else cost hundreds of tiny matmuls.  The first acting
+    slot writes the result and later ones add to it.  Every term is a
+    matmul, so integer inputs stay exact.
     """
-    shape = coeffs.shape
-    out = None
-    for axis, m in enumerate(mats, coeffs.ndim - len(mats)):
-        if m is None:
-            continue
-        batch = m.ndim - 2
-        lead = shape[:batch]
+    acting = [(k, m) for k, m in enumerate(mats) if m is not None]
+    if not acting:
+        if out is None:
+            return np.zeros_like(coeffs)
+        out[...] = 0
+        return out
+    stacked = coeffs.ndim - len(mats)
+    block = acting[0][1]
+    batch = block.ndim - 2
+    if batch > stacked:  # a generator axis: each state meets J blocks
+        coeffs = coeffs.reshape(*coeffs.shape[:stacked], 1, *coeffs.shape[stacked:])
+        stacked += 1
+    if out is None:
+        out = np.empty((*block.shape[:batch], *coeffs.shape[batch:]),
+                       dtype=np.result_type(coeffs, *(m for _, m in acting)))
+    shape = out.shape
+    lead, coeffs_lead = shape[:batch], coeffs.shape[:batch]
+    for slot, (k, m) in enumerate(acting):
+        axis = stacked + k
         pre, n, post = (math.prod(shape[batch:axis]), shape[axis],
                         math.prod(shape[axis + 1:]))
-        if post == 1:
-            term = coeffs.reshape(*lead, pre, n) @ m.swapaxes(-1, -2)
-        elif pre <= post:
-            term = m[..., None, :, :] @ coeffs.reshape(*lead, pre, n, post)
+        target = out.reshape(*lead, pre, n, post)
+        if post > 1 and pre > post:
+            product = m @ party_rows(coeffs, axis - batch, batch)
+            target = target.swapaxes(-3, -2)
+            product = product.reshape(target.shape)
         else:
-            term = from_party_rows(m @ party_rows(coeffs, axis - batch, batch),
-                                   shape, axis - batch, batch)
-        term = term.reshape(shape)
-        out = term if out is None else out + term
-    if out is None:
-        out = np.zeros_like(coeffs)
+            if post == 1:
+                operands = coeffs.reshape(*coeffs_lead, pre, n), m.swapaxes(-1, -2)
+                target = target[..., 0]
+            else:
+                operands = m[..., None, :, :], coeffs.reshape(*coeffs_lead, pre, n, post)
+            if slot == 0:
+                np.matmul(*operands, out=target)
+                continue
+            product = np.matmul(*operands)
+        if slot == 0:
+            target[...] = product
+        else:
+            target += product
     return out
 
 
-def _normalize_generator(generator, dims, symmetry, stack: int | None = None):
-    """Expand a generator argument into one matrix (or None) per party.
-    On a stack of ``stack`` states a party's block may also be one matrix
-    per state, of shape (stack, N_k, N_k)."""
+def _normalize_generator(generator, dims, symmetry):
+    """Expand a generator argument into one matrix (or None) per party."""
     if isinstance(generator, np.ndarray) and generator.ndim == 2:
         n = generator.shape[0]
         if generator.shape != (n, n) or any(d != n for d in dims):
@@ -215,12 +237,10 @@ def _normalize_generator(generator, dims, symmetry, stack: int | None = None):
             out.append(None)
             continue
         m = np.asarray(m)
-        square = (dims[k], dims[k])
-        if m.shape != square and (stack is None or m.shape != (stack, *square)):
-            per_state = "" if stack is None else f" or {(stack, *square)}"
+        if m.shape != (dims[k], dims[k]):
             raise DimensionMismatch(
                 f"party {k} generator has shape {m.shape}, expected "
-                f"{square}{per_state}")
+                f"{(dims[k], dims[k])}")
         out.append(m)
     if symmetry != DISTINGUISHABLE:
         first = out[0]
@@ -241,17 +261,15 @@ def rep_action(generator, state) -> np.ndarray:
     dims) or a sequence of per-party matrices where ``None`` means no action
     on that party.  ``state`` may be a StateTensor, a StateStack (each
     state is acted on; the result keeps the stack axis first) or a bare
-    coefficient tensor.  On a StateStack of B states a per-party entry may
-    also be a (B, N_k, N_k) block, one matrix per state.  The result is a
-    plain, generally unnormalized, tensor.
+    coefficient tensor.  The result is a plain, generally unnormalized,
+    tensor.
     """
-    stack = len(state) if isinstance(state, StateStack) else None
     if isinstance(state, (StateTensor, StateStack)):
         coeffs, dims, symmetry = state.coeffs, state.dims, state.symmetry
     else:
         coeffs = np.asarray(state)
         dims, symmetry = coeffs.shape, DISTINGUISHABLE
-    mats = _normalize_generator(generator, dims, symmetry, stack)
+    mats = _normalize_generator(generator, dims, symmetry)
     return _embedded_action(mats, coeffs)
 
 

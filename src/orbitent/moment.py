@@ -31,6 +31,7 @@ from .states import (
     StateTensor,
     apply_local,
     build_state,
+    check_unit_norm,
     party_rows,
     special_unitary,
 )
@@ -107,13 +108,15 @@ class SchmidtData:
 def schmidt(state: StateTensor, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SchmidtData:
     """Singular values, multiplicity blocks, and SU-normalized unitaries.
 
-    Raises NotBipartite for M != 2.  Multiplicities come from gap
+    Raises NotBipartite for M != 2, and NotNormalized for a state off the
+    unit sphere (NaN included) before the SVD.  Multiplicities come from gap
     clustering of the squared singular values (the spectrum of C^1), so
     AmbiguousClustering propagates when the spectrum is undecidable at the
     given tolerance.
     """
     if state.parties != 2:
         raise NotBipartite(f"schmidt needs 2 parties, got {state.parties}")
+    check_unit_norm(state, "schmidt")
     c = state.coeffs
     u, s, vh = np.linalg.svd(c)
     left = special_unitary(u.conj().T)
@@ -199,20 +202,22 @@ def canonical_form(state: StateTensor,
     share one ``eigh``, one clustering and one gauge pass.
 
     Only ``distinguishable`` states qualify: the construction acts with
-    independent blocks per party.  ``cluster_tol`` clusters the Schmidt
-    spectrum of two parties and each reduced spectrum of any other count,
-    so AmbiguousClustering propagates on every route, from the first
-    refused party.
+    independent blocks per party.  A state off the unit sphere (NaN
+    included) raises NotNormalized before any decomposition.
+    ``cluster_tol`` clusters the Schmidt spectrum of two parties and each
+    reduced spectrum of any other count, so AmbiguousClustering propagates
+    on every route, from the first refused party.
     """
     check_tolerance(cluster_tol, "clustering")
     if state.symmetry != DISTINGUISHABLE:
         raise SymmetryViolation(
             "canonical_form uses independent per-party blocks; "
             "indistinguishable particles do not admit them")
-    if state.parties == 2:
+    if state.parties == 2:  # schmidt checks the norm
         data = schmidt(state, cluster_tol)
         g = LocalUnitaryTuple((data.left, data.right.T))
         return apply_local(state, g), g
+    check_unit_norm(state, "canonical_form")
     red = reduced_matrices(state)
     groups: dict[int, list[int]] = {}  # dim -> parties, each dim one stack
     for k, n in enumerate(state.dims):

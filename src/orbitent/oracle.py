@@ -29,7 +29,11 @@ M_k (lambda_i - lambda_j) and vanishes on the Cartan directions, so one
 ``eigh`` of the marginals per factor dim gives both s and a basis of
 ker Omega = (+)_k ker Omega_k.  Indistinguishable particles have one
 factor, the SU(N) acting on every slot, with M_k = M; otherwise M_k = 1.
-Rows X_j v are built for the kernel directions alone, and G on them is
+Rows X_j v are built for the kernel directions alone: with U the
+eigenvector matrix of a marginal and E_q the directions of su(N_k) in
+eigen coordinates, the kernel directions of one factor dim are U E_q
+U^dag, all formed at once from outer products of the eigenvectors, and
+each party's images are one contraction per acting slot.  G on them is
 one real product of their float view, Re<x|y> being the dot product of
 the real views; the alpha_j are the products of that view with the view
 of i v.
@@ -43,16 +47,24 @@ metric cut acts on the eigenvalues of G on ker Omega.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EnumerationTooLarge, Inconsistency, NotNormalized, RankUnstable
-from .lie import rep_action
+from .errors import EnumerationTooLarge, Inconsistency, RankUnstable
+from .lie import _embedded_action, rep_action
 from .measure import DEFAULT_CLUSTER_TOL, check_tolerance, decide
 from .moment import ReducedMatrices, reduced_matrices
-from .states import DISTINGUISHABLE, StateStack, StateTensor, acting_dims, embed
+from .states import (
+    DISTINGUISHABLE,
+    StateStack,
+    StateTensor,
+    acting_dims,
+    check_unit_norm,
+    embed,
+)
 
 if TYPE_CHECKING:
     from .report import ConsistencyRecord
@@ -61,14 +73,13 @@ if TYPE_CHECKING:
 DEFAULT_RANK_TOL = 1e-8
 #: desk-scale guards on dim H and on the G generators of K: the metric's
 #: eigvalsh costs up to O(G^3), reached when every marginal is maximally
-#: mixed and all of k is ker Omega, and the at most G kernel rows take
-#: G dim H entries
+#: mixed and all of k is ker Omega; the at most G kernel rows take
+#: G dim H entries, and the kernel directions U E_q U^dag, at most
+#: n^2 - 1 matrices of n^2 entries for a party of dim n, G (G + 1) in all
 MAX_HILBERT_DIM = 4096
 MAX_GENERATORS = 256
 #: the two evaluations of omega must agree this tightly
 OMEGA_CHECK_TOL = 1e-10
-#: a state's norm must lie this close to 1
-NORM_TOL = 1e-8
 
 
 def _stable_mask(values, rel_tol: float, what: str) -> np.ndarray:
@@ -92,24 +103,50 @@ def _stable_rank(values, rel_tol: float, what: str) -> np.ndarray:
     return _stable_mask(values, rel_tol, what).sum(axis=-1)
 
 
-def _generator_rows(state: StateTensor | StateStack, generators) -> np.ndarray:
-    """One image R_j = X_j v per generator tuple, flattened: (J, dim H) for
-    a state, (B, J, dim H) for a stack of B states.
+@functools.lru_cache(maxsize=None)
+def _eigen_directions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """su(n) in eigen coordinates, read-only: its n^2 - 1 directions E_q are
+    the n - 1 Cartan directions i(E_aa - E_{a+1,a+1}), then E_ij - E_ji and
+    i(E_ij + E_ji) for each pair i < j in turn.  Returns the pairs, as
+    arrays i and j, and for each direction the flat index i n + j of the
+    gap that decides whether it lies in ker Omega, 0 (a diagonal, zero gap)
+    for the Cartan ones."""
+    i, j = np.triu_indices(n, 1)
+    decided_by = np.concatenate([np.zeros(n - 1, dtype=np.intp), (i * n + j).repeat(2)])
+    for table in (i, j, decided_by):
+        table.setflags(write=False)
+    return i, j, decided_by
 
-    Each tuple holds per-slot matrices as ``rep_action`` takes them, a
-    (B, N, N) block of one matrix per state included, and acts once on the
-    whole stack.
-    """
-    lead = state.coeffs.shape[:state.coeffs.ndim - state.parties]
-    rows = np.empty((*lead, len(generators), state.total_dim), dtype=complex)
-    for j, mats in enumerate(generators):
-        rows[..., j, :] = rep_action(mats, state).reshape(*lead, -1)
-    return rows
+
+def _rotated_directions(evecs: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """U E_q U^dag for the Cartan directions and those of the pairs (i, j),
+    in the order of ``_eigen_directions``: (..., J, n, n) for (..., n, n)
+    eigenvectors, J = n - 1 + 2 len(i).  U = conj(evecs) has the
+    eigenvectors u_a as columns.  E_q has two nonzero entries, so U E_q
+    U^dag is i(u_a u_a^dag - u_{a+1} u_{a+1}^dag), or x - x^dag and
+    i(x + x^dag) for x = u_i u_j^dag: outer products of the u_a, formed for
+    all directions at once without a matrix product (on a stack, those
+    would be one tiny product per state, party and direction)."""
+    n = evecs.shape[-1]
+    u = evecs.conj().swapaxes(-1, -2)  # row a is u_a
+    v = evecs.swapaxes(-1, -2)  # row a is conj(u_a)
+    x = np.empty((*u.shape[:-2], n - 1 + 2 * i.size, n, n), dtype=complex)
+    proj = u[..., :, None] * v[..., None, :]  # u_a u_a^dag
+    cartan = x[..., :n - 1, :, :]
+    np.subtract(proj[..., :-1, :, :], proj[..., 1:, :, :], out=cartan)
+    cartan *= 1j
+    outer = u[..., i, :, None] * v[..., j, None, :]  # u_i u_j^dag
+    adjoint = outer.conj().swapaxes(-1, -2)
+    np.subtract(outer, adjoint, out=x[..., n - 1::2, :, :])
+    symmetric = x[..., n::2, :, :]
+    np.add(outer, adjoint, out=symmetric)
+    symmetric *= 1j
+    return x
 
 
-def _orbit_metric(stack: StateStack, generators) -> np.ndarray:
+def _orbit_metric(stack: StateStack, rows: np.ndarray) -> np.ndarray:
     """G = Re<R_i|R_j> - alpha_i alpha_j for each state, (B, J, J), on the
-    images R_j = X_j v of the given generator tuples.
+    images R_j = X_j v, given as (B, J, dim H) rows.
 
     Re<x|y> is the dot product of the real views of x and y, so one real
     product of the rows' float view with itself gives Re<R_i|R_j>: a plain
@@ -117,7 +154,7 @@ def _orbit_metric(stack: StateStack, generators) -> np.ndarray:
     Im<v|R_j> = Re<i v|R_j> is one matrix-vector product of the same view
     with that of i v, and the moment-map term is taken off in place.
     """
-    real = _generator_rows(stack, generators).view(float)
+    real = rows.view(float)
     phase = (1j * stack.coeffs.reshape(len(stack), -1)).view(float)
     alpha = real @ phase[..., None]
     if len(stack) == 1:
@@ -128,24 +165,29 @@ def _orbit_metric(stack: StateStack, generators) -> np.ndarray:
     return gram
 
 
-def _kernel_generators(stack: StateStack, reduced: ReducedMatrices,
-                       rank_tol: float):
-    """s for each state, and generator tuples that span ker Omega.
+def _kernel_rows(stack: StateStack, reduced: ReducedMatrices, rank_tol: float):
+    """s for each state, and the images X_j v of generators X_j that span
+    ker Omega, as (B, J, dim H) rows.
 
     Omega_k(X, Y) = (M_k / 2) Im tr(rho_k [X, Y]) is fixed by the spectrum of
     rho_k: in an eigenbasis u_i of rho_k it vanishes on the N_k - 1 Cartan
-    directions i(u_a u_a^dag - u_{a+1} u_{a+1}^dag) and pairs the two
-    directions u_i u_j^dag - u_j u_i^dag and i(u_i u_j^dag + u_j u_i^dag) of
-    each i < j with weight M_k (lambda_i - lambda_j).  So one ``eigh`` per
+    directions and pairs the two directions of each i < j with weight
+    M_k (lambda_i - lambda_j) (``_eigen_directions``).  So one ``eigh`` per
     factor dim, over the stacked marginals of that dim, gives both: s counts
     the ordered pairs whose gap lies above the cut, taken against each
     state's largest gap, and the kernel is spanned by the Cartan directions
     and the pairs below it.  The reduced matrix is C^k = conj(rho_k), so the
     u_i are the conjugates of its eigenvectors; indistinguishable particles
     have one factor acting on every slot, whose marginal is the sum of the M
-    slot marginals, M rho.  A stack takes, per party, the union of its
-    states' kernel pairs; a state whose own gap lies above the cut gets zero
-    blocks there, whose zero images add only zero eigenvalues to the metric.
+    slot marginals, M rho.
+
+    The kernel directions of one factor dim are built at once, as
+    U E_q U^dag for the selected q of every party and state.  A party keeps
+    the pairs whose gap lies below the cut in any state of the stack; a
+    state whose own gap lies above it gets zero blocks there, whose zero
+    images add only zero eigenvalues to the metric.  Each party's images
+    are then written by one contraction per acting slot into one
+    preallocated array.
     """
     group = acting_dims(stack.dims, stack.symmetry)
     marginals = reduced.matrices
@@ -159,23 +201,32 @@ def _kernel_generators(stack: StateStack, reduced: ReducedMatrices,
         factors.append((parties, evecs, gap))
     gaps = np.concatenate([gap.reshape(len(stack), -1) for *_, gap in factors], axis=-1)
     above = _stable_mask(gaps, rank_tol, "symplectic form")
-    generators, offset = [], 0
+    blocks, offset = [], 0
     for parties, evecs, gap in factors:
-        kept = ~above[:, offset:offset + gap[0].size].reshape(gap.shape)
+        n = gap.shape[-1]
+        i, j, decided_by = _eigen_directions(n)
+        kept = ~above[:, offset:offset + gap[0].size].reshape(*gap.shape[:2], -1)
         offset += gap[0].size
-        u = evecs.conj().swapaxes(-1, -2)  # u[b, p, a] is the eigenvector u_a
-        proj = u[..., :, None] * u.conj()[..., None, :]  # u_a u_a^dag
-        cartan = 1j * (proj[:, :, :-1] - proj[:, :, 1:])
-        generators += [embed(x, party, stack.parties, stack.symmetry)
-                       for p, party in enumerate(parties) for x in cartan[:, p].swapaxes(0, 1)]
-        for p, i, j in zip(*np.nonzero(kept.any(axis=0))):
-            if i < j:  # each pair once; the diagonal's zero gap is always kept
-                x = u[:, p, i, :, None] * u[:, p, j, None, :].conj()
-                x *= kept[:, p, i, j, None, None]
-                y = x.conj().swapaxes(-1, -2)
-                generators += [embed(z, parties[p], stack.parties, stack.symmetry)
-                               for z in (x - y, 1j * (x + y))]
-    return above.sum(axis=-1).tolist(), generators
+        keep = kept[..., decided_by]  # (B, P, n^2 - 1); Cartan always kept
+        union = keep.any(axis=(0, 1))
+        pairs = union[n - 1::2]
+        x = _rotated_directions(evecs, i[pairs], j[pairs])  # (B, P, J, n, n)
+        keep = keep[..., union]
+        if keep.all():
+            blocks += [(party, x[:, p]) for p, party in enumerate(parties)]
+            continue
+        x *= keep[..., None, None]
+        own = keep.any(axis=0)  # (P, J): what each party keeps in some state
+        for p, (party, full) in enumerate(zip(parties, own.all(axis=-1).tolist())):
+            blocks.append((party, x[:, p] if full else x[:, p, own[p]]))
+    rows = np.empty((len(stack), sum(x.shape[1] for _, x in blocks), stack.total_dim),
+                    dtype=complex)
+    start = 0
+    for party, x in blocks:
+        out = rows[:, start:start + x.shape[1]].reshape(*x.shape[:2], *stack.dims)
+        _embedded_action(embed(x, party, stack.parties, stack.symmetry), stack.coeffs, out)
+        start += x.shape[1]
+    return above.sum(axis=-1).tolist(), rows
 
 
 @dataclass(frozen=True)
@@ -205,8 +256,10 @@ def degeneracy_rank(state: StateTensor | StateStack,
     s is the rank of Omega = (+)_k Omega_k, the KKS forms at the reduced
     matrices rho_k: the count of ordered pairs of eigenvalues of the rho_k
     whose gap M_k |lambda_i - lambda_j| lies above the cut, taken against
-    the largest, from one ``eigh`` per factor dim (``_kernel_generators``).
-    The same eigenvectors give a basis X_j of ker Omega.  Since ker T lies
+    the largest, from one ``eigh`` per factor dim (``_kernel_rows``).
+    The same eigenvectors U give a basis X_j = U E_q U^dag of ker Omega, and
+    the images X_j v are written by one contraction per party and acting
+    slot, with no ``rep_action`` call.  Since ker T lies
     inside ker Omega (T being the tangent map A -> Av - v<v|Av>: a
     stabilizer direction pairs to zero under omega), r = s + D, where D is
     the rank of the metric G = Re<R_i|R_j> - alpha_i alpha_j on the images
@@ -232,14 +285,12 @@ def degeneracy_rank(state: StateTensor | StateStack,
     if count > MAX_GENERATORS:
         raise EnumerationTooLarge(
             f"{count} generators exceed the oracle guard {MAX_GENERATORS}")
+    check_unit_norm(state, "degeneracy_rank")
     stack = state if isinstance(state, StateStack) else StateStack.of([state])
-    norms = np.linalg.norm(stack.coeffs.reshape(len(stack), -1), axis=-1)
-    if not (np.abs(norms - 1.0) <= NORM_TOL).all():  # a NaN norm fails too
-        raise NotNormalized("degeneracy_rank needs unit vectors")
     if reduced is None:
         reduced = reduced_matrices(stack)
-    symplectic, kernel = _kernel_generators(stack, reduced, rank_tol)
-    degeneracy = _stable_rank(np.linalg.eigvalsh(_orbit_metric(stack, kernel)),
+    symplectic, rows = _kernel_rows(stack, reduced, rank_tol)
+    degeneracy = _stable_rank(np.linalg.eigvalsh(_orbit_metric(stack, rows)),
                               rank_tol, "orbit Gram matrix").tolist()
     ranks = [DegeneracyRank(s + d, s, d) for s, d in zip(symplectic, degeneracy)]
     return ranks if stack is state else ranks[0]
@@ -257,8 +308,7 @@ def fubini_study_omega(v, a, b) -> float:
         state = v
     else:
         state = StateTensor(np.asarray(v, dtype=complex).shape, v)
-    if not abs(state.norm - 1.0) <= NORM_TOL:  # a NaN norm fails too
-        raise NotNormalized("fubini_study_omega needs a unit vector")
+    check_unit_norm(state, "fubini_study_omega")
     av = rep_action(a, state)
     bv = rep_action(b, state)
     primary = -float(np.imag(np.vdot(av, bv)))

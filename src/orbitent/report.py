@@ -113,8 +113,9 @@ def _stack_length(dims: tuple[int, ...], symmetry: str) -> int:
     16 G max(G, dim H) bytes, for G generators of the acting group, stays
     within STACK_BYTES.  The oracle's largest per-state arrays are its
     complex kernel rows, at most G of them, at most 16 G dim H bytes, and
-    the metric on them, at most 8 G^2 bytes; its kernel generators, at
-    most G matrices of N_k^2 entries, take at most 16 G (G + 1) bytes."""
+    the metric on them, at most 8 G^2 bytes; its kernel block, the
+    matrices U E_q U^dag of the J kernel directions of a party of dim N_k,
+    is J N_k^2 complex entries per party, at most 16 G (G + 1) bytes."""
     g = sum(n * n - 1 for n in acting_dims(dims, symmetry))
     return max(1, STACK_BYTES // (16 * g * max(g, math.prod(dims))))
 

@@ -16,7 +16,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DimensionMismatch, SymmetryViolation, ZeroState
+from .errors import DimensionMismatch, NotNormalized, SymmetryViolation, ZeroState
 
 DISTINGUISHABLE = "distinguishable"
 BOSONIC = "bosonic"
@@ -31,6 +31,8 @@ PHASE_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 #: block determinants must sit within this distance of 1
 DETERMINANT_TOL = 1e-8
+#: a state handed to a decomposition must have a norm this close to 1
+NORM_TOL = 1e-8
 #: norms inside this range come from squares that neither underflow nor
 #: overflow; build_state and symmetrize prescale inputs outside it
 NORM_RANGE = (2.0**-500, 2.0**500)
@@ -118,6 +120,17 @@ class StateStack:
 
     def __getitem__(self, index: int) -> StateTensor:
         return StateTensor(self.dims, self.coeffs[index], self.symmetry)
+
+
+def check_unit_norm(state: StateTensor | StateStack, what: str) -> None:
+    """Raise NotNormalized unless the state, or every state of a stack,
+    has a norm within NORM_TOL of 1; a NaN norm fails too.  The raw
+    constructors check shapes only, so each decomposition calls this before
+    reading the coefficients."""
+    flat = state.coeffs.reshape(-1, state.total_dim).view(float)
+    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    if not (np.abs(norms - 1.0) <= NORM_TOL).all():
+        raise NotNormalized(f"{what} needs unit vectors")
 
 
 def is_integral(n) -> bool:
@@ -359,13 +372,11 @@ def party_rows(coeffs: np.ndarray, k: int, batch: int = 0) -> np.ndarray:
     return coeffs.reshape(*lead, pre, n, -1).swapaxes(-3, -2).reshape(*lead, n, -1)
 
 
-def from_party_rows(rows: np.ndarray, shape, k: int, batch: int = 0) -> np.ndarray:
-    """Inverse of :func:`party_rows`: the tensor of the given shape, whose
-    first ``batch`` axes index a stack."""
-    lead = shape[:batch]
-    n = shape[batch + k]
-    pre = math.prod(shape[batch:batch + k])
-    return rows.reshape(*lead, n, pre, -1).swapaxes(-3, -2).reshape(shape)
+def from_party_rows(rows: np.ndarray, shape, k: int) -> np.ndarray:
+    """Inverse of :func:`party_rows` for one state: the tensor of the given
+    shape."""
+    n = shape[k]
+    return rows.reshape(n, math.prod(shape[:k]), -1).swapaxes(0, 1).reshape(shape)
 
 
 def apply_local(state: StateTensor, g: LocalUnitaryTuple) -> StateTensor:

@@ -26,6 +26,7 @@ from orbitent import (
     su_basis,
     weight_table,
 )
+from orbitent.lie import _embedded_action
 from orbitent.states import check_dims
 
 
@@ -355,9 +356,9 @@ def test_rep_action_on_a_stack_acts_on_each_state(dims, symmetry):
             assert np.allclose(out[b], rep_action(z, state), rtol=0, atol=1e-14)
 
 
-def _random_blocks(rng, count, n):
-    return (rng.standard_normal((count, n, n))
-            + 1j * rng.standard_normal((count, n, n)))
+def _random_blocks(rng, lead, n):
+    shape = (*np.atleast_1d(lead), n, n)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 @pytest.mark.parametrize("dims, symmetry, party", [
@@ -366,29 +367,45 @@ def _random_blocks(rng, count, n):
     ((2,) * 6, DISTINGUISHABLE, 3), ((2,) * 6, DISTINGUISHABLE, 5),
     ((3, 3, 3), BOSONIC, None), ((4, 4, 4), FERMIONIC, None)])
 def test_rep_action_with_a_block_per_state_equals_the_loop(dims, symmetry, party):
-    """A (B, N_k, N_k) block gives state b its own matrix: at one party, or
-    the same block on every slot of indistinguishable particles."""
+    """``_embedded_action`` with a (B, J, N_k, N_k) block gives state b the J
+    generators block[b, j] (at one party, or the same generator on every
+    slot of indistinguishable particles) and equals J separate
+    ``rep_action`` calls per state.  The images land in place in a slice of
+    a larger array, as the oracle's kernel rows do, and a lone tensor with a
+    (J, N_k, N_k) block gives the same images."""
     rng = np.random.default_rng(15)
     states = [random_state(dims, symmetry, rng=rng) for _ in range(4)]
     stack = StateStack.of(states)
     n = dims[0] if party is None else dims[party]
-    blocks = _random_blocks(rng, len(states), n)
+    count = 3
+    blocks = _random_blocks(rng, (len(states), count), n)
     if party is None:
         mats = (blocks,) * len(dims)
     else:
         mats = tuple(blocks if k == party else None for k in range(len(dims)))
-    out = rep_action(mats, stack)
-    assert out.shape == (len(states), *dims)
+    rows = np.full((len(states), count + 2, stack.total_dim), np.nan, dtype=complex)
+    out = rows[:, 1:1 + count].reshape(len(states), count, *dims)
+    assert _embedded_action(mats, stack.coeffs, out) is out
+    assert np.isnan(rows[:, [0, -1]]).all()
+    assert np.array_equal(_embedded_action(mats, stack.coeffs), out)
     for b, state in enumerate(states):
-        per_state = tuple(None if m is None else m[b] for m in mats)
-        assert np.allclose(out[b], rep_action(per_state, state), rtol=0, atol=1e-13)
+        lone = _embedded_action(tuple(None if m is None else m[b] for m in mats),
+                                state.coeffs)
+        assert lone.shape == (count, *dims)
+        for j in range(count):
+            per_state = tuple(None if m is None else m[b, j] for m in mats)
+            expected = rep_action(per_state, state)
+            assert np.allclose(out[b, j], expected, rtol=0, atol=1e-13)
+            assert np.allclose(lone[j], expected, rtol=0, atol=1e-13)
 
 
 def test_rep_action_refuses_a_block_stack_of_another_length():
+    """``rep_action`` takes one N_k x N_k matrix per acting party; a block
+    of one matrix per state is refused, whatever the stack's length."""
     rng = np.random.default_rng(16)
     stack = StateStack.of([random_state((2, 3), rng=rng) for _ in range(3)])
-    for count in (2, 4):
-        with pytest.raises(DimensionMismatch, match=r"expected \(3, 3\) or \(3, 3, 3\)"):
+    for count in (2, 3, 4):
+        with pytest.raises(DimensionMismatch, match=r"expected \(3, 3\)$"):
             rep_action((None, _random_blocks(rng, count, 3)), stack)
     with pytest.raises(DimensionMismatch):
         rep_action((None, _random_blocks(rng, 1, 3)), stack[0])

@@ -12,7 +12,9 @@ from orbitent import (
     AmbiguousClustering,
     LocalUnitaryTuple,
     NotBipartite,
+    NotNormalized,
     StateStack,
+    StateTensor,
     SymmetryViolation,
     apply_local,
     build_state,
@@ -202,6 +204,21 @@ def test_schmidt_multiplicities_match_reduced_clustering():
 def test_schmidt_rejects_three_parties():
     with pytest.raises(NotBipartite):
         schmidt(ghz_state())
+
+
+@pytest.mark.parametrize("coeffs", [
+    2 * np.eye(2), np.zeros((2, 2)), np.full((2, 2), np.nan)],
+    ids=["twice-identity", "zero", "nan"])
+def test_decompositions_refuse_a_state_off_the_unit_sphere(coeffs):
+    """The raw constructor checks shapes only.  A norm off 1, NaN included,
+    is refused before any SVD or eigh: it once gave singular values
+    [2, 2], a divide warning or numpy's LinAlgError."""
+    state = StateTensor((2, 2), coeffs)
+    for decompose in (schmidt, canonical_form):
+        with pytest.raises(NotNormalized):
+            decompose(state)
+    with pytest.raises(NotNormalized):
+        canonical_form(StateTensor((2, 2, 2), np.multiply.outer(coeffs, [1.0, 0.0])))
 
 
 def test_canonical_form_product_state():

@@ -28,9 +28,10 @@ from orbitent import (
 from orbitent.moment import reduced_matrices
 from orbitent.oracle import (
     DEFAULT_RANK_TOL,
-    _generator_rows,
-    _kernel_generators,
+    _eigen_directions,
+    _kernel_rows,
     _orbit_metric,
+    _rotated_directions,
     _stable_rank,
 )
 from orbitent.states import acting_dims, embed
@@ -51,8 +52,11 @@ def all_generators(state):
 
 
 def all_rows(state):
-    """The images A_a v of every basis generator of K."""
-    return _generator_rows(state, all_generators(state))
+    """The images A_a v of every basis generator of K, one ``rep_action``
+    call each: (G, dim H) for a state, (B, G, dim H) for a stack."""
+    lead = state.coeffs.shape[:state.coeffs.ndim - state.parties]
+    return np.stack([rep_action(mats, state).reshape(*lead, -1)
+                     for mats in all_generators(state)], axis=-2)
 
 
 def test_omega_vanishes_on_equal_arguments():
@@ -478,23 +482,42 @@ def test_degeneracy_rank_refuses_a_state_off_the_unit_sphere(coeffs):
         degeneracy_rank(StateStack.of([bell_state(), state]))
 
 
-@pytest.mark.parametrize("state, calls", [
+@pytest.mark.parametrize("state, count", [
     (random_state((11, 11), rng=np.random.default_rng(3)), 20),
     (build_state(_basis_tensor((2, 2, 2), (0, 0, 0), (1, 1, 1))), 9),
     (build_state(np.eye(3)), 16)], ids=["generic-11x11", "ghz-222", "max-33"])
-def test_metric_rows_span_only_the_kernel_of_omega(monkeypatch, state, calls):
-    """One rep_action call per (party, kernel direction): N - 1 Cartan
+def test_metric_rows_span_only_the_kernel_of_omega(monkeypatch, state, count):
+    """One metric row per (party, kernel direction): N - 1 Cartan
     directions per party for a generic state, and every direction of a
     party whose marginal is maximally mixed (Omega_k = 0)."""
     seen = []
+    eigvalsh = np.linalg.eigvalsh
 
-    def counting(mats, target):
-        seen.append(len(target))
-        return rep_action(mats, target)
+    def recording(a, *args, **kwargs):
+        seen.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr("orbitent.oracle.rep_action", counting)
+    monkeypatch.setattr("orbitent.oracle.np.linalg.eigvalsh", recording)
     degeneracy_rank(state)
-    assert seen == [1] * calls
+    assert seen == [(1, count, count)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_rotated_directions_are_the_su_basis_in_eigen_coordinates(n):
+    """U E_q U^dag, U = conj(evecs), for the directions E_q of ``su_basis``
+    in its order: all of them, the Cartan ones alone, and the Cartan ones
+    with every other pair."""
+    rng = np.random.default_rng(n)
+    evecs = np.linalg.qr(rng.standard_normal((2, n, n))
+                         + 1j * rng.standard_normal((2, n, n)))[0]
+    basis = np.array([el.matrix for el in su_basis((n,)).elements])
+    expected = evecs.conj()[:, None] @ basis @ evecs.swapaxes(-1, -2)[:, None]
+    i, j, decided_by = _eigen_directions(n)
+    assert np.array_equal(decided_by[n - 1:], np.repeat(i * n + j, 2))
+    for pairs in (np.arange(i.size), np.arange(0), np.arange(0, i.size, 2)):
+        rows = np.concatenate([np.arange(n - 1), (n - 1 + 2 * pairs[:, None] + [0, 1]).ravel()])
+        x = _rotated_directions(evecs, i[pairs], j[pairs])
+        assert np.allclose(x, expected[:, rows], rtol=0, atol=1e-14)
 
 
 def _factor_offsets(dims):
@@ -624,11 +647,10 @@ def test_kks_forms_and_real_view_metric_equal_the_overlap(dims, symmetry, count)
 
     gram = (overlap.real + overlap.real.swapaxes(-1, -2)) / 2.0
     gram -= alpha * alpha.swapaxes(-1, -2)
-    assert np.abs(_orbit_metric(stack, all_generators(stack)) - gram).max() <= 1e-14 * scale
+    assert np.abs(_orbit_metric(stack, rows) - gram).max() <= 1e-14 * scale
 
-    symplectic, kernel = _kernel_generators(stack, reduced_matrices(stack),
-                                            DEFAULT_RANK_TOL)
-    pairing = _generator_rows(stack, kernel).conj() @ rows.swapaxes(-1, -2)
+    symplectic, kernel = _kernel_rows(stack, reduced_matrices(stack), DEFAULT_RANK_TOL)
+    pairing = kernel.conj() @ rows.swapaxes(-1, -2)
     assert np.abs(pairing.imag).max() <= 1e-14 * scale
     omega = (overlap.imag.swapaxes(-1, -2) - overlap.imag) / 2.0
     assert symplectic == [np.linalg.matrix_rank(w, tol=1e-8 * scale) for w in omega]
