@@ -3,7 +3,7 @@
 The local-unitary orbit of a pure state inherits the Fubini-Study
 symplectic form of projective space; its degeneracy dimension D is zero
 exactly on the nonentangled orbit and grades entanglement elsewhere.  The
-package computes moment-map images, Schmidt data, closed-form dimension
+package computes reduced matrices, Schmidt data, closed-form dimension
 counts from spectral multiplicities, weight-vector symplecticity tests,
 and a numerical rank oracle that cross-checks every formula.
 """
@@ -47,11 +47,9 @@ from .measure import (
     separability_test,
 )
 from .moment import (
-    MomentImage,
     ReducedMatrices,
     SchmidtData,
     canonical_form,
-    moment_image,
     reduced_matrices,
     schmidt,
 )
@@ -104,8 +102,8 @@ __all__ = [
     "DEFAULT_CLUSTER_TOL", "DegeneracyReport", "SpectrumClustering",
     "cluster_spectrum", "coadjoint_dimension", "degeneracy_bipartite",
     "degeneracy_bounds", "orbit_dimension_bipartite", "separability_test",
-    "MomentImage", "ReducedMatrices", "SchmidtData", "canonical_form",
-    "moment_image", "reduced_matrices", "schmidt",
+    "ReducedMatrices", "SchmidtData", "canonical_form", "reduced_matrices",
+    "schmidt",
     "DEFAULT_RANK_TOL", "DegeneracyRank", "degeneracy_rank",
     "fubini_study_omega", "verify_against_formula",
     "BOSON_PRODUCT", "BOSON_SYMMETRIC_SIMPLE", "ConsistencyRecord",

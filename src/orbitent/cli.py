@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="relative eigenvalue clustering tolerance")
         if rank_tol:
             p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
-                           help="relative numerical rank tolerance")
+                           help="relative rank tolerance; decides D only")
 
     p = sub.add_parser("analyze",
                        help="degeneracy report for a state file")
@@ -255,8 +255,10 @@ def _cmd_verify(args) -> int:
         "seed": args.seed,
         "mode": mode,
     }
-    text = (f"{args.count}/{args.count} random states consistent "
-            f"({mode} comparison) for dims {list(dims)}, seed {args.seed}")
+    checked = ("analyzed (no closed form to compare)" if mode == "none"
+               else f"consistent ({mode} comparison)")
+    text = (f"{args.count}/{args.count} random states {checked} "
+            f"for dims {list(dims)}, seed {args.seed}")
     _print_payload(payload, text, args.format)
     return 0
 

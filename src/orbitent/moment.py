@@ -1,15 +1,15 @@
-"""One-party reductions, the moment-map image, Schmidt data, canonical forms.
+"""One-party reductions, their eigenbases, Schmidt data, canonical forms.
 
 The reduced matrix of party k is the explicit contraction
 
     (C^k)_{nl} = sum over all other indices of conj(C_{..n..}) C_{..l..},
 
 a positive semidefinite trace-one matrix (never formed via the full density
-matrix, so memory stays O(prod dims), not its square).  Collecting the
-traceless parts X_k = C^k - I/N_k encodes the moment-map image of the state
-in the dual of the local algebra; a state maps into the Cartan dual exactly
-when every C^k is diagonal, which the canonical form achieves by local
-special unitaries.
+matrix, so memory stays O(prod dims), not its square).  Its traceless part
+C^k - I/N_k is party k's block of the moment-map image of the state in the
+dual of the local algebra; a state maps into the Cartan dual exactly when
+every C^k is diagonal, which the canonical form achieves by local special
+unitaries.
 """
 
 from __future__ import annotations
@@ -52,13 +52,6 @@ class ReducedMatrices:
         return tuple(np.sort(np.linalg.eigvalsh(m))[..., ::-1] for m in mats)
 
 
-@dataclass(frozen=True)
-class MomentImage:
-    """Traceless Hermitian blocks X_k = C^k - I/N_k."""
-
-    blocks: tuple[np.ndarray, ...]
-
-
 def reduced_matrices(state: StateTensor | StateStack) -> ReducedMatrices:
     """All M one-party reduced matrices, by direct contraction; one stack
     of matrices per party for a StateStack."""
@@ -72,15 +65,60 @@ def reduced_matrices(state: StateTensor | StateStack) -> ReducedMatrices:
     return ReducedMatrices(tuple(mats))
 
 
-def moment_image(state: StateTensor) -> MomentImage:
-    """Moment-map image of the state as traceless one-party blocks."""
-    red = reduced_matrices(state)
-    blocks = []
-    for m in red.matrices:
-        x = m - np.eye(m.shape[0]) / m.shape[0]
-        x.setflags(write=False)
-        blocks.append(x)
-    return MomentImage(tuple(blocks))
+def _by_dim(sizes) -> dict[int, list[int]]:
+    """dim -> the parties of that dim, in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for k, n in enumerate(sizes):
+        groups.setdefault(n, []).append(k)
+    return groups
+
+
+def cluster_spectra(spectra, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list:
+    """Per state, the tuple of its parties' clusterings, from one descending
+    spectrum per party, (B, N_k) or (N_k,).  The spectra of one length go
+    through one ``cluster_spectrum`` call; on a refusal they are replayed
+    state by state and party by party, so the first refused party of the
+    first refused state raises its own error."""
+    rows = [s.reshape(-1, s.shape[-1]) for s in spectra]
+    by_party = [None] * len(rows)
+    try:
+        for n, parties in _by_dim(r.shape[-1] for r in rows).items():
+            stacked = np.array([rows[k] for k in parties]).swapaxes(0, 1)
+            flat = cluster_spectrum(stacked.reshape(-1, n), cluster_tol)
+            for p, k in enumerate(parties):
+                by_party[k] = flat[p::len(parties)]
+    except (AmbiguousClustering, ValueError):
+        for state in zip(*rows):
+            for row in state:
+                cluster_spectrum(row, cluster_tol)
+        raise
+    return list(zip(*by_party))
+
+
+def marginal_eigenbases(reduced: ReducedMatrices,
+                        cluster_tol: float = DEFAULT_CLUSTER_TOL):
+    """One ``eigh`` per party dim over the stacked marginals, sorted
+    descending and clustered by ``cluster_spectra``: the one decision of
+    which eigenvalues are equal, for every consumer of the eigenbases.
+
+    Returns ``(vectors, clusterings)``: ``vectors[n]``, (..., P_n, n, n),
+    holds as columns the eigenvectors of the parties of dim n, in party
+    order, matching their descending spectra.
+    """
+    mats = reduced.matrices
+    vectors, spectra = {}, [None] * len(mats)
+    for n, parties in _by_dim(m.shape[-1] for m in mats).items():
+        # the party axis goes next to the matrix axes, behind any stack axis
+        vals, vecs = np.linalg.eigh(np.array([mats[k] for k in parties]).swapaxes(0, -3))
+        lead = vals.shape[:-1]
+        vals, vecs = vals.reshape(-1, n), vecs.reshape(-1, n, n)
+        order = np.argsort(-vals, axis=-1)  # descending; vectors are columns
+        at = np.arange(len(order))[:, None]
+        vals = vals[at, order].reshape(*lead, n)
+        vectors[n] = vecs.swapaxes(-1, -2)[at, order].swapaxes(-1, -2).reshape(*lead, n, n)
+        for p, k in enumerate(parties):
+            spectra[k] = vals[..., p, :]
+    return vectors, cluster_spectra(spectra, cluster_tol)
 
 
 @dataclass(frozen=True)
@@ -198,8 +236,9 @@ def canonical_form(state: StateTensor,
     the canonical state exactly, and each C^k diagonal with descending
     entries.  For two parties the representative is the Schmidt diagonal
     state (projectively); for other party counts each party is rotated into
-    the eigenbasis of its own reduced matrix, and the parties of one dim
-    share one ``eigh``, one clustering and one gauge pass.
+    the eigenbasis of its own reduced matrix (``marginal_eigenbases``), and
+    the parties of one dim share one ``eigh``, one clustering and one gauge
+    pass.
 
     Only ``distinguishable`` states qualify: the construction acts with
     independent blocks per party.  A state off the unit sphere (NaN
@@ -218,29 +257,12 @@ def canonical_form(state: StateTensor,
         g = LocalUnitaryTuple((data.left, data.right.T))
         return apply_local(state, g), g
     check_unit_norm(state, "canonical_form")
-    red = reduced_matrices(state)
-    groups: dict[int, list[int]] = {}  # dim -> parties, each dim one stack
-    for k, n in enumerate(state.dims):
-        groups.setdefault(n, []).append(k)
-    spectra = {}
-    for n, parties in groups.items():
-        vals, vecs = np.linalg.eigh(np.array([red.matrices[k] for k in parties]))
-        order = np.argsort(-vals, axis=-1)  # descending; vectors are columns
-        at = np.arange(len(parties))[:, None]
-        spectra[n] = (vals[at, order],
-                      vecs.swapaxes(-1, -2)[at, order].swapaxes(-1, -2))
-    try:
-        clusterings = {n: cluster_spectrum(vals, cluster_tol)
-                       for n, (vals, _) in spectra.items()}
-    except (AmbiguousClustering, ValueError):
-        for k, n in enumerate(state.dims):  # the first refused party raises
-            cluster_spectrum(spectra[n][0][groups[n].index(k)], cluster_tol)
-        raise
+    vectors, (clusterings,) = marginal_eigenbases(reduced_matrices(state), cluster_tol)
     blocks = [None] * state.parties
-    for n, parties in groups.items():
+    for n, parties in _by_dim(state.dims).items():
         # C^k transforms as conj(U) C^k U^T under apply_local, so the block
         # that diagonalizes it is the transpose of its eigenvector matrix.
-        bases = _gauge(spectra[n][1], clusterings[n])
+        bases = _gauge(vectors[n], [clusterings[k] for k in parties])
         for k, block in zip(parties, special_unitary(bases.swapaxes(-1, -2))):
             blocks[k] = block
     g = LocalUnitaryTuple(tuple(blocks))

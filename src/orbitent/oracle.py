@@ -25,24 +25,22 @@ rows, and no form on k either: Omega_k(X, Y) = (M_k / 2) Im tr(rho_k [X, Y])
 is fixed by the spectrum of rho_k.  In an eigenbasis u_i of rho_k it
 pairs the two directions u_i u_j^dag - u_j u_i^dag and
 i(u_i u_j^dag + u_j u_i^dag) of each i < j with weight
-M_k (lambda_i - lambda_j) and vanishes on the Cartan directions, so one
-``eigh`` of the marginals per factor dim gives both s and a basis of
-ker Omega = (+)_k ker Omega_k.  Indistinguishable particles have one
+M_k (lambda_i - lambda_j) and vanishes on the Cartan directions.  Which
+eigenvalues are equal is decided once, by the clustering of
+``moment.marginal_eigenbases``, whose ``eigh`` per party dim the report
+shares: ker Omega_k is spanned by the Cartan directions and the pairs
+inside one block, the kernel block included, so s is the coadjoint
+formula of the same clustering.  Indistinguishable particles have one
 factor, the SU(N) acting on every slot, with M_k = M; otherwise M_k = 1.
-Rows X_j v are built for the kernel directions alone: with U the
-eigenvector matrix of a marginal and E_q the directions of su(N_k) in
-eigen coordinates, the kernel directions of one factor dim are U E_q
-U^dag, all formed at once from outer products of the eigenvectors, and
-each party's images are one contraction per acting slot.  G on them is
-one real product of their float view, Re<x|y> being the dot product of
-the real views; the alpha_j are the products of that view with the view
-of i v.
+Rows X_j v are built for the kernel directions alone (``_kernel_rows``),
+and G on them is one real product of their float view (``_orbit_metric``).
 
-All rank decisions share one relative threshold with the refusal rule of
-``measure.decide``: a value within a factor ten of the cut raises
-RankUnstable instead of guessing.  The symplectic cut acts on the gaps
-|lambda_i - lambda_j| themselves, the singular values of Omega_k; the
-metric cut acts on the eigenvalues of G on ker Omega.
+This holds for any clustering at any tolerance: it splits only gaps that
+are nonzero, so its kernel K' contains ker Omega and with it ker T, and
+r = s' + D' for s' the codimension of K' and D' = dim T(K').  The rank
+tolerance decides D alone: the eigenvalues of G on the kernel count
+above a relative cut, and one within a factor ten of it raises
+RankUnstable instead of guessing (the refusal rule of ``measure.decide``).
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ import numpy as np
 from .errors import EnumerationTooLarge, Inconsistency, RankUnstable
 from .lie import _embedded_action, rep_action
 from .measure import DEFAULT_CLUSTER_TOL, check_tolerance, decide
-from .moment import ReducedMatrices, reduced_matrices
+from .moment import marginal_eigenbases, reduced_matrices
 from .states import (
     DISTINGUISHABLE,
     StateStack,
@@ -69,7 +67,7 @@ from .states import (
 if TYPE_CHECKING:
     from .report import ConsistencyRecord
 
-#: gaps and eigenvalues below this fraction of the largest count as zero
+#: metric eigenvalues below this fraction of the largest count as zero
 DEFAULT_RANK_TOL = 1e-8
 #: desk-scale guards on dim H and on the G generators of K: the metric's
 #: eigvalsh costs up to O(G^3), reached when every marginal is maximally
@@ -82,25 +80,20 @@ MAX_GENERATORS = 256
 OMEGA_CHECK_TOL = 1e-10
 
 
-def _stable_mask(values, rel_tol: float, what: str) -> np.ndarray:
-    """Which values in each row lie above rel_tol * scale, refusing
+def _stable_rank(values, rel_tol: float, what: str) -> np.ndarray:
+    """How many values in each row lie above rel_tol * scale, refusing
     near-threshold cases.
 
     ``scale`` is the row's largest magnitude, floored at 1.0, the metric
-    scale: both forms pair generator images Av at a unit v, so
-    their entries are bounded by order one (by M^2 for M indistinguishable
+    scale: the metric pairs generator images Av at a unit v, so its
+    entries are bounded by order one (by M^2 for M indistinguishable
     particles, whose generators act on every slot), and a matrix that is
     pure float noise must read as rank zero rather than have its noise
     promoted to full rank.
     """
     mags = np.abs(np.asarray(values, dtype=float))
     cut = rel_tol * np.maximum(mags.max(axis=-1, keepdims=True, initial=0.0), 1.0)
-    return decide(mags, cut, RankUnstable, f"{what}: singular value")
-
-
-def _stable_rank(values, rel_tol: float, what: str) -> np.ndarray:
-    """How many values in each row lie above the cut of ``_stable_mask``."""
-    return _stable_mask(values, rel_tol, what).sum(axis=-1)
+    return decide(mags, cut, RankUnstable, f"{what}: singular value").sum(axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -109,8 +102,8 @@ def _eigen_directions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the n - 1 Cartan directions i(E_aa - E_{a+1,a+1}), then E_ij - E_ji and
     i(E_ij + E_ji) for each pair i < j in turn.  Returns the pairs, as
     arrays i and j, and for each direction the flat index i n + j of the
-    gap that decides whether it lies in ker Omega, 0 (a diagonal, zero gap)
-    for the Cartan ones."""
+    eigenvalue pair that decides whether it lies in ker Omega, 0 (one
+    eigenvalue with itself) for the Cartan ones."""
     i, j = np.triu_indices(n, 1)
     decided_by = np.concatenate([np.zeros(n - 1, dtype=np.intp), (i * n + j).repeat(2)])
     for table in (i, j, decided_by):
@@ -165,51 +158,50 @@ def _orbit_metric(stack: StateStack, rows: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _kernel_rows(stack: StateStack, reduced: ReducedMatrices, rank_tol: float):
-    """s for each state, and the images X_j v of generators X_j that span
-    ker Omega, as (B, J, dim H) rows.
+@functools.lru_cache(maxsize=None)
+def _kernel_mask(profile: tuple[int, tuple[int, ...]]) -> np.ndarray:
+    """Which directions of ``_eigen_directions(n)`` lie in ker Omega_k for
+    a descending spectrum clustered as ``profile`` (kernel multiplicity,
+    positive multiplicities): the Cartan directions and the pairs inside
+    one block, the kernel block included.  Read-only, (n^2 - 1,)."""
+    kernel, multiplicities = profile
+    labels = np.repeat(np.arange(len(multiplicities) + 1), multiplicities + (kernel,))
+    mask = (labels[:, None] == labels).ravel()[_eigen_directions(labels.size)[2]]
+    mask.setflags(write=False)
+    return mask
 
-    Omega_k(X, Y) = (M_k / 2) Im tr(rho_k [X, Y]) is fixed by the spectrum of
-    rho_k: in an eigenbasis u_i of rho_k it vanishes on the N_k - 1 Cartan
-    directions and pairs the two directions of each i < j with weight
-    M_k (lambda_i - lambda_j) (``_eigen_directions``).  So one ``eigh`` per
-    factor dim, over the stacked marginals of that dim, gives both: s counts
-    the ordered pairs whose gap lies above the cut, taken against each
-    state's largest gap, and the kernel is spanned by the Cartan directions
-    and the pairs below it.  The reduced matrix is C^k = conj(rho_k), so the
-    u_i are the conjugates of its eigenvectors; indistinguishable particles
-    have one factor acting on every slot, whose marginal is the sum of the M
-    slot marginals, M rho.
+
+def _kernel_rows(stack: StateStack, eigenbases):
+    """s for each state, and the images X_j v of generators X_j that span
+    ker Omega, as (B, J, dim H) rows, from ``moment.marginal_eigenbases``
+    of the stack's reduced matrices.
+
+    The clustering decides which eigenvalues are equal (``_kernel_mask``),
+    and s counts the directions across blocks.  The reduced matrix is
+    C^k = conj(rho_k), so the u_i are the conjugates of its eigenvectors;
+    indistinguishable particles have one factor acting on every slot, whose
+    marginal, eigenbasis and clustering are those of the first slot.
 
     The kernel directions of one factor dim are built at once, as
     U E_q U^dag for the selected q of every party and state.  A party keeps
-    the pairs whose gap lies below the cut in any state of the stack; a
-    state whose own gap lies above it gets zero blocks there, whose zero
-    images add only zero eigenvalues to the metric.  Each party's images
-    are then written by one contraction per acting slot into one
-    preallocated array.
+    the pairs inside one block in any state of the stack; a state whose own
+    pair straddles two blocks gets zero blocks there, whose zero images add
+    only zero eigenvalues to the metric.  Each party's images are then
+    written by one contraction per acting slot into one preallocated array.
     """
+    vectors, clusterings = eigenbases
     group = acting_dims(stack.dims, stack.symmetry)
-    marginals = reduced.matrices
-    if stack.symmetry != DISTINGUISHABLE:
-        marginals = (sum(marginals),)
-    factors = []
+    symplectic = np.zeros(len(stack), dtype=int)
+    blocks = []
     for n in dict.fromkeys(group):
         parties = [k for k, m in enumerate(group) if m == n]
-        evals, evecs = np.linalg.eigh(np.stack([marginals[k] for k in parties], axis=-3))
-        gap = np.abs(evals[..., :, None] - evals[..., None, :])
-        factors.append((parties, evecs, gap))
-    gaps = np.concatenate([gap.reshape(len(stack), -1) for *_, gap in factors], axis=-1)
-    above = _stable_mask(gaps, rank_tol, "symplectic form")
-    blocks, offset = [], 0
-    for parties, evecs, gap in factors:
-        n = gap.shape[-1]
-        i, j, decided_by = _eigen_directions(n)
-        kept = ~above[:, offset:offset + gap[0].size].reshape(*gap.shape[:2], -1)
-        offset += gap[0].size
-        keep = kept[..., decided_by]  # (B, P, n^2 - 1); Cartan always kept
-        union = keep.any(axis=(0, 1))
+        i, j, _ = _eigen_directions(n)
+        keep = np.array([[_kernel_mask(c[k].profile()) for k in parties]
+                         for c in clusterings])  # (B, P, n^2 - 1)
+        symplectic += (~keep).sum(axis=(1, 2))
+        union = keep.any(axis=(0, 1))  # Cartan always kept
         pairs = union[n - 1::2]
+        evecs = vectors[n].reshape(len(stack), -1, n, n)[:, :len(parties)]
         x = _rotated_directions(evecs, i[pairs], j[pairs])  # (B, P, J, n, n)
         keep = keep[..., union]
         if keep.all():
@@ -226,7 +218,7 @@ def _kernel_rows(stack: StateStack, reduced: ReducedMatrices, rank_tol: float):
         out = rows[:, start:start + x.shape[1]].reshape(*x.shape[:2], *stack.dims)
         _embedded_action(embed(x, party, stack.parties, stack.symmetry), stack.coeffs, out)
         start += x.shape[1]
-    return above.sum(axis=-1).tolist(), rows
+    return symplectic.tolist(), rows
 
 
 @dataclass(frozen=True)
@@ -250,31 +242,28 @@ class DegeneracyRank:
 
 def degeneracy_rank(state: StateTensor | StateStack,
                     rank_tol: float = DEFAULT_RANK_TOL,
-                    reduced: ReducedMatrices | None = None):
+                    eigenbases=None):
     """Orbit dimension r = s + D, symplectic rank s, and degeneracy D.
 
     s is the rank of Omega = (+)_k Omega_k, the KKS forms at the reduced
     matrices rho_k: the count of ordered pairs of eigenvalues of the rho_k
-    whose gap M_k |lambda_i - lambda_j| lies above the cut, taken against
-    the largest, from one ``eigh`` per factor dim (``_kernel_rows``).
-    The same eigenvectors U give a basis X_j = U E_q U^dag of ker Omega, and
-    the images X_j v are written by one contraction per party and acting
-    slot, with no ``rep_action`` call.  Since ker T lies
-    inside ker Omega (T being the tangent map A -> Av - v<v|Av>: a
-    stabilizer direction pairs to zero under omega), r = s + D, where D is
-    the rank of the metric G = Re<R_i|R_j> - alpha_i alpha_j on the images
-    R_j = X_j v (``_orbit_metric``), read off its eigenvalues.  Neither cut
-    acts on the metric on all of k, whose eigenvalues shrink with the
-    square of the spectral gaps; no SVD is taken and no su(N) basis built.
+    that the clustering puts in different blocks, the coadjoint formula.
+    The eigenvectors U of the same ``eigh`` give a basis X_j = U E_q U^dag
+    of ker Omega, whose images X_j v are written with no ``rep_action``
+    call (``_kernel_rows``).  Since ker T lies inside ker Omega, r = s + D,
+    where D is the rank of the metric G on the X_j (``_orbit_metric``),
+    read off its eigenvalues at ``rank_tol``: the one cut the rank
+    tolerance makes.  No SVD is taken and no su(N) basis built.
 
     A StateTensor gives one DegeneracyRank.  A StateStack gives a list with
-    one per state: the ``eigh``, the kernel rows, the metric, its spectrum
-    and both rank cuts run once over the stack, and a refusal of any state
-    raises for the whole stack.  ``reduced`` is the input's
-    ``reduced_matrices``, for a caller that already holds them; by default
-    they are computed here.  The two size guards and then the unit-norm
-    check (NotNormalized, NaN included) run before any marginal is read or
-    any arithmetic on the coefficients.
+    one per state: the kernel rows, the metric, its spectrum and the rank
+    cut run once over the stack, and a refusal of any state raises for the
+    whole stack.  ``eigenbases`` is ``moment.marginal_eigenbases`` of the
+    input's reduced matrices, for a caller that already holds them; by
+    default they are computed here, clustered at DEFAULT_CLUSTER_TOL, so
+    an undecidable spectrum raises AmbiguousClustering.  The two size
+    guards and then the unit-norm check (NotNormalized, NaN included) run
+    before any marginal is read or any arithmetic on the coefficients.
     """
     check_tolerance(rank_tol, "rank")
     if state.total_dim > MAX_HILBERT_DIM:
@@ -287,9 +276,9 @@ def degeneracy_rank(state: StateTensor | StateStack,
             f"{count} generators exceed the oracle guard {MAX_GENERATORS}")
     check_unit_norm(state, "degeneracy_rank")
     stack = state if isinstance(state, StateStack) else StateStack.of([state])
-    if reduced is None:
-        reduced = reduced_matrices(stack)
-    symplectic, rows = _kernel_rows(stack, reduced, rank_tol)
+    if eigenbases is None:
+        eigenbases = marginal_eigenbases(reduced_matrices(stack))
+    symplectic, rows = _kernel_rows(stack, eigenbases)
     degeneracy = _stable_rank(np.linalg.eigvalsh(_orbit_metric(stack, rows)),
                               rank_tol, "orbit Gram matrix").tolist()
     ranks = [DegeneracyRank(s + d, s, d) for s, d in zip(symplectic, degeneracy)]
@@ -329,7 +318,8 @@ def verify_against_formula(state: StateTensor,
 
     Runs ``analyze_state(..., oracle="verify")`` and returns the comparison
     record it built: mode "exact" for one party or two equal parties,
-    "bounds" for M >= 3, "coadjoint" for every other state.  Raises
+    "bounds" for M >= 3, "none" for every other state, whose integers come
+    from the oracle alone.  Raises
     Inconsistency (with the falsifying state serialized into the record) on
     any mismatch.
     """

@@ -10,8 +10,8 @@ routes:
               dimension, bounds on D
   oracle      unequal bipartite dims, bosons, fermions: no closed form for
               the orbit, so the numerical oracle runs whatever the
-              requested oracle mode, and only the coadjoint formula is
-              checked against it
+              requested oracle mode and gives r and D; its s is the
+              coadjoint formula by construction, so nothing is compared
 
 The report carries its route; under oracle mode "only" the route becomes
 ``oracle-only`` because every integer then comes from the oracle.
@@ -36,22 +36,19 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import Inconsistency, OrbitentError
 from .io import state_to_document
 from .measure import (
     DEFAULT_CLUSTER_TOL,
     DegeneracyReport,
     check_tolerance,
-    cluster_spectrum,
     coadjoint_dimension,
     degeneracy_bipartite,
     degeneracy_bounds,
     orbit_dimension_bipartite,
     separability_test,
 )
-from .moment import reduced_matrices
+from .moment import cluster_spectra, marginal_eigenbases, reduced_matrices
 from .oracle import DEFAULT_RANK_TOL, degeneracy_rank
 from .states import DISTINGUISHABLE, FERMIONIC, StateStack, StateTensor, acting_dims
 
@@ -78,7 +75,7 @@ _CHECK_MODES = {
     ROUTE_BIPARTITE: "exact",
     ROUTE_SINGLE: "exact",
     ROUTE_BOUNDS: "bounds",
-    ROUTE_ORACLE: "coadjoint",
+    ROUTE_ORACLE: "none",
 }
 
 
@@ -191,11 +188,15 @@ def _analyze_chunk(chunk, cluster_tol, rank_tol, oracle, boson_convention):
     try:
         stack = StateStack.of(chunk)
         reduced = reduced_matrices(stack)
-        clusterings = _clusterings(reduced.spectra(), cluster_tol)
         route = _route(stack)
-        need_oracle = oracle != ORACLE_OFF or route == ROUTE_ORACLE
-        ranks = (degeneracy_rank(stack, rank_tol, reduced) if need_oracle
-                 else [None] * len(chunk))
+        if oracle != ORACLE_OFF or route == ROUTE_ORACLE:
+            # one eigh per party dim gives the spectra and the oracle's bases
+            eigenbases = marginal_eigenbases(reduced, cluster_tol)
+            clusterings = eigenbases[1]
+            ranks = degeneracy_rank(stack, rank_tol, eigenbases)
+        else:
+            clusterings = cluster_spectra(reduced.spectra(), cluster_tol)
+            ranks = [None] * len(chunk)
     except (OrbitentError, ValueError):
         if len(chunk) == 1:
             raise
@@ -205,19 +206,6 @@ def _analyze_chunk(chunk, cluster_tol, rank_tol, oracle, boson_convention):
         return
     for state, clustering, rank in zip(chunk, clusterings, ranks):
         yield _report(state, clustering, rank, route, oracle, boson_convention)
-
-
-def _clusterings(spectra, cluster_tol):
-    """Per state, one clustering per party.  Spectra of one length go
-    through one ``cluster_spectrum`` call, state by state and party by
-    party within a state, so the first row that fails is the first failing
-    party of the first failing state."""
-    if len({s.shape for s in spectra}) > 1:
-        return list(zip(*(cluster_spectrum(s, cluster_tol) for s in spectra)))
-    parties = len(spectra)
-    rows = np.stack(spectra, axis=1).reshape(-1, spectra[0].shape[-1])
-    flat = cluster_spectrum(rows, cluster_tol)
-    return [flat[i:i + parties] for i in range(0, len(flat), parties)]
 
 
 def _report(state, clusterings, rank, route, oracle, boson_convention):
@@ -278,7 +266,7 @@ class ConsistencyRecord:
 
     dims: tuple[int, ...]
     symmetry: str
-    mode: str  # "exact", "bounds" for M >= 3, "coadjoint" without closed form
+    mode: str  # "exact", "bounds" for M >= 3, "none" without closed form
     expected: dict
     observed: dict
     passed: bool
@@ -303,11 +291,12 @@ def check_consistency(report: DegeneracyReport,
     """Compare the oracle ranks attached to a report with its formulas.
 
     The comparison follows the report's route: "exact" (one party, two
-    equal parties) needs orbit, coadjoint and degeneracy dimensions to
-    match; "bounds" (M >= 3) needs the coadjoint dimension to match and D
-    to lie inside the bounds; "coadjoint" (the oracle route) needs the
-    symplectic rank to match the coadjoint formula.  Raises Inconsistency,
-    with the falsifying state serialized into the record, on any mismatch.
+    equal parties) needs orbit and degeneracy dimensions to match;
+    "bounds" (M >= 3) needs D to lie inside the bounds; "none" (the oracle
+    route) has no closed form to compare.  The oracle's symplectic rank is
+    the coadjoint formula of the report's own clustering by construction,
+    so it is never compared.  Raises Inconsistency, with the falsifying
+    state serialized into the record, on any mismatch.
     """
     mode = _CHECK_MODES[report.route]
     ranks = report.oracle
@@ -316,17 +305,15 @@ def check_consistency(report: DegeneracyReport,
         "coadjoint_dim": ranks["symplectic_rank"],
         "degeneracy": ranks["degeneracy"],
     }
-    expected = {"coadjoint_dim": report.coadjoint_dim}
-    passed = observed["coadjoint_dim"] == report.coadjoint_dim
+    expected, passed = {}, True
     if mode == "exact":
-        expected.update(orbit_dim=report.orbit_dim,
-                        degeneracy=report.degeneracy)
-        passed = observed == expected
+        expected = {"orbit_dim": report.orbit_dim, "degeneracy": report.degeneracy}
+        passed = all(observed[key] == value for key, value in expected.items())
     elif mode == "bounds":
         low, high = (report.degeneracy if isinstance(report.degeneracy, tuple)
                      else (report.degeneracy,) * 2)
-        expected.update(degeneracy_low=low, degeneracy_high=high)
-        passed = passed and low <= observed["degeneracy"] <= high
+        expected = {"degeneracy_low": low, "degeneracy_high": high}
+        passed = low <= observed["degeneracy"] <= high
     record = ConsistencyRecord(
         report.dims, report.symmetry, mode, expected, observed, passed,
         state_document=None if passed else state_to_document(state))

@@ -130,6 +130,24 @@ def test_canonical_three_parties_takes_cluster_tol(capsys, tmp_path):
     assert len(json.loads(out)["local_unitaries"]) == 3
 
 
+def test_tolerances_do_not_set_the_routes_against_each_other(capsys, tmp_path):
+    """A (3,5) state with Schmidt weights (0.5, 0.25 +- 5e-6) runs the oracle
+    under every mode.  A coarse cluster tolerance merges the pair for both
+    routes, and a coarse rank tolerance moves neither."""
+    c = np.zeros((3, 5))
+    c[range(3), range(3)] = np.sqrt([0.5, 0.25 + 5e-6, 0.25 - 5e-6])
+    path = tmp_path / "near_pair.json"
+    save_state(build_state(c), path)
+    for tolerances, expected in [(("--cluster-tol", "1e-3"), (24, 20, 4)),
+                                 (("--rank-tol", "1e-3"), (26, 24, 2))]:
+        for oracle in ("off", "verify"):
+            code, out, err = run(capsys, "analyze", "--input", str(path),
+                                 "--oracle", oracle, *tolerances, "--format", "json")
+            assert code == 0 and not err
+            doc = json.loads(out)
+            assert (doc["orbit_dim"], doc["coadjoint_dim"], doc["degeneracy"]) == expected
+
+
 def test_ks_check_two_qubits(capsys):
     code, out, _ = run(capsys, "ks-check", "--dims", "2,2", "--format", "json")
     assert code == 0
@@ -183,7 +201,7 @@ def test_verify_covers_every_symmetry_class(capsys):
                            "--symmetry", symmetry, "--format", "json")
         assert code == 0
         doc = json.loads(out)
-        assert doc["passed"] == 5 and doc["mode"] == "coadjoint"
+        assert doc["passed"] == 5 and doc["mode"] == "none"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,4 +1,4 @@
-"""Reduced matrices, moment image, Schmidt data, canonical forms."""
+"""Reduced matrices, their eigenbases, Schmidt data, canonical forms."""
 
 import itertools
 
@@ -19,7 +19,6 @@ from orbitent import (
     apply_local,
     build_state,
     canonical_form,
-    moment_image,
     random_local_unitaries,
     random_product_state,
     random_state,
@@ -105,23 +104,6 @@ def test_reduced_invariants():
     # bipartite spectra agree as multisets up to kernel padding
     assert np.allclose(s0[:3], s1[:3], atol=1e-9)
     assert np.allclose(s1[3:], 0.0, atol=1e-12)
-
-
-def test_moment_image_product_and_bell():
-    prod = moment_image(build_state([[1, 0], [0, 0]]))
-    for x in prod.blocks:
-        assert np.allclose(x, np.diag([0.5, -0.5]))
-    bell = moment_image(bell_state())
-    for x in bell.blocks:
-        assert np.allclose(x, 0.0, atol=1e-12)
-
-
-def test_moment_image_traceless():
-    rng = np.random.default_rng(31)
-    img = moment_image(random_state((3, 3, 2), rng=rng))
-    for x in img.blocks:
-        assert abs(np.trace(x)) < 1e-10
-        assert np.abs(x - x.conj().T).max() < 1e-12
 
 
 def test_reduced_covariance_under_local_action():
@@ -255,7 +237,7 @@ def test_canonical_form_three_parties_moment_image_diagonal():
     rng = np.random.default_rng(67)
     state = random_state((2, 3, 2), rng=rng)
     canon, g = canonical_form(state)
-    for x in moment_image(canon).blocks:
+    for x in reduced_matrices(canon).matrices:
         off = x - np.diag(np.diagonal(x))
         assert np.abs(off).max() < 1e-10
     assert np.allclose(apply_local(state, g).coeffs, canon.coeffs, atol=1e-12)

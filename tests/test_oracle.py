@@ -25,7 +25,7 @@ from orbitent import (
     symmetrize,
     verify_against_formula,
 )
-from orbitent.moment import reduced_matrices
+from orbitent.moment import marginal_eigenbases, reduced_matrices
 from orbitent.oracle import (
     DEFAULT_RANK_TOL,
     _eigen_directions,
@@ -35,7 +35,7 @@ from orbitent.oracle import (
     _stable_rank,
 )
 from orbitent.states import acting_dims, embed
-from orbitent.errors import RankUnstable
+from orbitent.errors import AmbiguousClustering, RankUnstable
 from orbitent.report import analyze_state
 
 
@@ -224,18 +224,21 @@ def test_verify_against_formula_two_qutrit_multiplicity_pattern():
     # singular values (1/sqrt2, 1/2, 1/2): multiplicities (1, 2), D = 4
     c = np.diag([1 / np.sqrt(2), 0.5, 0.5])
     rec = verify_against_formula(build_state(c))
-    assert rec.expected["degeneracy"] == 4
-    assert rec.expected["orbit_dim"] == 12
-    assert rec.expected["coadjoint_dim"] == 8
+    assert rec.expected == {"orbit_dim": 12, "degeneracy": 4}
+    assert rec.observed == {"orbit_dim": 12, "coadjoint_dim": 8, "degeneracy": 4}
 
 
 def test_verify_against_formula_checks_coadjoint_without_closed_form():
+    """Without a closed form the record compares nothing (mode "none"): the
+    oracle's s is the coadjoint formula of the report's clustering by
+    construction, and here it is checked against Omega on all of k."""
     rng = np.random.default_rng(19)
     for dims, symmetry in [((3, 3), BOSONIC), ((4, 4, 4), FERMIONIC),
                            ((2, 3), "distinguishable")]:
-        rec = verify_against_formula(random_state(dims, symmetry, rng=rng))
-        assert rec.passed and rec.mode == "coadjoint"
-        assert rec.observed["coadjoint_dim"] == rec.expected["coadjoint_dim"]
+        state = random_state(dims, symmetry, rng=rng)
+        rec = verify_against_formula(state)
+        assert rec.passed and rec.mode == "none" and rec.expected == {}
+        assert rec.observed["coadjoint_dim"] == reference_symplectic_rank(state)
 
 
 def test_oracle_size_guard():
@@ -306,24 +309,29 @@ def test_tangent_rows_of_a_stack_match_each_state(dims, symmetry):
         assert np.allclose(rows[b], all_rows(state), rtol=0, atol=1e-15)
 
 
+def reference_symplectic_rank(state, rank_tol=DEFAULT_RANK_TOL):
+    """s as the rank of Omega = -Im<A_a v|A_b v> on all of k, from the image
+    of every basis generator: its singular values are linear in the
+    spectral gaps, and no clustering enters."""
+    rows = all_rows(state)
+    im = (rows.conj() @ rows.T).imag
+    sing = np.linalg.svd((im.T - im) / 2.0, compute_uv=False)
+    s = int(_stable_rank(sing, rank_tol, "reference symplectic form"))
+    assert s % 2 == 0
+    return s
+
+
 def reference_ranks(state, rank_tol=DEFAULT_RANK_TOL):
     """The projected-frame oracle: project each generator image onto the
-    tangent space, span that space with the Gram eigenvectors above the
-    rank cut, whiten them, restrict omega to the orthonormal frame and read
-    s off its singular values."""
+    tangent space and read r off the Gram matrix of the projections, on
+    all of k; s is ``reference_symplectic_rank``."""
     rows = all_rows(state)
     v = state.coeffs.reshape(1, -1)
     tangents = rows - (rows @ v.conj().T) * v
-    overlap = tangents.conj() @ tangents.T
-    evals, evecs = np.linalg.eigh((overlap.real + overlap.real.T) / 2.0)
-    r = int(_stable_rank(evals, rank_tol, "reference Gram matrix"))
-    if r == 0:
-        return 0, 0, 0
-    frame = evecs[:, -r:] / np.sqrt(evals[-r:])
-    omega = frame.T @ (-(overlap.imag - overlap.imag.T) / 2.0) @ frame
-    sing = np.linalg.svd((omega - omega.T) / 2.0, compute_uv=False)
-    s = int(_stable_rank(sing, rank_tol, "reference restricted form"))
-    assert s % 2 == 0
+    gram = (tangents.conj() @ tangents.T).real
+    r = int(_stable_rank(np.linalg.eigvalsh((gram + gram.T) / 2.0), rank_tol,
+                         "reference Gram matrix"))
+    s = reference_symplectic_rank(state, rank_tol)
     return r, s, r - s
 
 
@@ -360,14 +368,44 @@ def degenerate_strata():
     ]
 
 
-@pytest.mark.parametrize("name", [name for name, _ in degenerate_strata()])
+def near_pair_schmidt_state(n, gap, rng):
+    """A rotated n x n Schmidt state whose weights lie well apart, but for
+    one pair that differs by ``gap`` times the largest weight."""
+    weights = np.arange(1, n) + rng.uniform(0.0, 0.5, n - 1)
+    weights = np.append(weights, weights[rng.integers(n - 1)])
+    weights[-1] += gap * weights.max()
+    state = build_state(np.diag(np.sqrt(weights / weights.sum())))
+    return apply_local(state, random_local_unitaries((n, n), rng=rng))
+
+
+def near_degenerate_strata():
+    """Rotated n x n Schmidt states with one pair of weights apart by 2e-6,
+    1e-5, 1e-4 or 1e-3 of the largest, as (name, state): decided gaps,
+    above the clustering's refusal window, which ends at 1e-6."""
+    rng = np.random.default_rng(90)
+    return [(f"near-pair-{n}-{gap:.0e}", near_pair_schmidt_state(n, gap, rng))
+            for n in (2, 3, 4) for gap in (2e-6, 1e-5, 1e-4, 1e-3)]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in degenerate_strata()
+                                  + near_degenerate_strata()])
 def test_degeneracy_rank_equals_the_projected_frame_reference(name):
-    state = dict(degenerate_strata())[name]
+    """The oracle and the report's coadjoint formula, which share one
+    clustering, against the reference, which reads s off Omega on all of
+    k: the independent check of s.  Near a degenerate stratum the
+    reference's r reads the metric on all of k, whose eigenvalues shrink
+    with the squared gap, so only s is compared there; r and D meet the
+    closed form inside ``analyze_state(oracle="verify")``."""
+    state = dict(degenerate_strata() + near_degenerate_strata())[name]
     rng = np.random.default_rng(sum(map(ord, name)))
     moved = apply_local(state, random_local_unitaries(state.dims, state.symmetry,
                                                        rng=rng))
     for s in (state, moved):
-        assert degeneracy_rank(s).as_tuple() == reference_ranks(s)
+        ranks = degeneracy_rank(s).as_tuple()
+        coadjoint = analyze_state(s, oracle="verify").coadjoint_dim
+        assert coadjoint == ranks[1] == reference_symplectic_rank(s)
+        if not name.startswith("near-pair"):
+            assert ranks == reference_ranks(s)
 
 
 def test_stack_of_mixed_orbit_ranks_equals_the_reference():
@@ -412,16 +450,6 @@ def test_near_bell_schmidt_weights_give_the_closed_form():
         assert rec.passed and rec.observed["orbit_dim"] == 5
 
 
-def near_pair_schmidt_state(n, gap, rng):
-    """A rotated n x n Schmidt state whose weights lie well apart, but for
-    one pair that differs by ``gap`` times the largest weight."""
-    weights = np.arange(1, n) + rng.uniform(0.0, 0.5, n - 1)
-    weights = np.append(weights, weights[rng.integers(n - 1)])
-    weights[-1] += gap * weights.max()
-    state = build_state(np.diag(np.sqrt(weights / weights.sum())))
-    return apply_local(state, random_local_unitaries((n, n), rng=rng))
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_near_degenerate_schmidt_pair_gives_the_closed_form(n):
     """A pair gap of 1e-6 to 1e-3 of the largest weight: Omega's singular
@@ -441,21 +469,16 @@ def test_near_degenerate_schmidt_pair_gives_the_closed_form(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_below_the_decidable_gaps_the_oracle_refuses_or_is_right(n):
     """A pair gap of 1e-8 to 1e-6 of the largest weight lies inside the
-    clustering's refusal window, so the closed form refuses the whole band,
-    and its lower part inside the rank cut's.  The oracle refuses there or
-    reads the distinct weights, never another answer."""
+    clustering's refusal window.  The oracle reads ker Omega off that
+    clustering, so it refuses the whole band, as the closed form does."""
     rng = np.random.default_rng(80 + n)
-    expected = (2 * n * n - n - 1, 2 * n * n - 2 * n, n - 1)
-    decided = 0
     for _ in range(40):
         state = near_pair_schmidt_state(n, 10 ** rng.uniform(-8, -6), rng)
-        try:
-            ranks = degeneracy_rank(state).as_tuple()
-        except RankUnstable:
-            continue
-        assert ranks == expected
-        decided += 1
-    assert decided > 0
+        with pytest.raises(AmbiguousClustering):
+            degeneracy_rank(state)
+        for oracle in ("off", "verify"):
+            with pytest.raises(AmbiguousClustering):
+                analyze_state(state, oracle=oracle)
 
 
 def test_the_changes_example_reads_distinct_weights():
@@ -586,28 +609,40 @@ def test_split_stack_of_mixed_orbit_ranks_equals_the_reference():
 @pytest.mark.parametrize("dims, symmetry, shapes", [
     ((11, 11), DISTINGUISHABLE, [(1, 2, 11, 11)]),
     ((2, 3, 2), DISTINGUISHABLE, [(1, 1, 3, 3), (1, 2, 2, 2)]),
-    ((3, 3), BOSONIC, [(1, 1, 3, 3)]),
+    ((3, 3), BOSONIC, [(1, 2, 3, 3)]),
 ], ids=["11x11", "2x3x2", "bosons-3x3"])
 def test_symplectic_rank_takes_one_eigh_per_factor_dim(monkeypatch, dims, symmetry,
                                                        shapes):
-    """The stacked marginals of each factor dim, never a form on k: no SVD
-    and no su(N) basis."""
+    """The stacked marginals of each party dim, never a form on k: no SVD
+    and no su(N) basis.  ``analyze_state(oracle="verify")`` shares that
+    ``eigh`` between the report and the oracle: its only ``eigvalsh`` is
+    the metric's, none of the marginals."""
     state = random_state(dims, symmetry, rng=np.random.default_rng(47))
-    seen = []
-    eigh = np.linalg.eigh
+    seen, metrics = [], []
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
     def recording_eigh(a, *args, **kwargs):
         seen.append(a.shape)
         return eigh(a, *args, **kwargs)
 
+    def recording_eigvalsh(a, *args, **kwargs):
+        metrics.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
     def unreached(*args, **kwargs):
         raise AssertionError("an SVD taken or an su(N) basis built")
 
     monkeypatch.setattr("orbitent.oracle.np.linalg.eigh", recording_eigh)
+    monkeypatch.setattr("orbitent.oracle.np.linalg.eigvalsh", recording_eigvalsh)
     monkeypatch.setattr("orbitent.oracle.np.linalg.svd", unreached)
     monkeypatch.setattr("orbitent.lie.su_basis", unreached)
-    degeneracy_rank(state)
+    ranks = degeneracy_rank(state)
     assert sorted(seen) == shapes
+    seen.clear(), metrics.clear()
+    report = analyze_state(state, oracle="verify")
+    assert sorted(seen) == shapes
+    assert len(metrics) == 1  # the metric's
+    assert report.oracle["orbit_dim"] == ranks.orbit_dim
 
 
 def diagonal_marginal_state(dims, symmetry):
@@ -649,7 +684,7 @@ def test_kks_forms_and_real_view_metric_equal_the_overlap(dims, symmetry, count)
     gram -= alpha * alpha.swapaxes(-1, -2)
     assert np.abs(_orbit_metric(stack, rows) - gram).max() <= 1e-14 * scale
 
-    symplectic, kernel = _kernel_rows(stack, reduced_matrices(stack), DEFAULT_RANK_TOL)
+    symplectic, kernel = _kernel_rows(stack, marginal_eigenbases(reduced_matrices(stack)))
     pairing = kernel.conj() @ rows.swapaxes(-1, -2)
     assert np.abs(pairing.imag).max() <= 1e-14 * scale
     omega = (overlap.imag.swapaxes(-1, -2) - overlap.imag) / 2.0
@@ -670,16 +705,23 @@ def test_kks_forms_and_real_view_metric_equal_the_overlap(dims, symmetry, count)
         assert np.abs(sing - expected).max() <= 1e-14
 
 
-def test_degeneracy_rank_reuses_the_reduced_matrices_it_is_given(monkeypatch):
-    """A caller that holds the stack's reduced matrices passes them in, and
-    the oracle builds its KKS forms from them without recomputing."""
+def test_degeneracy_rank_reuses_the_eigenbases_it_is_given(monkeypatch):
+    """A caller that holds the stack's eigenbases and clusterings passes them
+    in, and the oracle builds its kernel from them: no reduced matrices and
+    no ``eigh`` of its own.  A clustering at a coarser tolerance reads the
+    stratum it names."""
     rng = np.random.default_rng(61)
     stack = StateStack.of([random_state((2, 3, 2), rng=rng) for _ in range(4)])
     expected = [r.as_tuple() for r in degeneracy_rank(stack)]
-    reduced = reduced_matrices(stack)
+    eigenbases = marginal_eigenbases(reduced_matrices(stack))
+    near = near_pair_schmidt_state(3, 1e-5, rng)
+    coarse = marginal_eigenbases(reduced_matrices(near), 1e-3)
 
-    def refuse(_):
-        raise AssertionError("reduced matrices recomputed")
+    def refuse(*args, **kwargs):
+        raise AssertionError("marginals read or diagonalized again")
 
     monkeypatch.setattr("orbitent.oracle.reduced_matrices", refuse)
-    assert [r.as_tuple() for r in degeneracy_rank(stack, reduced=reduced)] == expected
+    monkeypatch.setattr("orbitent.oracle.marginal_eigenbases", refuse)
+    monkeypatch.setattr("orbitent.oracle.np.linalg.eigh", refuse)
+    assert [r.as_tuple() for r in degeneracy_rank(stack, eigenbases=eigenbases)] == expected
+    assert degeneracy_rank(near, eigenbases=coarse).as_tuple() == (12, 8, 4)

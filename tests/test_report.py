@@ -169,6 +169,39 @@ def test_degenerate_bipartite_strata_match_formula_and_oracle(case):
     assert rep.separable is (profile == (1,))
 
 
+def near_pair_states():
+    """Rotated (3,3) and (3,5) states with Schmidt weights (0.5, 0.25 +-
+    5e-6): the pair's gap, 1e-5, is merged at cluster tolerance 1e-3 and
+    split at 1e-7."""
+    rng = np.random.default_rng(37)
+    states = []
+    for dims in ((3, 3), (3, 5)):
+        c = np.zeros(dims)
+        c[range(3), range(3)] = np.sqrt([0.5, 0.25 + 5e-6, 0.25 - 5e-6])
+        states.append(apply_local(build_state(c), random_local_unitaries(dims, rng=rng)))
+    return states
+
+
+@pytest.mark.parametrize("cluster_tol, rank_tol", [
+    (1e-3, 1e-8), (1e-7, 1e-3), (1e-7, 1e-8), (1e-3, 1e-3)])
+def test_one_clustering_decides_both_routes(cluster_tol, rank_tol):
+    """The cluster tolerance alone decides which eigenvalues are equal, for
+    the closed form and the oracle alike, so no pair of tolerances sets
+    them against each other: the merged pair reads the stratum (1, 2), the
+    split one three distinct weights, under every rank tolerance."""
+    merged = cluster_tol == 1e-3
+    expected = [(12, 8, 4) if merged else (14, 12, 2),
+                (24, 20, 4) if merged else (26, 24, 2)]
+    for state, ranks in zip(near_pair_states(), expected):
+        for oracle in ("off", "verify"):
+            rep = analyze_state(state, cluster_tol, rank_tol, oracle=oracle)
+            assert (rep.orbit_dim, rep.coadjoint_dim, rep.degeneracy) == ranks
+            if rep.oracle is not None:
+                assert (rep.oracle["orbit_dim"], rep.oracle["symplectic_rank"],
+                        rep.oracle["degeneracy"]) == ranks
+                assert rep.consistency.passed
+
+
 def _special_states(dims, symmetry, rng):
     """States off the generic stratum, so a stack holds several orbit ranks."""
     if symmetry == BOSONIC:
