@@ -19,8 +19,7 @@ guess near the cut; ``check_tolerance`` bounds every tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,36 +63,30 @@ class SpectrumClustering:
     kernel_dim: int
     blocks: tuple[tuple[float, int], ...]  # (value, multiplicity), descending
     tolerance: float
+    # several count formulas read these for every report; a clustering is
+    # frozen, so they are computed once, with it
+    multiplicities: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: number of nonzero eigenvalues, counted with multiplicity
+    positive_rank: int = field(init=False, repr=False, compare=False)
+    #: sum_{n>=1} m_n^2 over the positive blocks
+    square_sum: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kernel_dim < 0:
             raise ValueError("kernel multiplicity cannot be negative")
-        if any(m < 1 for _, m in self.blocks):
+        multiplicities = tuple(m for _, m in self.blocks)
+        if any(m < 1 for m in multiplicities):
             raise ValueError("block multiplicities must be >= 1")
         values = [v for v, _ in self.blocks]
         if any(a <= b for a, b in zip(values, values[1:])):
             raise ValueError("block values must be strictly descending")
-
-    # several count formulas read these for every report; a clustering is
-    # frozen, so each is computed once
+        object.__setattr__(self, "multiplicities", multiplicities)
+        object.__setattr__(self, "positive_rank", sum(multiplicities))
+        object.__setattr__(self, "square_sum", sum(m * m for m in multiplicities))
 
     @property
     def size(self) -> int:
         return self.kernel_dim + self.positive_rank
-
-    @cached_property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(m for _, m in self.blocks)
-
-    @cached_property
-    def positive_rank(self) -> int:
-        """Number of nonzero eigenvalues, counted with multiplicity."""
-        return sum(self.multiplicities)
-
-    @cached_property
-    def square_sum(self) -> int:
-        """sum_{n>=1} m_n^2 over the positive blocks."""
-        return sum(m * m for m in self.multiplicities)
 
     @property
     def square_sum_with_kernel(self) -> int:
@@ -155,14 +148,15 @@ def _cluster_rows(rows: np.ndarray, tol: float) -> tuple[SpectrumClustering, ...
     # sorted descending, so the positive values are a prefix of each row
     positive = decide(svals, eff, AmbiguousClustering, "eigenvalue").sum(axis=1)
     out = []
-    for row, split, count in zip(svals, splits.tolist(), positive.tolist()):
+    for row, values, split, count in zip(svals, svals.tolist(), splits.tolist(),
+                                         positive.tolist()):
         blocks = []
         start = 0
         for stop in range(1, count + 1):
             if stop == count or split[stop - 1]:
-                value = (row[start:stop].mean() if stop - start > 1
-                         else row[start])
-                blocks.append((float(value), stop - start))
+                value = (float(row[start:stop].mean()) if stop - start > 1
+                         else values[start])
+                blocks.append((value, stop - start))
                 start = stop
         out.append(SpectrumClustering(row.size - count, tuple(blocks), float(tol)))
     return tuple(out)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousClustering, NotBipartite, SymmetryViolation
+from .errors import AmbiguousClustering, NotBipartite, NotNormalized, SymmetryViolation
 from .measure import (
     DEFAULT_CLUSTER_TOL,
     check_tolerance,
@@ -26,6 +26,7 @@ from .measure import (
 )
 from .states import (
     DISTINGUISHABLE,
+    NORM_TOL,
     LocalUnitaryTuple,
     StateStack,
     StateTensor,
@@ -44,6 +45,16 @@ class ReducedMatrices:
 
     matrices: tuple[np.ndarray, ...]
 
+    def check_unit_norm(self, what: str) -> None:
+        """Raise NotNormalized unless every state's norm lies within
+        NORM_TOL of 1, as ``states.check_unit_norm`` does, read off the
+        trace of the first reduced matrix, which is the squared norm: no
+        further pass over the coefficients.  A NaN or infinite state fails
+        too."""
+        traces = np.trace(self.matrices[0], axis1=-2, axis2=-1).real
+        if not (np.abs(np.sqrt(traces) - 1.0) <= NORM_TOL).all():
+            raise NotNormalized(f"{what} needs unit vectors")
+
     def spectra(self) -> tuple[np.ndarray, ...]:
         """Descending eigenvalue list per party, (N_k,) or (B, N_k)."""
         mats = self.matrices
@@ -54,14 +65,17 @@ class ReducedMatrices:
 
 def reduced_matrices(state: StateTensor | StateStack) -> ReducedMatrices:
     """All M one-party reduced matrices, by direct contraction; one stack
-    of matrices per party for a StateStack."""
+    of matrices per party for a StateStack.  A non-finite state gives
+    non-finite matrices without a floating-point warning; their
+    ``check_unit_norm`` refuses them."""
     batch = state.coeffs.ndim - state.parties
     mats = []
-    for k in range(state.parties):
-        rows = party_rows(state.coeffs, k, batch)
-        m = rows.conj() @ rows.swapaxes(-1, -2)
-        m.setflags(write=False)
-        mats.append(m)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(state.parties):
+            rows = party_rows(state.coeffs, k, batch)
+            m = rows.conj() @ rows.swapaxes(-1, -2)
+            m.setflags(write=False)
+            mats.append(m)
     return ReducedMatrices(tuple(mats))
 
 
@@ -75,16 +89,25 @@ def _by_dim(sizes) -> dict[int, list[int]]:
 
 def cluster_spectra(spectra, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list:
     """Per state, the tuple of its parties' clusterings, from one descending
-    spectrum per party, (B, N_k) or (N_k,).  The spectra of one length go
-    through one ``cluster_spectrum`` call; on a refusal they are replayed
-    state by state and party by party, so the first refused party of the
-    first refused state raises its own error."""
+    spectrum per party, (B, N_k) or (N_k,).  The spectra of one length are
+    stacked into one ``_cluster_groups`` call."""
     rows = [s.reshape(-1, s.shape[-1]) for s in spectra]
+    groups = [(parties, np.array([rows[k] for k in parties]).swapaxes(0, 1).reshape(-1, n))
+              for n, parties in _by_dim(r.shape[-1] for r in rows).items()]
+    return _cluster_groups(groups, rows, cluster_tol)
+
+
+def _cluster_groups(groups, rows, cluster_tol: float) -> list:
+    """Per state, the tuple of its parties' clusterings.  ``groups`` holds,
+    per party dim, its parties and their spectra as one (B P, n) array,
+    state-major; each goes through one ``cluster_spectrum`` call.  On a
+    refusal, ``rows``, one (B, N_k) array per party, are replayed state by
+    state and party by party, so the first refused party of the first
+    refused state raises its own error."""
     by_party = [None] * len(rows)
     try:
-        for n, parties in _by_dim(r.shape[-1] for r in rows).items():
-            stacked = np.array([rows[k] for k in parties]).swapaxes(0, 1)
-            flat = cluster_spectrum(stacked.reshape(-1, n), cluster_tol)
+        for parties, stacked in groups:
+            flat = cluster_spectrum(stacked, cluster_tol)
             for p, k in enumerate(parties):
                 by_party[k] = flat[p::len(parties)]
     except (AmbiguousClustering, ValueError):
@@ -97,28 +120,26 @@ def cluster_spectra(spectra, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list:
 
 def marginal_eigenbases(reduced: ReducedMatrices,
                         cluster_tol: float = DEFAULT_CLUSTER_TOL):
-    """One ``eigh`` per party dim over the stacked marginals, sorted
-    descending and clustered by ``cluster_spectra``: the one decision of
-    which eigenvalues are equal, for every consumer of the eigenbases.
+    """One ``eigh`` per party dim over the stacked marginals, reversed to
+    descending order and clustered with one ``cluster_spectrum`` call per
+    party dim: the one decision of which eigenvalues are equal, for every
+    consumer of the eigenbases.  A refusal names the first refused party
+    of the first refused state, as ``cluster_spectra`` does.
 
     Returns ``(vectors, clusterings)``: ``vectors[n]``, (..., P_n, n, n),
     holds as columns the eigenvectors of the parties of dim n, in party
     order, matching their descending spectra.
     """
     mats = reduced.matrices
-    vectors, spectra = {}, [None] * len(mats)
+    vectors, groups, rows = {}, [], [None] * len(mats)
     for n, parties in _by_dim(m.shape[-1] for m in mats).items():
         # the party axis goes next to the matrix axes, behind any stack axis
         vals, vecs = np.linalg.eigh(np.array([mats[k] for k in parties]).swapaxes(0, -3))
-        lead = vals.shape[:-1]
-        vals, vecs = vals.reshape(-1, n), vecs.reshape(-1, n, n)
-        order = np.argsort(-vals, axis=-1)  # descending; vectors are columns
-        at = np.arange(len(order))[:, None]
-        vals = vals[at, order].reshape(*lead, n)
-        vectors[n] = vecs.swapaxes(-1, -2)[at, order].swapaxes(-1, -2).reshape(*lead, n, n)
+        vals, vectors[n] = vals[..., ::-1], vecs[..., ::-1]  # descending; vectors are columns
+        groups.append((parties, vals.reshape(-1, n)))
         for p, k in enumerate(parties):
-            spectra[k] = vals[..., p, :]
-    return vectors, cluster_spectra(spectra, cluster_tol)
+            rows[k] = vals[..., p, :].reshape(-1, n)
+    return vectors, _cluster_groups(groups, rows, cluster_tol)
 
 
 @dataclass(frozen=True)
@@ -242,7 +263,9 @@ def canonical_form(state: StateTensor,
 
     Only ``distinguishable`` states qualify: the construction acts with
     independent blocks per party.  A state off the unit sphere (NaN
-    included) raises NotNormalized before any decomposition.
+    included) raises NotNormalized before any decomposition: off the
+    two-party route, the norm is read off the traces of the reduced
+    matrices (``ReducedMatrices.check_unit_norm``).
     ``cluster_tol`` clusters the Schmidt spectrum of two parties and each
     reduced spectrum of any other count, so AmbiguousClustering propagates
     on every route, from the first refused party.
@@ -256,8 +279,9 @@ def canonical_form(state: StateTensor,
         data = schmidt(state, cluster_tol)
         g = LocalUnitaryTuple((data.left, data.right.T))
         return apply_local(state, g), g
-    check_unit_norm(state, "canonical_form")
-    vectors, (clusterings,) = marginal_eigenbases(reduced_matrices(state), cluster_tol)
+    reduced = reduced_matrices(state)
+    reduced.check_unit_norm("canonical_form")
+    vectors, (clusterings,) = marginal_eigenbases(reduced, cluster_tol)
     blocks = [None] * state.parties
     for n, parties in _by_dim(state.dims).items():
         # C^k transforms as conj(U) C^k U^T under apply_local, so the block

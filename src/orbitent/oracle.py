@@ -32,8 +32,14 @@ shares: ker Omega_k is spanned by the Cartan directions and the pairs
 inside one block, the kernel block included, so s is the coadjoint
 formula of the same clustering.  Indistinguishable particles have one
 factor, the SU(N) acting on every slot, with M_k = M; otherwise M_k = 1.
-Rows X_j v are built for the kernel directions alone (``_kernel_rows``),
-and G on them is one real product of their float view (``_orbit_metric``).
+
+G on ker Omega is read in those eigenbases (``_kernel_metric``).  The
+state is rotated once, w = (U_1^dag (x) ... (x) U_M^dag) v, and a kernel
+generator U E_q U^dag maps v to E_q w with every inner product kept.  The
+Cartan directions are diagonal there, so their block of G is the
+covariance of the Cartan charges under |w|^2 (``_charge_table``), with no
+rows at all; rows E_q w are written only for the pairs inside one block,
+and a generic state has none.
 
 This holds for any clustering at any tolerance: it splits only gaps that
 are nonzero, so its kernel K' contains ker Omega and with it ker T, and
@@ -46,13 +52,14 @@ RankUnstable instead of guessing (the refusal rule of ``measure.decide``).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import EnumerationTooLarge, Inconsistency, RankUnstable
-from .lie import _embedded_action, rep_action
+from .lie import rep_action
 from .measure import DEFAULT_CLUSTER_TOL, check_tolerance, decide
 from .moment import marginal_eigenbases, reduced_matrices
 from .states import (
@@ -61,7 +68,6 @@ from .states import (
     StateTensor,
     acting_dims,
     check_unit_norm,
-    embed,
 )
 
 if TYPE_CHECKING:
@@ -71,11 +77,13 @@ if TYPE_CHECKING:
 DEFAULT_RANK_TOL = 1e-8
 #: desk-scale guards on dim H and on the G generators of K: the metric's
 #: eigvalsh costs up to O(G^3), reached when every marginal is maximally
-#: mixed and all of k is ker Omega; the at most G kernel rows take
-#: G dim H entries, and the kernel directions U E_q U^dag, at most
-#: n^2 - 1 matrices of n^2 entries for a party of dim n, G (G + 1) in all
+#: mixed and all of k is ker Omega; the charge table and the pair rows
+#: each take fewer than G rows of dim H entries
 MAX_HILBERT_DIM = 4096
 MAX_GENERATORS = 256
+#: the oracle's rotation into the marginals' eigenbases fuses adjacent
+#: slots into one product while their dims multiply to at most this
+FUSED_DIM = 8
 #: the two evaluations of omega must agree this tightly
 OMEGA_CHECK_TOL = 1e-10
 
@@ -97,65 +105,50 @@ def _stable_rank(values, rel_tol: float, what: str) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _eigen_directions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """su(n) in eigen coordinates, read-only: its n^2 - 1 directions E_q are
-    the n - 1 Cartan directions i(E_aa - E_{a+1,a+1}), then E_ij - E_ji and
-    i(E_ij + E_ji) for each pair i < j in turn.  Returns the pairs, as
-    arrays i and j, and for each direction the flat index i n + j of the
-    eigenvalue pair that decides whether it lies in ker Omega, 0 (one
-    eigenvalue with itself) for the Cartan ones."""
+def _eigen_directions(n: int):
+    """su(n) in eigen coordinates, read-only: its n^2 - 1 directions E_q,
+    (n^2 - 1, n, n), are the n - 1 Cartan directions
+    i(E_aa - E_{a+1,a+1}), then E_ij - E_ji and i(E_ij + E_ji) for each
+    pair i < j in turn, the order of ``lie.su_basis``.  Returns them with,
+    for each direction, the flat index i n + j of the eigenvalue pair that
+    decides whether it lies in ker Omega, 0 (one eigenvalue with itself)
+    for the Cartan ones; and, for the pair directions alone, E_q as a
+    gather: (E_q x)_a = weight[q, a] x[source[q, a]], since each E_q has
+    two nonzero entries, (i, j) and (j, i), so one per row or none."""
     i, j = np.triu_indices(n, 1)
     decided_by = np.concatenate([np.zeros(n - 1, dtype=np.intp), (i * n + j).repeat(2)])
-    for table in (i, j, decided_by):
+    directions = np.zeros((n * n - 1, n, n), dtype=complex)
+    a = np.arange(n - 1)
+    directions[a, a, a], directions[a, a + 1, a + 1] = 1j, -1j
+    q = n - 1 + 2 * np.arange(i.size)
+    directions[q, i, j], directions[q, j, i] = 1, -1
+    directions[q + 1, i, j] = directions[q + 1, j, i] = 1j
+    pairs = directions[n - 1:]
+    source = np.abs(pairs).argmax(axis=-1)
+    weight = np.take_along_axis(pairs, source[..., None], axis=-1)[..., 0]
+    for table in (directions, decided_by, source, weight):
         table.setflags(write=False)
-    return i, j, decided_by
+    return directions, decided_by, (source, weight)
 
 
-def _rotated_directions(evecs: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """U E_q U^dag for the Cartan directions and those of the pairs (i, j),
-    in the order of ``_eigen_directions``: (..., J, n, n) for (..., n, n)
-    eigenvectors, J = n - 1 + 2 len(i).  U = conj(evecs) has the
-    eigenvectors u_a as columns.  E_q has two nonzero entries, so U E_q
-    U^dag is i(u_a u_a^dag - u_{a+1} u_{a+1}^dag), or x - x^dag and
-    i(x + x^dag) for x = u_i u_j^dag: outer products of the u_a, formed for
-    all directions at once without a matrix product (on a stack, those
-    would be one tiny product per state, party and direction)."""
-    n = evecs.shape[-1]
-    u = evecs.conj().swapaxes(-1, -2)  # row a is u_a
-    v = evecs.swapaxes(-1, -2)  # row a is conj(u_a)
-    x = np.empty((*u.shape[:-2], n - 1 + 2 * i.size, n, n), dtype=complex)
-    proj = u[..., :, None] * v[..., None, :]  # u_a u_a^dag
-    cartan = x[..., :n - 1, :, :]
-    np.subtract(proj[..., :-1, :, :], proj[..., 1:, :, :], out=cartan)
-    cartan *= 1j
-    outer = u[..., i, :, None] * v[..., j, None, :]  # u_i u_j^dag
-    adjoint = outer.conj().swapaxes(-1, -2)
-    np.subtract(outer, adjoint, out=x[..., n - 1::2, :, :])
-    symmetric = x[..., n::2, :, :]
-    np.add(outer, adjoint, out=symmetric)
-    symmetric *= 1j
-    return x
-
-
-def _orbit_metric(stack: StateStack, rows: np.ndarray) -> np.ndarray:
-    """G = Re<R_i|R_j> - alpha_i alpha_j for each state, (B, J, J), on the
-    images R_j = X_j v, given as (B, J, dim H) rows.
-
-    Re<x|y> is the dot product of the real views of x and y, so one real
-    product of the rows' float view with itself gives Re<R_i|R_j>: a plain
-    2-d product (a symmetric rank update) for one state.  alpha_j =
-    Im<v|R_j> = Re<i v|R_j> is one matrix-vector product of the same view
-    with that of i v, and the moment-map term is taken off in place.
-    """
-    real = rows.view(float)
-    phase = (1j * stack.coeffs.reshape(len(stack), -1)).view(float)
-    alpha = real @ phase[..., None]
-    if len(stack) == 1:
-        gram = (real[0] @ real[0].T)[None]
-    else:
-        gram = real @ real.swapaxes(-1, -2)
-    gram -= alpha * alpha.swapaxes(-1, -2)
-    return gram
+@functools.lru_cache(maxsize=64)
+def _charge_table(dims: tuple[int, ...], symmetry: str) -> np.ndarray:
+    """The Cartan charges of every basis state, read-only, (C + 1, dim H)
+    for C = sum_k (N_k - 1) over the factors of K: row a of factor k holds
+    h_a(x) = [x_k = a] - [x_k = a + 1], the eigenvalue of the Cartan
+    direction i(E_aa - E_{a+1,a+1}) of ``_eigen_directions`` divided by i,
+    summed over every slot for indistinguishable particles.  A last row of
+    ones lets the product that weighs the charges also sum the weights."""
+    index = np.indices(dims).reshape(len(dims), -1)
+    rows = []
+    for k, n in enumerate(acting_dims(dims, symmetry)):
+        slots = index[[k]] if symmetry == DISTINGUISHABLE else index
+        occupation = (slots[:, None, :] == np.arange(n)[:, None]).sum(axis=0)
+        rows.append(occupation[:-1] - occupation[1:])
+    rows.append(np.ones((1, index.shape[1]), dtype=int))
+    table = np.concatenate(rows).astype(float)
+    table.setflags(write=False)
+    return table
 
 
 @functools.lru_cache(maxsize=None)
@@ -166,59 +159,161 @@ def _kernel_mask(profile: tuple[int, tuple[int, ...]]) -> np.ndarray:
     one block, the kernel block included.  Read-only, (n^2 - 1,)."""
     kernel, multiplicities = profile
     labels = np.repeat(np.arange(len(multiplicities) + 1), multiplicities + (kernel,))
-    mask = (labels[:, None] == labels).ravel()[_eigen_directions(labels.size)[2]]
+    mask = (labels[:, None] == labels).ravel()[_eigen_directions(labels.size)[1]]
     mask.setflags(write=False)
     return mask
 
 
-def _kernel_rows(stack: StateStack, eigenbases):
-    """s for each state, and the images X_j v of generators X_j that span
-    ker Omega, as (B, J, dim H) rows, from ``moment.marginal_eigenbases``
-    of the stack's reduced matrices.
+@functools.lru_cache(maxsize=64)
+def _pair_gather(dims: tuple[int, ...], symmetry: str) -> np.ndarray:
+    """Every pair direction E_q of every factor of K, factor by factor, as
+    one gather, read-only: (J, S, dim H) indices into the source
+    [w, -w, i w, 0] of length 3 dim H + 1, such that E_q w is the sum over
+    the S slots of the source at them.  S is one for distinguishable
+    parties and every slot otherwise.  E_q w puts w's slice j, weighted
+    1, -1 or i, at slice i of the slot's axis, its slice i at slice j, and
+    the final 0 elsewhere: one ``take`` where a product with E_q would
+    run tiny strided loops on the later slots of a many-qubit state."""
+    digits = np.indices(dims).reshape(len(dims), -1)
+    total = digits.shape[1]
+    strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
+    tables = []
+    for k, n in enumerate(acting_dims(dims, symmetry)):
+        source, weight = _eigen_directions(n)[2]
+        per_slot = []
+        for slot in ([k] if symmetry == DISTINGUISHABLE else range(len(dims))):
+            d = digits[slot]
+            moved = np.arange(total) + (source[:, d] - d) * strides[slot]  # (J, dim H)
+            segment = np.select([weight[:, d] == 1, weight[:, d] == -1], [0, 1], 2)
+            per_slot.append(np.where(weight[:, d] == 0, 3 * total, segment * total + moved))
+        tables.append(np.stack(per_slot, axis=1))
+    table = np.concatenate(tables)
+    table.setflags(write=False)
+    return table
+
+
+def _rotate(stack: StateStack, turns) -> np.ndarray:
+    """w = (U_1^dag (x) ... (x) U_M^dag) v for each state, (B, dim H), with
+    U_k^dag = evecs_k^T for the (B, N_k, N_k) eigenvectors ``turns[k]``.
+
+    One product per run of adjacent slots whose dims multiply to at most
+    FUSED_DIM, with the Kronecker product of their eigenvectors: BLAS
+    handles a product with 2 x 2 matrices poorly, and twelve qubits take
+    four products instead of twelve.  Each product contracts the leading
+    axes of the (B, n, rest) view, read transposed, and leaves the new
+    index last, so after the last run the party axes are back in order,
+    with no copy between the products.
+    """
+    count, w = len(stack), stack.coeffs
+    runs, size = [], FUSED_DIM + 1
+    for n, evecs in zip(stack.dims, turns):
+        if size * n > FUSED_DIM:
+            runs.append(evecs)
+            size = n
+        else:
+            last = runs[-1]
+            runs[-1] = (last[:, :, None, :, None] * evecs[:, None, :, None, :]).reshape(
+                count, size * n, size * n)
+            size *= n
+    for evecs in runs:
+        w = w.reshape(count, evecs.shape[-1], -1).swapaxes(-1, -2) @ evecs
+    return w.reshape(count, -1)
+
+
+def _pair_rows(w: np.ndarray, dims, symmetry, chosen, keep) -> np.ndarray:
+    """The rows R = E_q w, (B, J, dim H), of the pair directions ``chosen``
+    (indices into ``_pair_gather``), by one ``take`` from the stacked
+    [w, -w, i w, 0]; for indistinguishable particles the slots add up.
+    ``keep``, (B, J), zeroes a direction in a state that does not keep it."""
+    table = _pair_gather(dims, symmetry)
+    count, total = w.shape
+    source = np.empty((count, 3 * total + 1), dtype=complex)
+    source[:, :total] = w
+    np.negative(w, out=source[:, total:2 * total])
+    np.multiply(w, 1j, out=source[:, 2 * total:3 * total])
+    source[:, -1] = 0
+    rows = source.take(table[chosen], axis=1)  # (B, J, S, dim H)
+    rows = rows[:, :, 0] if rows.shape[2] == 1 else rows.sum(axis=2)
+    if not keep.all():
+        rows *= keep[..., None]
+    return rows
+
+
+def _kernel_metric(stack: StateStack, eigenbases):
+    """s for each state, and the metric G on generators X_j that span
+    ker Omega, (B, J, J), from ``moment.marginal_eigenbases`` of the
+    stack's reduced matrices.
 
     The clustering decides which eigenvalues are equal (``_kernel_mask``),
     and s counts the directions across blocks.  The reduced matrix is
-    C^k = conj(rho_k), so the u_i are the conjugates of its eigenvectors;
-    indistinguishable particles have one factor acting on every slot, whose
-    marginal, eigenbasis and clustering are those of the first slot.
+    C^k = conj(rho_k), so the eigenvectors of rho_k are the columns of
+    U_k = conj(evecs_k); indistinguishable particles have one factor acting
+    on every slot, whose marginal, eigenbasis and clustering are those of
+    the first slot.
 
-    The kernel directions of one factor dim are built at once, as
-    U E_q U^dag for the selected q of every party and state.  A party keeps
-    the pairs inside one block in any state of the stack; a state whose own
-    pair straddles two blocks gets zero blocks there, whose zero images add
-    only zero eigenvalues to the metric.  Each party's images are then
-    written by one contraction per acting slot into one preallocated array.
+    The kernel generators are X = U_k E_q U_k^dag for the directions E_q of
+    ``_eigen_directions``.  The state is rotated once into the eigenbases,
+    w = (U_1^dag (x) ... (x) U_M^dag) v (``_rotate``), and X v maps to
+    R = E_q w, a unitary change that keeps every inner product.  The Cartan
+    directions act diagonally, R = i h w with the charges h of
+    ``_charge_table``, so their block of G is the covariance of the charges
+    under p = |w|^2, (H p) H^T - a a^T with a = H p, and needs no rows.
+    Rows R = E_q w are written only for the pairs inside one block
+    (``_pair_rows``): the pair block is Re<R_i|R_j> - alpha_i alpha_j,
+    one real product of the rows' float view, and the cross block
+    H Im(conj(w) R)^T - a alpha^T, whose last column, from the table's row
+    of ones, is alpha = Im sum conj(w) R.  A generic state has no pair
+    rows at all.  A party keeps the pairs inside one block in any state of
+    the stack; a state whose own pair straddles two blocks gets a zero row
+    there, which adds only a zero eigenvalue to the metric.
     """
     vectors, clusterings = eigenbases
-    group = acting_dims(stack.dims, stack.symmetry)
-    symplectic = np.zeros(len(stack), dtype=int)
-    blocks = []
+    count, dims, symmetry = len(stack), stack.dims, stack.symmetry
+    group = acting_dims(dims, symmetry)
+    symplectic = np.zeros(count, dtype=int)
+    turns, chosen, blocks = [None] * len(group), [], []
+    # where each factor's pair directions start in ``_pair_gather``
+    offsets = np.cumsum([0, *(n * (n - 1) for n in group)]).tolist()
     for n in dict.fromkeys(group):
         parties = [k for k, m in enumerate(group) if m == n]
-        i, j, _ = _eigen_directions(n)
         keep = np.array([[_kernel_mask(c[k].profile()) for k in parties]
                          for c in clusterings])  # (B, P, n^2 - 1)
         symplectic += (~keep).sum(axis=(1, 2))
-        union = keep.any(axis=(0, 1))  # Cartan always kept
-        pairs = union[n - 1::2]
-        evecs = vectors[n].reshape(len(stack), -1, n, n)[:, :len(parties)]
-        x = _rotated_directions(evecs, i[pairs], j[pairs])  # (B, P, J, n, n)
-        keep = keep[..., union]
-        if keep.all():
-            blocks += [(party, x[:, p]) for p, party in enumerate(parties)]
-            continue
-        x *= keep[..., None, None]
-        own = keep.any(axis=0)  # (P, J): what each party keeps in some state
-        for p, (party, full) in enumerate(zip(parties, own.all(axis=-1).tolist())):
-            blocks.append((party, x[:, p] if full else x[:, p, own[p]]))
-    rows = np.empty((len(stack), sum(x.shape[1] for _, x in blocks), stack.total_dim),
-                    dtype=complex)
-    start = 0
-    for party, x in blocks:
-        out = rows[:, start:start + x.shape[1]].reshape(*x.shape[:2], *stack.dims)
-        _embedded_action(embed(x, party, stack.parties, stack.symmetry), stack.coeffs, out)
-        start += x.shape[1]
-    return symplectic.tolist(), rows
+        evecs = vectors[n].reshape(count, -1, n, n)
+        for p, party in enumerate(parties):
+            turns[party] = evecs[:, p]
+        pairs = keep[..., n - 1:]
+        own = pairs.any(axis=0)  # (P, pairs): what each party keeps in some state
+        for p in np.flatnonzero(own.any(axis=1)).tolist():
+            chosen.append(offsets[parties[p]] + np.flatnonzero(own[p]))
+            blocks.append(pairs[:, p, own[p]])
+    if symmetry != DISTINGUISHABLE:
+        turns = turns * stack.parties
+    w = _rotate(stack, turns)
+    charges = _charge_table(dims, symmetry)  # (C + 1, dim H), ones last
+    cartan = len(charges) - 1
+    prob = w.real ** 2 + w.imag ** 2
+    weighed = (charges * prob[:, None]) @ charges.T  # (B, C + 1, C + 1)
+    if not blocks:
+        gram, alpha = weighed[:, :cartan, :cartan], weighed[:, :cartan, cartan]
+    else:
+        rows = _pair_rows(w, dims, symmetry, np.concatenate(chosen),
+                          np.concatenate(blocks, axis=1))
+        size = cartan + rows.shape[1]
+        gram = np.empty((count, size, size))
+        gram[:, :cartan, :cartan] = weighed[:, :cartan, :cartan]
+        real = rows.view(float)
+        if count == 1:
+            gram[0, cartan:, cartan:] = real[0] @ real[0].T
+        else:
+            np.matmul(real, real.swapaxes(-1, -2), out=gram[:, cartan:, cartan:])
+        rows *= w.conj()[:, None]  # conj(w) R, in place
+        cross = np.ascontiguousarray(rows.imag) @ charges.T  # (B, J, C + 1)
+        gram[:, cartan:, :cartan] = cross[..., :cartan]
+        gram[:, :cartan, cartan:] = cross[..., :cartan].swapaxes(-1, -2)
+        alpha = np.concatenate([weighed[:, :cartan, cartan], cross[..., cartan]], axis=1)
+    gram -= alpha[:, :, None] * alpha[:, None, :]
+    return symplectic.tolist(), gram
 
 
 @dataclass(frozen=True)
@@ -249,21 +344,27 @@ def degeneracy_rank(state: StateTensor | StateStack,
     matrices rho_k: the count of ordered pairs of eigenvalues of the rho_k
     that the clustering puts in different blocks, the coadjoint formula.
     The eigenvectors U of the same ``eigh`` give a basis X_j = U E_q U^dag
-    of ker Omega, whose images X_j v are written with no ``rep_action``
-    call (``_kernel_rows``).  Since ker T lies inside ker Omega, r = s + D,
-    where D is the rank of the metric G on the X_j (``_orbit_metric``),
-    read off its eigenvalues at ``rank_tol``: the one cut the rank
-    tolerance makes.  No SVD is taken and no su(N) basis built.
+    of ker Omega.  Since ker T lies inside ker Omega, r = s + D, where D is
+    the rank of the metric G on the X_j, read off its eigenvalues at
+    ``rank_tol``: the one cut the rank tolerance makes.  G is read in the
+    eigenbases (``_kernel_metric``): the state is rotated once, the Cartan
+    block is the covariance of the Cartan charges under |w|^2, and rows
+    are written only for the pairs inside one block.  No SVD is taken, no
+    su(N) basis built and no ``rep_action`` called.
 
     A StateTensor gives one DegeneracyRank.  A StateStack gives a list with
-    one per state: the kernel rows, the metric, its spectrum and the rank
+    one per state: the rotation, the metric, its spectrum and the rank
     cut run once over the stack, and a refusal of any state raises for the
     whole stack.  ``eigenbases`` is ``moment.marginal_eigenbases`` of the
     input's reduced matrices, for a caller that already holds them; by
     default they are computed here, clustered at DEFAULT_CLUSTER_TOL, so
     an undecidable spectrum raises AmbiguousClustering.  The two size
-    guards and then the unit-norm check (NotNormalized, NaN included) run
-    before any marginal is read or any arithmetic on the coefficients.
+    guards run first.  A bare call then checks the unit norm
+    (NotNormalized, NaN included) before any marginal is read or any
+    arithmetic on the coefficients.  Given eigenbases, the norms were read
+    off their eigenvalue sums, the traces of the marginals, which their
+    clustering refuses unless they sum to one, so no further pass over the
+    coefficients is made.
     """
     check_tolerance(rank_tol, "rank")
     if state.total_dim > MAX_HILBERT_DIM:
@@ -274,13 +375,13 @@ def degeneracy_rank(state: StateTensor | StateStack,
     if count > MAX_GENERATORS:
         raise EnumerationTooLarge(
             f"{count} generators exceed the oracle guard {MAX_GENERATORS}")
-    check_unit_norm(state, "degeneracy_rank")
     stack = state if isinstance(state, StateStack) else StateStack.of([state])
     if eigenbases is None:
+        check_unit_norm(state, "degeneracy_rank")
         eigenbases = marginal_eigenbases(reduced_matrices(stack))
-    symplectic, rows = _kernel_rows(stack, eigenbases)
-    degeneracy = _stable_rank(np.linalg.eigvalsh(_orbit_metric(stack, rows)),
-                              rank_tol, "orbit Gram matrix").tolist()
+    symplectic, gram = _kernel_metric(stack, eigenbases)
+    degeneracy = _stable_rank(np.linalg.eigvalsh(gram), rank_tol,
+                              "orbit Gram matrix").tolist()
     ranks = [DegeneracyRank(s + d, s, d) for s, d in zip(symplectic, degeneracy)]
     return ranks if stack is state else ranks[0]
 

@@ -108,11 +108,13 @@ def _boson_separable(convention, clustering, degeneracy, parties):
 def _stack_length(dims: tuple[int, ...], symmetry: str) -> int:
     """How many states of this class one chunk holds: that many times
     16 G max(G, dim H) bytes, for G generators of the acting group, stays
-    within STACK_BYTES.  The oracle's largest per-state arrays are its
-    complex kernel rows, at most G of them, at most 16 G dim H bytes, and
-    the metric on them, at most 8 G^2 bytes; its kernel block, the
-    matrices U E_q U^dag of the J kernel directions of a party of dim N_k,
-    is J N_k^2 complex entries per party, at most 16 G (G + 1) bytes."""
+    within STACK_BYTES.  That bound covers each of the oracle's
+    per-state arrays: the rotated state and its weights, a few dim H
+    entries; the charge-weighted floats, at most 8 G dim H bytes for the
+    fewer than G Cartan charges; the pair rows, fewer than G complex rows
+    of length dim H, at most 16 G dim H bytes (the later slots of
+    indistinguishable particles add a temporary as large); and the metric,
+    at most 8 G^2 bytes.  The charge tables are per class, not per state."""
     g = sum(n * n - 1 for n in acting_dims(dims, symmetry))
     return max(1, STACK_BYTES // (16 * g * max(g, math.prod(dims))))
 
@@ -188,6 +190,7 @@ def _analyze_chunk(chunk, cluster_tol, rank_tol, oracle, boson_convention):
     try:
         stack = StateStack.of(chunk)
         reduced = reduced_matrices(stack)
+        reduced.check_unit_norm("analyze_state")
         route = _route(stack)
         if oracle != ORACLE_OFF or route == ROUTE_ORACLE:
             # one eigh per party dim gives the spectra and the oracle's bases
@@ -251,13 +254,16 @@ def _report(state, clusterings, rank, route, oracle, boson_convention):
     )
     if rank is None:
         return report
-    changes = {"consistency": check_consistency(report, state)}
+    # the record compares the formulas of this report, and is attached
+    # before the report leaves here
+    record = check_consistency(report, state)
     if oracle == ORACLE_ONLY:
-        changes.update(orbit_dim=rank.orbit_dim,
+        return replace(report, orbit_dim=rank.orbit_dim,
                        coadjoint_dim=rank.symplectic_rank,
                        degeneracy=rank.degeneracy,
-                       route=ROUTE_ORACLE_ONLY)
-    return replace(report, **changes)
+                       route=ROUTE_ORACLE_ONLY, consistency=record)
+    object.__setattr__(report, "consistency", record)
+    return report
 
 
 @dataclass(frozen=True)

@@ -104,8 +104,15 @@ class StateStack:
         if any(s.dims != first.dims or s.symmetry != first.symmetry
                for s in states):
             raise DimensionMismatch("stacked states must share dims and symmetry")
-        return cls(first.dims, np.array([s.coeffs for s in states]),
-                   first.symmetry)
+        # the states were validated and hold read-only complex copies of
+        # the right shape, so one fresh stacked copy needs no second one
+        stack = object.__new__(cls)
+        coeffs = np.array([s.coeffs for s in states])
+        coeffs.setflags(write=False)
+        for name, value in (("dims", first.dims), ("coeffs", coeffs),
+                            ("symmetry", first.symmetry)):
+            object.__setattr__(stack, name, value)
+        return stack
 
     @property
     def parties(self) -> int:

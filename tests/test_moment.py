@@ -1,6 +1,7 @@
 """Reduced matrices, their eigenbases, Schmidt data, canonical forms."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -413,3 +414,22 @@ def test_canonical_form_refuses_with_the_first_refused_party(dims):
     with pytest.raises(AmbiguousClustering) as refusal:
         canonical_form(state)
     assert str(refusal.value) == messages[0]
+
+
+@pytest.mark.parametrize("coeffs", [
+    np.full((2, 2, 2), np.nan), np.full((2, 2, 2), np.inf),
+    np.full((2, 2, 2), 0.5)], ids=["nan", "inf", "norm-sqrt2"])
+def test_canonical_form_reads_the_norm_off_the_traces(monkeypatch, coeffs):
+    """Off the two-party route the norm comes from the traces of the
+    reduced matrices that the eigenbases need anyway, with no separate
+    pass over the coefficients and no floating-point warning."""
+    def unreached(*args, **kwargs):
+        raise AssertionError("a separate pass over the coefficients")
+
+    monkeypatch.setattr("orbitent.moment.check_unit_norm", unreached)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotNormalized, match="canonical_form"):
+            canonical_form(StateTensor((2, 2, 2), coeffs))
+        canon, _ = canonical_form(ghz_state())
+    assert abs(canon.norm - 1.0) < 1e-12

@@ -28,10 +28,10 @@ from orbitent import (
 from orbitent.moment import marginal_eigenbases, reduced_matrices
 from orbitent.oracle import (
     DEFAULT_RANK_TOL,
+    _charge_table,
     _eigen_directions,
-    _kernel_rows,
-    _orbit_metric,
-    _rotated_directions,
+    _kernel_mask,
+    _kernel_metric,
     _stable_rank,
 )
 from orbitent.states import acting_dims, embed
@@ -527,20 +527,37 @@ def test_metric_rows_span_only_the_kernel_of_omega(monkeypatch, state, count):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_rotated_directions_are_the_su_basis_in_eigen_coordinates(n):
-    """U E_q U^dag, U = conj(evecs), for the directions E_q of ``su_basis``
-    in its order: all of them, the Cartan ones alone, and the Cartan ones
-    with every other pair."""
+    """The constant directions E_q are the ``su_basis`` of su(n) in its
+    order, so U E_q U^dag, U = conj(evecs), is that basis moved into any
+    eigenbasis and back; and the charge table holds the eigenvalue of each
+    Cartan generator on every basis state, divided by i: per party for
+    distinguishable parties, summed over the slots otherwise."""
     rng = np.random.default_rng(n)
     evecs = np.linalg.qr(rng.standard_normal((2, n, n))
                          + 1j * rng.standard_normal((2, n, n)))[0]
     basis = np.array([el.matrix for el in su_basis((n,)).elements])
-    expected = evecs.conj()[:, None] @ basis @ evecs.swapaxes(-1, -2)[:, None]
-    i, j, decided_by = _eigen_directions(n)
-    assert np.array_equal(decided_by[n - 1:], np.repeat(i * n + j, 2))
-    for pairs in (np.arange(i.size), np.arange(0), np.arange(0, i.size, 2)):
-        rows = np.concatenate([np.arange(n - 1), (n - 1 + 2 * pairs[:, None] + [0, 1]).ravel()])
-        x = _rotated_directions(evecs, i[pairs], j[pairs])
-        assert np.allclose(x, expected[:, rows], rtol=0, atol=1e-14)
+    directions, decided_by, (source, weight) = _eigen_directions(n)
+    i, j = np.triu_indices(n, 1)
+    assert np.array_equal(decided_by, np.concatenate([np.zeros(n - 1), np.repeat(i * n + j, 2)]))
+    assert np.array_equal(directions, basis)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert np.array_equal(weight * x[source], directions[n - 1:] @ x)
+    rotated = evecs.conj()[:, None] @ directions @ evecs.swapaxes(-1, -2)[:, None]
+    back = evecs.swapaxes(-1, -2)[:, None] @ rotated @ evecs.conj()[:, None]
+    assert np.allclose(back, basis, rtol=0, atol=1e-14)
+    for dims, symmetry in [((n,), DISTINGUISHABLE), ((2, n, 3), DISTINGUISHABLE),
+                           ((n, n), BOSONIC), ((n,) * 3, BOSONIC)]:
+        group = acting_dims(dims, symmetry)
+        cartan = [mats for mats, el in zip(all_generators(StateTensor(dims, np.ones(dims),
+                                                                      symmetry)),
+                                           su_basis(group).elements)
+                  if ".iH" in el.label]
+        ones = np.ones(dims, dtype=complex)
+        expected = np.array([rep_action(mats, ones).reshape(-1) / 1j for mats in cartan])
+        table = _charge_table(dims, symmetry)
+        assert np.array_equal(table[:-1], expected.real)
+        assert np.array_equal(table[-1], np.ones(ones.size))
+        assert not expected.imag.any()
 
 
 def _factor_offsets(dims):
@@ -659,19 +676,54 @@ def diagonal_marginal_state(dims, symmetry):
     return build_state(coeffs, symmetry)
 
 
+def kernel_coordinates(stack, eigenbases):
+    """The kernel generators X_j = U E_q U^dag of ``_kernel_metric``, in its
+    order, as real coordinates on the basis generators of ``all_rows``:
+    (B, J, G).  The Cartan directions of every factor come first, then, per
+    party with parties grouped by dim, the pairs inside one block in any
+    state of the stack; a state whose own pair straddles two blocks gets a
+    zero row there."""
+    vectors, clusterings = eigenbases
+    group = acting_dims(stack.dims, stack.symmetry)
+    offsets = _factor_offsets(group)
+    cartan, pairs = [], []
+    for n in dict.fromkeys(group):
+        parties = [k for k, m in enumerate(group) if m == n]
+        basis = np.array([el.matrix for el in su_basis((n,)).elements])
+        flat = np.concatenate([basis.real, basis.imag], axis=1).reshape(len(basis), -1)
+        keep = np.array([[_kernel_mask(c[k].profile()) for k in parties]
+                         for c in clusterings])
+        own = keep.any(axis=0)
+        for p, k in enumerate(parties):
+            u = vectors[n].reshape(len(stack), -1, n, n)[:, p].conj()
+            x = u[:, None] @ basis @ u.conj().swapaxes(-1, -2)[:, None]
+            flat_x = np.concatenate([x.real, x.imag], axis=2).reshape(*x.shape[:2], -1)
+            local = np.linalg.lstsq(flat.T, flat_x.reshape(-1, flat.shape[1]).T,
+                                    rcond=None)[0].T.reshape(*x.shape[:2], len(basis))
+            local *= keep[:, p, :, None]
+            coords = np.zeros((len(stack), len(basis), offsets[-1][1]))
+            coords[..., offsets[k][0]:offsets[k][1]] = local
+            cartan.append((k, coords[:, :n - 1]))
+            pairs.append(coords[:, n - 1:][:, own[p, n - 1:]])
+    cartan = [c for _, c in sorted(cartan, key=lambda item: item[0])]
+    return np.concatenate(cartan + pairs, axis=1)
+
+
 @pytest.mark.parametrize("dims, symmetry, count", [
     ((3, 5), DISTINGUISHABLE, 1), ((2, 3, 2), DISTINGUISHABLE, 1),
     ((3, 3, 3), BOSONIC, 1), ((4, 4), FERMIONIC, 1),
     ((2, 2, 2), DISTINGUISHABLE, 5)])
 def test_kks_forms_and_real_view_metric_equal_the_overlap(dims, symmetry, count):
-    """The oracle's two forms against the complex overlap O = conj(R) R^T
-    of the generator rows: the real-view metric is sym(Re O) - alpha
-    alpha^T; every kernel generator X pairs to zero with each basis
-    generator A_a under Omega = antisym(-Im O); and where the marginals are
-    diagonal, Omega's block on factor k has the singular values
-    M_k |lambda_i - lambda_j| of the pairs i < j, each twice, and the N_k - 1
-    zeros of the Cartan directions, with M_k = M for indistinguishable
-    particles."""
+    """The oracle's metric against the complex overlap O = conj(R) R^T of
+    the generator rows: on the kernel generators X_j, with real coordinates
+    C on the basis generators, it is C (sym(Re O) - alpha alpha^T) C^T;
+    every kernel generator pairs to zero with each basis generator under
+    Omega = antisym(-Im O), and s is the rank of Omega; and where the
+    marginals are diagonal, Omega's block on factor k has the singular
+    values M_k |lambda_i - lambda_j| of the pairs i < j, each twice, and
+    the N_k - 1 zeros of the Cartan directions, with M_k = M for
+    indistinguishable particles.  The 5 kernel of (3, 5) and the paired
+    spectrum of two fermions give pair rows."""
     rng = np.random.default_rng(53)
     stack = StateStack.of([random_state(dims, symmetry, rng=rng)
                            for _ in range(count)])
@@ -682,12 +734,15 @@ def test_kks_forms_and_real_view_metric_equal_the_overlap(dims, symmetry, count)
 
     gram = (overlap.real + overlap.real.swapaxes(-1, -2)) / 2.0
     gram -= alpha * alpha.swapaxes(-1, -2)
-    assert np.abs(_orbit_metric(stack, rows) - gram).max() <= 1e-14 * scale
+    eigenbases = marginal_eigenbases(reduced_matrices(stack))
+    coords = kernel_coordinates(stack, eigenbases)
+    symplectic, metric = _kernel_metric(stack, eigenbases)
+    assert np.abs(metric - coords @ gram @ coords.swapaxes(-1, -2)).max() <= 1e-14 * scale
+    if symmetry == FERMIONIC or dims == (3, 5):
+        assert metric.shape[-1] > sum(n - 1 for n in acting_dims(dims, symmetry))
 
-    symplectic, kernel = _kernel_rows(stack, marginal_eigenbases(reduced_matrices(stack)))
-    pairing = kernel.conj() @ rows.swapaxes(-1, -2)
-    assert np.abs(pairing.imag).max() <= 1e-14 * scale
     omega = (overlap.imag.swapaxes(-1, -2) - overlap.imag) / 2.0
+    assert np.abs(coords @ omega).max() <= 1e-14 * scale
     assert symplectic == [np.linalg.matrix_rank(w, tol=1e-8 * scale) for w in omega]
 
     state = diagonal_marginal_state(dims, symmetry)
@@ -725,3 +780,38 @@ def test_degeneracy_rank_reuses_the_eigenbases_it_is_given(monkeypatch):
     monkeypatch.setattr("orbitent.oracle.np.linalg.eigh", refuse)
     assert [r.as_tuple() for r in degeneracy_rank(stack, eigenbases=eigenbases)] == expected
     assert degeneracy_rank(near, eigenbases=coarse).as_tuple() == (12, 8, 4)
+
+
+def named_states():
+    """The named strata where the charge covariance and the pair rows meet,
+    as (name, state, (r, s, D)), up to eight parties."""
+    table = []
+    for m in (3, 4, 6, 8):
+        table.append((f"ghz-{m}", build_state(_basis_tensor((2,) * m, (0,) * m, (1,) * m)),
+                      (2 * m + 1, 0, 2 * m + 1)))
+        ones = [tuple(int(j == i) for j in range(m)) for i in range(m)]
+        table.append((f"w-{m}", build_state(_basis_tensor((2,) * m, *ones)),
+                      (3 * m - 1, 2 * m, m - 1)))
+    cluster = _basis_tensor((2,) * 4, (0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0))
+    cluster[1, 1, 1, 1] = -1
+    bells = [(a, a, b, b) for a in (0, 1) for b in (0, 1)]
+    return table + [
+        ("cluster-4", build_state(cluster), (10, 0, 10)),
+        ("bell-x-bell", build_state(_basis_tensor((2,) * 4, *bells)), (6, 0, 6)),
+        ("ghz-3-in-333", build_state(_basis_tensor((3, 3, 3), (0, 0, 0), (1, 1, 1))),
+         (19, 12, 7)),
+        ("dicke-112", symmetrize(_basis_tensor((3, 3, 3), (0, 0, 1)), BOSONIC), (6, 6, 0)),
+        ("slater-12", symmetrize(_basis_tensor((3, 3), (0, 1)), FERMIONIC), (4, 4, 0)),
+    ]
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in named_states()])
+def test_named_states_after_a_local_unitary(name):
+    """Each named state after a random local SU (one block on every slot
+    for indistinguishable particles), alone and stacked with itself
+    unrotated."""
+    state, expected = {n: (s, e) for n, s, e in named_states()}[name][:2]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    moved = apply_local(state, random_local_unitaries(state.dims, state.symmetry, rng=rng))
+    assert degeneracy_rank(moved).as_tuple() == expected
+    assert [r.as_tuple() for r in degeneracy_rank(StateStack.of([moved, state]))] == [expected] * 2

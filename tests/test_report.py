@@ -1,6 +1,7 @@
 """Report assembly across symmetry classes and oracle modes."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -312,3 +313,38 @@ def test_check_consistency_runs_once_per_state(monkeypatch):
     assert len(calls) == 6
     assert all(seen is state for seen, state in zip(calls[1:], states))
     assert all(r.consistency.mode == "bounds" for r in reports)
+
+
+@pytest.mark.parametrize("coeffs", [
+    np.full((2, 3), np.nan), np.full((2, 2, 2), np.inf),
+    2 * np.array([[0, 1], [1, 0]]) / np.sqrt(2)],
+    ids=["nan-2x3", "inf-2x2x2", "bell-times-2"])
+@pytest.mark.parametrize("oracle", ["off", "verify"])
+def test_analyze_state_refuses_a_state_off_the_unit_sphere(coeffs, oracle):
+    """The raw constructor checks shapes only.  The norm is read off the
+    traces of the reduced matrices before any spectrum is taken, with no
+    floating-point warning: these once raised numpy's LinAlgError, a
+    matmul RuntimeWarning and "eigenvalues must lie in [0, 1]"."""
+    state = orbitent.StateTensor(coeffs.shape, coeffs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(orbitent.NotNormalized, match="analyze_state"):
+            analyze_state(state, oracle=oracle)
+        reports = analyze_states([bell_state(), state], oracle=oracle)
+        assert next(reports).degeneracy == 3
+        with pytest.raises(orbitent.NotNormalized):
+            next(reports)
+
+
+def test_the_oracle_route_reads_the_norm_once(monkeypatch):
+    """``analyze_state`` checks the norm on the traces and hands the
+    eigenbases to the oracle, which makes no pass of its own over the
+    coefficients; a bare ``degeneracy_rank`` still checks them first."""
+    def unreached(*args, **kwargs):
+        raise AssertionError("a second pass over the coefficients for the norm")
+
+    monkeypatch.setattr("orbitent.oracle.check_unit_norm", unreached)
+    state = random_state((2, 3, 2), rng=np.random.default_rng(35))
+    assert analyze_state(state, oracle="verify").oracle["consistent"]
+    with pytest.raises(AssertionError, match="second pass"):
+        orbitent.degeneracy_rank(state)
