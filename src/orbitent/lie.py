@@ -153,61 +153,43 @@ def sl2_triples(dims) -> tuple[Sl2Triple, ...]:
     return tuple(triples)
 
 
-def _embedded_action(mats, coeffs: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
+def _embedded_action(mats, coeffs: np.ndarray) -> np.ndarray:
     """Apply sum_k I (x) ... (x) A_k (x) ... (x) I to a coefficient tensor,
     or to each state of a stack: the parties are the trailing ``len(mats)``
-    axes, and any axes before them index states.  The acting blocks share
-    one shape: (N_k, N_k), or (*stack, J, N_k, N_k) for J generators per
-    state ((J, N_k, N_k) on a lone tensor), which gives one image per
-    generator, a result of shape (*stack, J, *dims).  ``out``, when given,
-    receives the result in place; its party axes must be contiguous, as in
-    a slice of a larger array along the generator axis.
+    axes, any axes before them index states, and each acting block is one
+    (N_k, N_k) matrix.
 
-    Party k sits on axis a (after the stack and generator axes) and acts
-    on the middle axis of the (pre, N_k, rest) view, pre =
-    prod(shape[:a]); a block's leading axes stay apart in front of that
-    view.  When the trailing side is empty (the last party) the view is a
-    matrix, and the action is one product on it.  When the leading side is
-    the shorter one, it is one matmul batched over it.  Otherwise it is one
-    product with the rows of axis a across the whole stack
-    (``states.party_rows``): the later qubits of a many-qubit state, or a
-    long stack, would else cost hundreds of tiny matmuls.  The first acting
-    slot writes the result and later ones add to it.  Every term is a
-    matmul, so integer inputs stay exact.
+    Party k sits on axis a and acts on the middle axis of the (pre, N_k,
+    rest) view, pre = prod(shape[:a]).  When the trailing side is empty
+    (the last party) the view is a matrix, and the action is one product
+    on it.  When the leading side is the shorter one, it is one matmul
+    batched over it.  Otherwise it is one product with the rows of axis a
+    across the whole stack (``states.party_rows``): the later qubits of a
+    many-qubit state, or a long stack, would else cost hundreds of tiny
+    matmuls.  The first acting slot writes the result and later ones add
+    to it.  Every term is a matmul, so integer inputs stay exact.
     """
     acting = [(k, m) for k, m in enumerate(mats) if m is not None]
     if not acting:
-        if out is None:
-            return np.zeros_like(coeffs)
-        out[...] = 0
-        return out
+        return np.zeros_like(coeffs)
     stacked = coeffs.ndim - len(mats)
-    block = acting[0][1]
-    batch = block.ndim - 2
-    if batch > stacked:  # a generator axis: each state meets J blocks
-        coeffs = coeffs.reshape(*coeffs.shape[:stacked], 1, *coeffs.shape[stacked:])
-        stacked += 1
-    if out is None:
-        out = np.empty((*block.shape[:batch], *coeffs.shape[batch:]),
-                       dtype=np.result_type(coeffs, *(m for _, m in acting)))
-    shape = out.shape
-    lead, coeffs_lead = shape[:batch], coeffs.shape[:batch]
+    shape = coeffs.shape
+    out = np.empty(shape, dtype=np.result_type(coeffs, *(m for _, m in acting)))
     for slot, (k, m) in enumerate(acting):
         axis = stacked + k
-        pre, n, post = (math.prod(shape[batch:axis]), shape[axis],
+        pre, n, post = (math.prod(shape[:axis]), shape[axis],
                         math.prod(shape[axis + 1:]))
-        target = out.reshape(*lead, pre, n, post)
+        target = out.reshape(pre, n, post)
         if post > 1 and pre > post:
-            product = m @ party_rows(coeffs, axis - batch, batch)
+            product = m @ party_rows(coeffs, axis)
             target = target.swapaxes(-3, -2)
             product = product.reshape(target.shape)
         else:
             if post == 1:
-                operands = coeffs.reshape(*coeffs_lead, pre, n), m.swapaxes(-1, -2)
+                operands = coeffs.reshape(pre, n), m.T
                 target = target[..., 0]
             else:
-                operands = m[..., None, :, :], coeffs.reshape(*coeffs_lead, pre, n, post)
+                operands = m[None], coeffs.reshape(pre, n, post)
             if slot == 0:
                 np.matmul(*operands, out=target)
                 continue

@@ -45,7 +45,7 @@ def decide(values: np.ndarray, cut, error: type, what: str) -> np.ndarray:
     ``cut`` is a number or an array that broadcasts against ``values``,
     such as one cut per row of a stack; the message names the smallest
     offending value and its own cut."""
-    near = (values > cut / AMBIGUITY_FACTOR) & (values < cut * AMBIGUITY_FACTOR)
+    near = _near_cut(values, cut)
     if near.any():
         offenders = values[near]
         at = int(offenders.argmin())
@@ -54,6 +54,12 @@ def decide(values: np.ndarray, cut, error: type, what: str) -> np.ndarray:
         raise error(f"{what} {offender:.3e} lies within a factor {AMBIGUITY_FACTOR:g} "
                     f"of the threshold {threshold:.3e}; adjust the tolerance")
     return values >= cut
+
+
+def _near_cut(values: np.ndarray, cut) -> np.ndarray:
+    """The mask of the values strictly within a factor AMBIGUITY_FACTOR of
+    the cut: the one place of the refusal window."""
+    return (values > cut / AMBIGUITY_FACTOR) & (values < cut * AMBIGUITY_FACTOR)
 
 
 @dataclass(frozen=True)
@@ -74,15 +80,25 @@ class SpectrumClustering:
     def __post_init__(self):
         if self.kernel_dim < 0:
             raise ValueError("kernel multiplicity cannot be negative")
-        multiplicities = tuple(m for _, m in self.blocks)
-        if any(m < 1 for m in multiplicities):
-            raise ValueError("block multiplicities must be >= 1")
-        values = [v for v, _ in self.blocks]
-        if any(a <= b for a, b in zip(values, values[1:])):
+        # one pass validates the blocks and sums their multiplicities; a
+        # bad multiplicity anywhere is reported ahead of a bad order
+        multiplicities = []
+        rank = square_sum = 0
+        ordered = True
+        previous = None
+        for value, m in self.blocks:
+            if m < 1:
+                raise ValueError("block multiplicities must be >= 1")
+            if previous is not None and previous <= value:
+                ordered = False
+            previous = value
+            multiplicities.append(m)
+            rank += m
+            square_sum += m * m
+        if not ordered:
             raise ValueError("block values must be strictly descending")
-        object.__setattr__(self, "multiplicities", multiplicities)
-        object.__setattr__(self, "positive_rank", sum(multiplicities))
-        object.__setattr__(self, "square_sum", sum(m * m for m in multiplicities))
+        vars(self).update(multiplicities=tuple(multiplicities), positive_rank=rank,
+                          square_sum=square_sum)
 
     @property
     def size(self) -> int:
@@ -142,11 +158,18 @@ def _cluster_rows(rows: np.ndarray, tol: float) -> tuple[SpectrumClustering, ...
     # descending and contiguous, so a block's mean sums in descending order
     svals = -np.sort(-np.maximum(rows, 0.0), axis=1)
     eff = tol * svals[:, :1]
-    # the gaps include the one between the last positive and first kernel value
-    splits = decide(svals[:, :-1] - svals[:, 1:], eff, AmbiguousClustering,
-                    "spectral gap")
+    # one near-cut test over the gaps (the one between the last positive
+    # and the first kernel value included) and the values together; only a
+    # refusal runs ``decide`` per kind, gaps first, for its error
+    gaps = svals[:, :-1] - svals[:, 1:]
+    both = np.concatenate((gaps, svals), axis=1)
+    if _near_cut(both, eff).any():
+        decide(gaps, eff, AmbiguousClustering, "spectral gap")
+        decide(svals, eff, AmbiguousClustering, "eigenvalue")
+    kept = both >= eff
+    splits = kept[:, :gaps.shape[1]]
     # sorted descending, so the positive values are a prefix of each row
-    positive = decide(svals, eff, AmbiguousClustering, "eigenvalue").sum(axis=1)
+    positive = kept[:, gaps.shape[1]:].sum(axis=1)
     out = []
     for row, values, split, count in zip(svals, svals.tolist(), splits.tolist(),
                                          positive.tolist()):

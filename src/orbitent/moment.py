@@ -34,7 +34,6 @@ from .states import (
     build_state,
     check_unit_norm,
     party_rows,
-    special_unitary,
 )
 
 
@@ -171,16 +170,13 @@ def schmidt(state: StateTensor, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Sch
     unit sphere (NaN included) before the SVD.  Multiplicities come from gap
     clustering of the squared singular values (the spectrum of C^1), so
     AmbiguousClustering propagates when the spectrum is undecidable at the
-    given tolerance.
+    given tolerance.  The SVD, the clustering and the unitaries are the
+    steps two-party ``canonical_form`` shares; the block means and
+    ``diagonal_state`` are built here alone.
     """
     if state.parties != 2:
         raise NotBipartite(f"schmidt needs 2 parties, got {state.parties}")
-    check_unit_norm(state, "schmidt")
-    c = state.coeffs
-    u, s, vh = np.linalg.svd(c)
-    left = special_unitary(u.conj().T)
-    right = special_unitary(vh.conj().T)
-    clustering = cluster_spectrum(s**2 / np.sum(s**2), cluster_tol)
+    s, clustering, (left, right) = _schmidt_steps(state, cluster_tol)
     values = []
     start = 0
     for m in clustering.multiplicities:
@@ -190,7 +186,7 @@ def schmidt(state: StateTensor, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Sch
     for i, p in enumerate(s):
         diag[i, i] = p
     return SchmidtData(
-        singular_values=s.copy(),
+        singular_values=s,
         block_values=tuple(values),
         multiplicities=clustering.multiplicities,
         kernel_dim=clustering.kernel_dim,
@@ -198,6 +194,17 @@ def schmidt(state: StateTensor, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Sch
         right=right,
         diagonal_state=build_state(diag),
     )
+
+
+def _schmidt_steps(state: StateTensor, cluster_tol: float):
+    """The norm check, the SVD C = U diag(s) V^dag, the clustering of s^2
+    and the special-unitary pair (U^dag, V), rescaled by one
+    ``LocalUnitaryTuple.from_blocks`` pass, of a two-party state."""
+    check_unit_norm(state, "schmidt")
+    u, s, vh = np.linalg.svd(state.coeffs)
+    clustering = cluster_spectrum(s**2 / np.sum(s**2), cluster_tol)
+    g = LocalUnitaryTuple.from_blocks((u.conj().T, vh.conj().T), fix_determinant=True)
+    return s, clustering, g.blocks
 
 
 def _gauge(vecs: np.ndarray, clusterings) -> np.ndarray:
@@ -256,10 +263,13 @@ def canonical_form(state: StateTensor,
     Returns (canonical state, tuple g) with apply_local(state, g) equal to
     the canonical state exactly, and each C^k diagonal with descending
     entries.  For two parties the representative is the Schmidt diagonal
-    state (projectively); for other party counts each party is rotated into
-    the eigenbasis of its own reduced matrix (``marginal_eigenbases``), and
-    the parties of one dim share one ``eigh``, one clustering and one gauge
-    pass.
+    state (projectively): the route runs the SVD, the clustering and the
+    unitaries that ``schmidt`` runs, and g is schmidt's (left, right^T),
+    without the rest of the Schmidt data.  For other party counts each
+    party is rotated into the eigenbasis of its own reduced matrix
+    (``marginal_eigenbases``), and the parties of one dim share one
+    ``eigh``, one clustering and one gauge pass.  On both routes the blocks
+    get determinant one from one ``LocalUnitaryTuple.from_blocks`` pass.
 
     Only ``distinguishable`` states qualify: the construction acts with
     independent blocks per party.  A state off the unit sphere (NaN
@@ -275,9 +285,13 @@ def canonical_form(state: StateTensor,
         raise SymmetryViolation(
             "canonical_form uses independent per-party blocks; "
             "indistinguishable particles do not admit them")
-    if state.parties == 2:  # schmidt checks the norm
-        data = schmidt(state, cluster_tol)
-        g = LocalUnitaryTuple((data.left, data.right.T))
+    if state.parties == 2:
+        # U^dag C V is the Schmidt diagonal, so the blocks are (U^dag, V^T).
+        # V's phase comes from det(V), as schmidt's right does (det(V^T) can
+        # differ in the last bit), and the transpose of a checked special
+        # unitary is one too.
+        _, _, (left, right) = _schmidt_steps(state, cluster_tol)
+        g = LocalUnitaryTuple._of_checked((left, np.ascontiguousarray(right.T)))
         return apply_local(state, g), g
     reduced = reduced_matrices(state)
     reduced.check_unit_norm("canonical_form")
@@ -287,7 +301,7 @@ def canonical_form(state: StateTensor,
         # C^k transforms as conj(U) C^k U^T under apply_local, so the block
         # that diagonalizes it is the transpose of its eigenvector matrix.
         bases = _gauge(vectors[n], [clusterings[k] for k in parties])
-        for k, block in zip(parties, special_unitary(bases.swapaxes(-1, -2))):
+        for k, block in zip(parties, bases.swapaxes(-1, -2)):
             blocks[k] = block
-    g = LocalUnitaryTuple(tuple(blocks))
+    g = LocalUnitaryTuple.from_blocks(blocks, fix_determinant=True)
     return apply_local(state, g), g

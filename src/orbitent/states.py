@@ -295,9 +295,22 @@ def special_unitary(matrix) -> np.ndarray:
     det = np.linalg.det(m)
     if (abs(abs(det) - 1.0) > DETERMINANT_TOL).any():
         raise ValueError("matrix determinant does not have unit modulus")
-    # one scalar phase per matrix: on an array, exp can differ in the last bit
-    phases = [np.exp(-1j * np.angle(d) / m.shape[-1]) for d in np.ravel(det)]
-    return m * np.reshape(phases, (*det.shape, 1, 1))
+    return m * np.reshape(_phases(det, m.shape[-1]), (*det.shape, 1, 1))
+
+
+def _phases(det: np.ndarray, n: int) -> list[complex]:
+    """The phase exp(-i arg(det) / N) of each determinant of N x N
+    matrices: times it, a matrix has a real positive determinant."""
+    # np.angle(d) is this arctan2, one element at a time; then one scalar
+    # phase per matrix: on an array, the arithmetic can differ in the last bit
+    det = np.asarray(det)
+    return [np.exp(-1j * a / n) for a in np.arctan2(det.imag, det.real).ravel()]
+
+
+def _unitarity_drift(stack: np.ndarray) -> np.ndarray:
+    """max |U^dag U - I| of each matrix of an (S, N, N) stack."""
+    gram = stack.conj().swapaxes(-1, -2) @ stack
+    return np.abs(gram - np.eye(stack.shape[-1])).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -318,10 +331,9 @@ class LocalUnitaryTuple:
                 sizes.setdefault(m.shape[0], []).append(k)
         # blocks of one size are checked as one stack
         drift, dets = {}, {}
-        for n, at in sizes.items():
+        for at in sizes.values():
             stack = np.array([checked[k] for k in at])
-            gram = stack.conj().swapaxes(-1, -2) @ stack
-            drift.update(zip(at, np.abs(gram - np.eye(n)).max(axis=(-2, -1)).tolist()))
+            drift.update(zip(at, _unitarity_drift(stack).tolist()))
             dets.update(zip(at, np.linalg.det(stack).tolist()))
         for k, m in enumerate(checked):  # the first failing block raises
             if k not in drift:
@@ -339,9 +351,30 @@ class LocalUnitaryTuple:
 
     @classmethod
     def from_blocks(cls, blocks, fix_determinant: bool = False) -> "LocalUnitaryTuple":
+        """The tuple of the given blocks.  With ``fix_determinant=True`` each
+        block is first rescaled as :func:`special_unitary` does, in one pass
+        per block size: one stacked ``det`` gives the phase and the modulus
+        check, and one Gram product the unitarity check, so the rescaled
+        blocks are not checked a second time.  The errors are those of
+        rescaling block by block and then constructing: on any failure the
+        blocks take that path, and the first failing block raises."""
+        blocks = tuple(blocks)
         if fix_determinant:
-            blocks = [special_unitary(b) for b in blocks]
-        return cls(tuple(blocks))
+            fixed = _fix_determinants(blocks)
+            if fixed is not None:
+                return cls._of_checked(fixed)
+            blocks = tuple(special_unitary(b) for b in blocks)
+        return cls(blocks)
+
+    @classmethod
+    def _of_checked(cls, blocks) -> "LocalUnitaryTuple":
+        """The tuple of special-unitary blocks checked already, made
+        read-only here, without a second check."""
+        g = object.__new__(cls)
+        for b in blocks:
+            b.setflags(write=False)
+        object.__setattr__(g, "blocks", tuple(blocks))
+        return g
 
     @classmethod
     def identity(cls, dims) -> "LocalUnitaryTuple":
@@ -353,6 +386,36 @@ class LocalUnitaryTuple:
 
     def inverse(self) -> "LocalUnitaryTuple":
         return LocalUnitaryTuple(tuple(b.conj().T for b in self.blocks))
+
+
+def _fix_determinants(blocks) -> list[np.ndarray] | None:
+    """The blocks as complex arrays rescaled to determinant one, one stack
+    per size; None when a block is not a finite square matrix, has a
+    determinant off the unit circle or is not unitary within tolerance."""
+    try:
+        blocks = [np.array(b, dtype=complex) for b in blocks]
+    except (TypeError, ValueError):
+        return None
+    sizes: dict[int, list[int]] = {}
+    for k, m in enumerate(blocks):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            return None
+        sizes.setdefault(m.shape[0], []).append(k)
+    for n, at in sizes.items():
+        stack = np.array([blocks[k] for k in at])
+        if not np.isfinite(stack).all():
+            return None
+        det = np.linalg.det(stack)
+        if (abs(abs(det) - 1.0) > DETERMINANT_TOL).any():
+            return None
+        phases = _phases(det, n)
+        if _unitarity_drift(stack * np.reshape(phases, (-1, 1, 1))).max() > UNITARITY_TOL:
+            return None
+        for k, phase in zip(at, phases):
+            # each block keeps its memory layout, which the bits of later
+            # products with it depend on
+            blocks[k] = blocks[k] * phase
+    return blocks
 
 
 def acting_dims(dims: tuple[int, ...], symmetry: str) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from orbitent import (
     orbit_dimension_bipartite,
     separability_test,
 )
-from orbitent.measure import decide
+from orbitent.measure import _cluster_rows, decide
 
 
 def test_cluster_exact_degeneracy():
@@ -174,6 +174,11 @@ def test_spectrum_clustering_validation():
         SpectrumClustering(0, ((0.5, 0),), 1e-7)
     with pytest.raises(ValueError):
         SpectrumClustering(0, ((0.4, 1), (0.6, 1)), 1e-7)  # not descending
+    # a bad multiplicity is named ahead of a bad order, wherever it sits
+    with pytest.raises(ValueError, match="multiplicities"):
+        SpectrumClustering(0, ((0.4, 1), (0.6, 1), (0.1, 0)), 1e-7)
+    c = SpectrumClustering(2, ((0.5, 2), (0.3, 1), (0.1, 3)), 1e-7)
+    assert (c.multiplicities, c.positive_rank, c.square_sum, c.size) == ((2, 1, 3), 6, 14, 8)
 
 
 def test_cluster_spectrum_of_rows_equals_one_call_per_row():
@@ -207,3 +212,87 @@ def test_decide_names_the_offending_rows_own_cut():
         decide(values, cut, AmbiguousClustering, "value")
     assert decide(values, np.array([[1e-12], [1e-6], [1e-10]]), AmbiguousClustering,
                   "value").tolist() == [[True, True], [False, True], [True, False]]
+
+
+def reference_cluster_rows(rows, tol):
+    """``measure._cluster_rows`` with one ``decide`` call per kind, gaps
+    first and then values, each with its own near-cut test."""
+    if not (rows.min() >= -1e-10 and rows.max() <= 1.0 + 1e-8):
+        raise ValueError("eigenvalues must lie in [0, 1]")
+    if any(abs(total - 1.0) > 1e-8 for total in rows.sum(axis=1).tolist()):
+        raise ValueError("spectrum must sum to 1")
+    svals = -np.sort(-np.maximum(rows, 0.0), axis=1)
+    eff = tol * svals[:, :1]
+    splits = decide(svals[:, :-1] - svals[:, 1:], eff, AmbiguousClustering,
+                    "spectral gap")
+    positive = decide(svals, eff, AmbiguousClustering, "eigenvalue").sum(axis=1)
+    out = []
+    for row, split, count in zip(svals, splits.tolist(), positive.tolist()):
+        blocks, start = [], 0
+        for stop in range(1, count + 1):
+            if stop == count or split[stop - 1]:
+                value = (float(row[start:stop].mean()) if stop - start > 1
+                         else float(row[start]))
+                blocks.append((value, stop - start))
+                start = stop
+        out.append(SpectrumClustering(row.size - count, tuple(blocks), float(tol)))
+    return tuple(out)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type and the message are compared
+        return type(exc), str(exc)
+
+
+#: with the largest value 1/2, this tolerance puts the cut at 5 * 2^-34, so
+#: cut/10 = 2^-35 and 10 cut = 25 * 2^-33 hold exactly, and every gap below
+#: 1/2 is an exact multiple of 2^-54, the spacing of the floats there
+EXACT_TOL = 5 * 2.0**-33
+LOW, HIGH = 2.0**-35, 25 * 2.0**-33
+
+
+def edges(x):
+    """x, and the floats just below and just above it."""
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)]
+
+
+def edge_rows():
+    """Spectra [1/2, 1/2 - gap, value] with the gap, the value, or both at
+    cut/10 or 10 cut, or one float inside or outside; a gap of 0 and a
+    value of 0 are far from the cut.  The rows sum to 1 within 1e-8."""
+    gaps = [0.0] + [0.5 - b for b in edges(0.5 - LOW) + edges(0.5 - HIGH)]
+    values = [0.0] + edges(LOW) + edges(HIGH)
+    return [[0.5, 0.5 - gap, value] for gap in gaps for value in values]
+
+
+def test_edge_rows_sit_exactly_where_they_claim():
+    rows = np.array(edge_rows())
+    eff = EXACT_TOL * rows[:, :1]
+    assert (eff / 10 == LOW).all() and (eff * 10 == HIGH).all()
+    gaps = set((rows[:, 0] - rows[:, 1]).tolist())
+    assert {LOW, HIGH} <= gaps and len(gaps) == 7
+    assert (np.abs(rows.sum(axis=1) - 1.0) < 1e-8).all()
+
+
+def test_one_near_cut_test_refuses_as_one_decide_per_kind():
+    """Every edge row alone, and every pair of them as one 2-d array, gives
+    the same clusterings as the reference, or the same exception type and
+    message: a gap refusal wins over a value refusal in any row."""
+    rows = edge_rows()
+    kinds = set()
+    for row in rows:
+        got = outcome(_cluster_rows, np.array([row]), EXACT_TOL)
+        assert got == outcome(reference_cluster_rows, np.array([row]), EXACT_TOL)
+        kinds.add(got[1].split()[0] if isinstance(got[0], type) else "decided")
+    assert kinds == {"spectral", "eigenvalue", "decided"}
+    # the window is open: exactly at cut/10 or 10 cut, gaps and values decide
+    (low,) = _cluster_rows(np.array([[0.5, 0.5 - LOW, LOW]]), EXACT_TOL)
+    (high,) = _cluster_rows(np.array([[0.5, 0.5 - HIGH, HIGH]]), EXACT_TOL)
+    assert (low.profile(), high.profile()) == ((1, (2,)), (0, (1, 1, 1)))
+    for first in rows:
+        for second in rows:
+            pair = np.array([first, second])
+            assert (outcome(_cluster_rows, pair, EXACT_TOL)
+                    == outcome(reference_cluster_rows, pair, EXACT_TOL))

@@ -222,6 +222,28 @@ def test_canonical_form_bell_is_schmidt_diagonal():
     assert canon.projectively_equals(schmidt(bell_state()).diagonal_state)
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (4, 2), (8, 8)])
+def test_two_party_canonical_form_is_schmidts_pair_bit_for_bit(dims):
+    """Two-party ``canonical_form`` shares the SVD step of ``schmidt`` and
+    builds no Schmidt data: its tuple is schmidt's (left, right^T), with
+    the phase of right = V taken from det(V), not det(V^T), and its state
+    is that tuple's ``apply_local``, bit for bit."""
+    rng = np.random.default_rng(89)
+    weights = np.zeros(min(dims))
+    weights[:2] = 0.5  # one block of two: a stratum of its own
+    degenerate = np.zeros(dims)
+    degenerate[np.diag_indices(min(dims))] = np.sqrt(weights)
+    for state in (random_state(dims, rng=rng),
+                  apply_local(build_state(degenerate), random_local_unitaries(dims, rng=rng))):
+        canon, g = canonical_form(state)
+        data = schmidt(state)
+        want = LocalUnitaryTuple((data.left, data.right.T))
+        assert np.array_equal(canon.coeffs, apply_local(state, want).coeffs)
+        for got, block in zip(g.blocks, want.blocks, strict=True):
+            assert np.array_equal(got, block)
+            assert got.flags.f_contiguous == block.flags.f_contiguous
+
+
 def test_canonical_form_random_two_qutrit_reductions_diagonal():
     rng = np.random.default_rng(61)
     state = random_state((3, 3), rng=rng)

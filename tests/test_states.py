@@ -349,6 +349,52 @@ def test_special_unitary_of_a_stack_equals_each_matrix():
             assert np.array_equal(one, special_unitary(m))
 
 
+def reference_from_blocks(blocks):
+    """``from_blocks(..., fix_determinant=True)`` as one ``special_unitary``
+    per block and then the validating constructor."""
+    return LocalUnitaryTuple(tuple(special_unitary(b) for b in blocks))
+
+
+def test_from_blocks_rescales_each_block_as_special_unitary_does():
+    """One stacked ``det`` per block size gives each block the bits and the
+    memory layout of its own ``special_unitary`` call, for C-ordered blocks
+    and for transposed views alike."""
+    rng = np.random.default_rng(31)
+    blocks = []
+    for n in (2, 3, 2, 5, 3, 2):
+        u = random_local_unitaries((n,), rng=rng).blocks[0] * np.exp(1j * rng.uniform(0, 7))
+        blocks.append(u if len(blocks) % 2 else u.T)
+    fixed = LocalUnitaryTuple.from_blocks(blocks, fix_determinant=True)
+    for block, got, want in zip(blocks, fixed.blocks, reference_from_blocks(blocks).blocks,
+                                strict=True):
+        assert np.array_equal(got, special_unitary(block))
+        assert np.array_equal(got, want)
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        assert not got.flags.writeable
+
+
+NOT_UNIT_MODULUS = "matrix determinant does not have unit modulus"
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
+@pytest.mark.parametrize("blocks, error, message", [
+    ((np.eye(2), SHEAR), ValueError, NOT_UNITARY),
+    ((np.eye(2), 2 * np.eye(3)), ValueError, NOT_UNIT_MODULUS),
+    ((SHEAR, 2 * np.eye(3)), ValueError, NOT_UNIT_MODULUS),
+    ((HADAMARD, np.full((2, 2), np.nan)), ValueError, NOT_FINITE),
+    ((np.diag([np.inf, 1.0]), np.eye(3)), ValueError, NOT_FINITE),
+    ((HADAMARD, np.ones((2, 3))), np.linalg.LinAlgError, "must be square"),
+    ((np.eye(2)[None], HADAMARD), DimensionMismatch, "must be square"),
+])
+def test_from_blocks_keeps_the_errors_of_rescaling_block_by_block(blocks, error, message):
+    with pytest.raises(error, match=re.escape(message)) as got:
+        LocalUnitaryTuple.from_blocks(blocks, fix_determinant=True)
+    with pytest.raises(error) as want:
+        reference_from_blocks(blocks)
+    assert str(got.value) == str(want.value)
+
+
 def test_special_unitary_rescales_phase():
     u = np.diag([np.exp(0.3j), np.exp(0.5j)])
     su = special_unitary(u)
