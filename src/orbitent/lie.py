@@ -117,6 +117,23 @@ def cartan_basis(dims) -> tuple[CartanGenerator, ...]:
     return tuple(gens)
 
 
+def cartan_charges(dims, symmetry: str, digits: np.ndarray) -> np.ndarray:
+    """The Cartan charges of P basis states given by their (M, P) digit
+    rows, as (C, P) integers for C = sum_k (N_k - 1) over the factors of K.
+
+    The generators of :func:`cartan_basis` are diagonal, so a basis state
+    is a weight vector, and its weight is its charge vector: row m of
+    factor k holds h_m(x) = [x_k = m] - [x_k = m + 1], summed over every
+    slot for indistinguishable particles.
+    """
+    rows = []
+    for k, n in enumerate(acting_dims(dims, symmetry)):
+        slots = digits[[k]] if symmetry == DISTINGUISHABLE else digits
+        occupation = (slots[:, None, :] == np.arange(n)[:, None]).sum(axis=0)
+        rows.append(occupation[:-1] - occupation[1:])
+    return np.concatenate(rows)
+
+
 @dataclass(frozen=True)
 class Sl2Triple:
     """Root triple (E_ij, E_ji, H_ij) along the positive root i < j.
@@ -159,45 +176,18 @@ def _embedded_action(mats, coeffs: np.ndarray) -> np.ndarray:
     axes, any axes before them index states, and each acting block is one
     (N_k, N_k) matrix.
 
-    Party k sits on axis a and acts on the middle axis of the (pre, N_k,
-    rest) view, pre = prod(shape[:a]).  When the trailing side is empty
-    (the last party) the view is a matrix, and the action is one product
-    on it.  When the leading side is the shorter one, it is one matmul
-    batched over it.  Otherwise it is one product with the rows of axis a
-    across the whole stack (``states.party_rows``): the later qubits of a
-    many-qubit state, or a long stack, would else cost hundreds of tiny
-    matmuls.  The first acting slot writes the result and later ones add
-    to it.  Every term is a matmul, so integer inputs stay exact.
+    Each acting party adds one product with the rows of its axis across
+    the whole stack (``states.party_rows``) into one output.  Every term is
+    a matmul, so integer inputs stay exact.
     """
     acting = [(k, m) for k, m in enumerate(mats) if m is not None]
-    if not acting:
-        return np.zeros_like(coeffs)
     stacked = coeffs.ndim - len(mats)
     shape = coeffs.shape
-    out = np.empty(shape, dtype=np.result_type(coeffs, *(m for _, m in acting)))
-    for slot, (k, m) in enumerate(acting):
+    out = np.zeros(shape, dtype=np.result_type(coeffs, *(m for _, m in acting)))
+    for k, m in acting:
         axis = stacked + k
-        pre, n, post = (math.prod(shape[:axis]), shape[axis],
-                        math.prod(shape[axis + 1:]))
-        target = out.reshape(pre, n, post)
-        if post > 1 and pre > post:
-            product = m @ party_rows(coeffs, axis)
-            target = target.swapaxes(-3, -2)
-            product = product.reshape(target.shape)
-        else:
-            if post == 1:
-                operands = coeffs.reshape(pre, n), m.T
-                target = target[..., 0]
-            else:
-                operands = m[None], coeffs.reshape(pre, n, post)
-            if slot == 0:
-                np.matmul(*operands, out=target)
-                continue
-            product = np.matmul(*operands)
-        if slot == 0:
-            target[...] = product
-        else:
-            target += product
+        target = out.reshape(math.prod(shape[:axis]), shape[axis], -1).swapaxes(0, 1)
+        target += (m @ party_rows(coeffs, axis)).reshape(target.shape)
     return out
 
 
@@ -271,22 +261,18 @@ class WeightVector:
     int_coeffs: np.ndarray
 
 
-def _exact_weight(int_coeffs: np.ndarray, cartans, symmetry) -> tuple[int, ...]:
-    """Eigenvalues of the Cartan generators, verified exactly."""
-    flat = int_coeffs.reshape(-1)
-    pivot = int(np.argmax(np.abs(flat)))
-    if flat[pivot] == 0:
+def _exact_weight(int_coeffs: np.ndarray, symmetry) -> tuple[int, ...]:
+    """Eigenvalues of the Cartan generators, verified exactly: the charges
+    of the tensor's support (``cartan_charges``), which must all be one
+    vector."""
+    support = np.array(np.nonzero(int_coeffs))
+    if not support.shape[1]:
         raise NotAWeightVector("the zero tensor is not a weight vector")
-    weight = []
-    for gen in cartans:
-        mats = embed(gen.matrix, gen.party, int_coeffs.ndim, symmetry)
-        image = _embedded_action(mats, int_coeffs)
-        lam = int(image.reshape(-1)[pivot]) // int(flat[pivot])
-        if not np.array_equal(image, lam * int_coeffs):
-            raise NotAWeightVector(
-                "state is not an exact eigenvector of the Cartan action")
-        weight.append(lam)
-    return tuple(weight)
+    charges = cartan_charges(int_coeffs.shape, symmetry, support)
+    if (charges != charges[:, :1]).any():
+        raise NotAWeightVector(
+            "state is not an exact eigenvector of the Cartan action")
+    return tuple(charges[:, 0].tolist())
 
 
 def _weight_space_dims(dims, symmetry) -> tuple[int, ...]:
@@ -334,9 +320,9 @@ def _basis_label(indices, symmetry) -> str:
     return "*".join(names)
 
 
-def _make_weight_vector(indices, dims, symmetry, cartans) -> WeightVector:
+def _make_weight_vector(indices, dims, symmetry) -> WeightVector:
     ints = _int_basis_tensor(indices, dims, symmetry)
-    weight = _exact_weight(ints, cartans, symmetry)
+    weight = _exact_weight(ints, symmetry)
     return WeightVector(
         label=_basis_label(indices, symmetry),
         weight=weight,
@@ -348,13 +334,12 @@ def _make_weight_vector(indices, dims, symmetry, cartans) -> WeightVector:
 def weight_table(dims, symmetry: str = DISTINGUISHABLE) -> tuple[WeightVector, ...]:
     """Enumerate all weight vectors of the tensor / Sym^M / Wedge^M basis.
 
-    One entry per basis vector; weights are computed, and verified exactly,
-    by applying the Cartan generators.
+    One entry per basis vector; weights are read, and verified exactly, off
+    the Cartan charges of each vector's support.
     """
     dims = _weight_space_dims(dims, symmetry)
-    cartans = cartan_basis(acting_dims(dims, symmetry))
     return tuple(
-        _make_weight_vector(idx, dims, symmetry, cartans)
+        _make_weight_vector(idx, dims, symmetry)
         for idx in _basis_index_tuples(dims, symmetry))
 
 
@@ -371,7 +356,7 @@ def highest_weight_vector(dims, symmetry: str = DISTINGUISHABLE) -> WeightVector
     else:
         indices = (0,) * len(dims)
     group = acting_dims(dims, symmetry)
-    wv = _make_weight_vector(indices, dims, symmetry, cartan_basis(group))
+    wv = _make_weight_vector(indices, dims, symmetry)
     for triple in sl2_triples(group):
         raising = embed(triple.raising, triple.party, len(dims), symmetry)
         if _embedded_action(raising, wv.int_coeffs).any():
@@ -403,7 +388,7 @@ def kostant_sternberg_check(w: WeightVector) -> KSVerdict:
     """
     parties, symmetry = w.state.parties, w.state.symmetry
     group = acting_dims(w.state.dims, symmetry)
-    if _exact_weight(w.int_coeffs, cartan_basis(group), symmetry) != tuple(w.weight):
+    if _exact_weight(w.int_coeffs, symmetry) != tuple(w.weight):
         raise NotAWeightVector("stored weight does not match the Cartan action")
     offsets = np.cumsum([0] + [n - 1 for n in group])
     for triple in sl2_triples(group):

@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import EnumerationTooLarge, Inconsistency, RankUnstable
-from .lie import rep_action
+from .lie import cartan_charges, rep_action
 from .measure import DEFAULT_CLUSTER_TOL, check_tolerance, decide
 from .moment import marginal_eigenbases, reduced_matrices
 from .states import (
@@ -137,16 +137,11 @@ def _charge_table(dims: tuple[int, ...], symmetry: str) -> np.ndarray:
     for C = sum_k (N_k - 1) over the factors of K: row a of factor k holds
     h_a(x) = [x_k = a] - [x_k = a + 1], the eigenvalue of the Cartan
     direction i(E_aa - E_{a+1,a+1}) of ``_eigen_directions`` divided by i,
-    summed over every slot for indistinguishable particles.  A last row of
-    ones lets the product that weighs the charges also sum the weights."""
-    index = np.indices(dims).reshape(len(dims), -1)
-    rows = []
-    for k, n in enumerate(acting_dims(dims, symmetry)):
-        slots = index[[k]] if symmetry == DISTINGUISHABLE else index
-        occupation = (slots[:, None, :] == np.arange(n)[:, None]).sum(axis=0)
-        rows.append(occupation[:-1] - occupation[1:])
-    rows.append(np.ones((1, index.shape[1]), dtype=int))
-    table = np.concatenate(rows).astype(float)
+    summed over every slot for indistinguishable particles
+    (``lie.cartan_charges``).  A last row of ones lets the product that
+    weighs the charges also sum the weights."""
+    charges = cartan_charges(dims, symmetry, np.indices(dims).reshape(len(dims), -1))
+    table = np.concatenate([charges, np.ones((1, charges.shape[1]), dtype=int)]).astype(float)
     table.setflags(write=False)
     return table
 

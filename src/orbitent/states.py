@@ -290,8 +290,12 @@ def symmetrize(raw, symmetry: str) -> StateTensor:
 
 def special_unitary(matrix) -> np.ndarray:
     """Rescale a unitary by det^(-1/N) so its determinant becomes 1; a
-    (..., N, N) stack is rescaled matrix by matrix, with one ``det``."""
+    (..., N, N) stack is rescaled matrix by matrix, with one ``det``.
+    Non-finite entries are refused before it: a NaN determinant would pass
+    the modulus check."""
     m = np.array(matrix, dtype=complex)
+    if not np.isfinite(m).all():
+        raise ValueError("block entries must be finite")
     det = np.linalg.det(m)
     if (abs(abs(det) - 1.0) > DETERMINANT_TOL).any():
         raise ValueError("matrix determinant does not have unit modulus")

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -277,7 +278,11 @@ def test_ks_wedge2_c4_all_symplectic():
         assert kostant_sternberg_check(w).symplectic
 
 
+NOT_AN_EIGENVECTOR = "state is not an exact eigenvector of the Cartan action"
+
+
 def test_ks_rejects_non_weight_vector():
+    """e1*e1 + e2*e2: its support carries the charges (1, 1) and (-1, -1)."""
     w = weight_table((2, 2))[0]
     fake = WeightVector(
         label="e1*e1+e2*e2",
@@ -285,8 +290,36 @@ def test_ks_rejects_non_weight_vector():
         state=build_state(np.eye(2)),
         int_coeffs=np.eye(2, dtype=np.int64),
     )
-    with pytest.raises(NotAWeightVector):
+    with pytest.raises(NotAWeightVector, match=re.escape(NOT_AN_EIGENVECTOR)):
         kostant_sternberg_check(fake)
+
+
+@pytest.mark.parametrize("ints, weight, message", [
+    (np.zeros((2, 2), dtype=np.int64), (1, 1), "the zero tensor is not a weight vector"),
+    # e1*e2 has the weight (1, -1)
+    (np.array([[0, 1], [0, 0]]), (1, 1), "stored weight does not match the Cartan action"),
+])
+def test_ks_refuses_hand_built_weight_vectors(ints, weight, message):
+    fake = WeightVector("fake", weight, build_state(np.eye(2)), ints)
+    with pytest.raises(NotAWeightVector, match=f"^{re.escape(message)}$"):
+        kostant_sternberg_check(fake)
+
+
+def test_ks_reads_one_weight_off_a_signed_fermionic_support():
+    """e1^e2 in C^3 has the entries +1 at (1, 2) and -1 at (2, 1): both
+    carry the charges (0, 1), summed over the two slots, whatever their
+    signs.  Adding e1^e3, of charges (1, -1), makes it no weight vector."""
+    ints = np.zeros((3, 3), dtype=np.int64)
+    ints[0, 1], ints[1, 0] = 1, -1
+    state = build_state(ints.astype(complex), FERMIONIC)
+    verdict = kostant_sternberg_check(WeightVector("e1^e2", (0, 1), state, ints))
+    assert verdict.symplectic and verdict.witness is None
+    with pytest.raises(NotAWeightVector, match="stored weight"):
+        kostant_sternberg_check(WeightVector("e1^e2", (1, -1), state, ints))
+    ints[0, 2], ints[2, 0] = 1, -1
+    state = build_state(ints.astype(complex), FERMIONIC)
+    with pytest.raises(NotAWeightVector, match=re.escape(NOT_AN_EIGENVECTOR)):
+        kostant_sternberg_check(WeightVector("e1^e2+e1^e3", (0, 1), state, ints))
 
 
 def test_ks_highest_weight_symplectic_all_classes_dims_to_4():

@@ -18,12 +18,14 @@ from orbitent import (
     build_state,
     degeneracy_rank,
     fubini_study_omega,
+    kostant_sternberg_check,
     random_local_unitaries,
     random_state,
     rep_action,
     su_basis,
     symmetrize,
     verify_against_formula,
+    weight_table,
 )
 from orbitent.moment import marginal_eigenbases, reduced_matrices
 from orbitent.oracle import (
@@ -333,6 +335,98 @@ def reference_ranks(state, rank_tol=DEFAULT_RANK_TOL):
                          "reference Gram matrix"))
     s = reference_symplectic_rank(state, rank_tol)
     return r, s, r - s
+
+
+def exact_rank(matrix) -> int:
+    """The rank of an integer matrix, by fraction-free (Bareiss) elimination
+    in Python ints: after each pivot every entry is a minor of the input,
+    so each division by the previous pivot is exact."""
+    a = np.array(matrix, dtype=object)
+    rank, previous = 0, 1
+    for col in range(a.shape[1]):
+        nonzero = [i for i in range(rank, a.shape[0]) if a[i, col] != 0]
+        if not nonzero:
+            continue
+        a[[rank, nonzero[0]]] = a[[nonzero[0], rank]]
+        pivot = a[rank, col]
+        a[rank + 1:, col + 1:] = (pivot * a[rank + 1:, col + 1:]
+                                  - np.outer(a[rank + 1:, col], a[rank, col + 1:])) // previous
+        a[rank + 1:, col] = 0
+        previous, rank = pivot, rank + 1
+    return rank
+
+
+def exact_ranks(real, imag, symmetry=DISTINGUISHABLE):
+    """(r, s, D) with no tolerance, for the state c of Gaussian-integer
+    coefficients ``real + i imag`` (int64 tensors).
+
+    Over the integer basis of k (``su_basis``: entries 0, +-1, +-i) the
+    images Xc are Gaussian-integer vectors, and at the unit state c / |c|
+    the forms scale to the integer matrices
+    G' = |c|^2 Re<Xc|Yc> - Im<c|Xc> Im<c|Yc> (|c|^4 G, rank r) and
+    Omega' = -Im<Xc|Yc> (|c|^2 Omega, rank s), whose ranks ``exact_rank``
+    takes.  The images and their products are int64, guarded against
+    overflow; G' is formed in Python ints."""
+    dims = real.shape
+    images = []
+    for el in su_basis(acting_dims(dims, symmetry)).elements:
+        a, b = (embed(part.astype(np.int64), el.party, len(dims), symmetry)
+                for part in (el.matrix.real, el.matrix.imag))
+        images.append([(rep_action(a, x) + sign * rep_action(b, y)).reshape(-1)
+                       for x, y, sign in ((real, imag, -1), (imag, real, 1))])
+    xr, xi = np.array(images).swapaxes(0, 1)  # (G, dim H) each
+    c_r, c_i = real.reshape(-1), imag.reshape(-1)
+    peak = max(int(np.abs(t).max(initial=0)) for t in (xr, xi, c_r, c_i))
+    assert 2 * real.size * peak ** 2 < 2 ** 63, "the int64 products would overflow"
+    overlap_re = xr @ xr.T + xi @ xi.T
+    overlap_im = xr @ xi.T - xi @ xr.T
+    alpha = (xi @ c_r - xr @ c_i).astype(object)  # Im<c|Xc>
+    norm = int(c_r @ c_r + c_i @ c_i)
+    r = exact_rank(norm * overlap_re.astype(object) - np.outer(alpha, alpha))
+    s = exact_rank(overlap_im)
+    return r, s, r - s
+
+
+def test_exact_rank_of_integer_matrices():
+    rng = np.random.default_rng(41)
+    for rank in range(6):
+        left = rng.integers(-3, 4, (7, rank))
+        right = rng.integers(-3, 4, (rank, 6))
+        matrix = left @ right
+        assert exact_rank(matrix) == np.linalg.matrix_rank(matrix)
+    assert exact_rank(np.zeros((3, 4), dtype=int)) == 0
+    # entries past 2**53, where a float rank would round them
+    big = 2 ** 60
+    assert exact_rank(np.array([[big, big + 1], [big + 1, big + 2]], dtype=object)) == 2
+    assert exact_rank(np.array([[big, big + 2], [big // 2, big // 2 + 1]], dtype=object)) == 1
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+def test_exact_ranks_of_sparse_gaussian_integer_states(dims):
+    """Entries drawn from {0, 0, 1, -1, i, -i}: exact strata, degenerate
+    ones included, with both parts of the coefficients at work."""
+    rng = np.random.default_rng(len(dims) * 10 + dims[-1])
+    entries = np.array([0, 0, 1, -1, 1j, -1j])
+    for _ in range(12):
+        c = rng.choice(entries, dims)
+        if not c.any():
+            continue
+        ranks = exact_ranks(c.real.astype(np.int64), c.imag.astype(np.int64))
+        state = build_state(c)
+        assert ranks == degeneracy_rank(state).as_tuple() == reference_ranks(state)
+
+
+@pytest.mark.parametrize("dims, symmetry", [
+    ((3, 3, 3), DISTINGUISHABLE), ((2,) * 4, DISTINGUISHABLE), ((3, 3, 3), BOSONIC),
+    ((4, 4, 4), BOSONIC), ((4, 4, 4), FERMIONIC)])
+def test_kostant_sternberg_is_exactly_d_zero(dims, symmetry):
+    """On every weight vector, ``kostant_sternberg_check`` says symplectic
+    exactly when the tolerance-free D is 0, and the oracle's (r, s, D)
+    equals the exact ranks."""
+    for w in weight_table(dims, symmetry):
+        ranks = exact_ranks(w.int_coeffs, np.zeros_like(w.int_coeffs), symmetry)
+        assert kostant_sternberg_check(w).symplectic == (ranks[2] == 0), w.label
+        assert ranks == degeneracy_rank(w.state).as_tuple(), w.label
 
 
 def _basis_tensor(dims, *indices):

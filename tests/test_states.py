@@ -377,7 +377,6 @@ def test_from_blocks_rescales_each_block_as_special_unitary_does():
 NOT_UNIT_MODULUS = "matrix determinant does not have unit modulus"
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
 @pytest.mark.parametrize("blocks, error, message", [
     ((np.eye(2), SHEAR), ValueError, NOT_UNITARY),
     ((np.eye(2), 2 * np.eye(3)), ValueError, NOT_UNIT_MODULUS),
@@ -393,6 +392,15 @@ def test_from_blocks_keeps_the_errors_of_rescaling_block_by_block(blocks, error,
     with pytest.raises(error) as want:
         reference_from_blocks(blocks)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.full((2, 2), np.nan), np.diag([np.inf, 1.0]), np.stack([np.eye(2), np.full((2, 2), np.nan)])])
+def test_special_unitary_refuses_non_finite_entries(matrix):
+    """A NaN determinant passes the modulus check, so non-finite entries
+    are refused before the ``det``, which would also warn."""
+    with pytest.raises(ValueError, match=NOT_FINITE):
+        special_unitary(matrix)
 
 
 def test_special_unitary_rescales_phase():
