@@ -382,8 +382,10 @@ def kostant_sternberg_check(w: WeightVector) -> KSVerdict:
 
     The orbit is symplectic iff for every positive root alpha with
     lambda(H_alpha) = 0 both E_alpha and E_{-alpha} annihilate the vector.
-    Scans all sl2 triples of every party (the diagonal su(N) for
-    indistinguishable particles); returns the first violating triple as
+    Only E_alpha is applied: a vector it kills is a highest-weight vector
+    of weight 0 for that sl2, which spans a trivial module, so E_{-alpha}
+    kills it too.  Scans all sl2 triples of every party (the diagonal su(N)
+    for indistinguishable particles); returns the first violating triple as
     witness otherwise.  All eigenvalue tests are exact integer arithmetic.
     """
     parties, symmetry = w.state.parties, w.state.symmetry
@@ -396,8 +398,7 @@ def kostant_sternberg_check(w: WeightVector) -> KSVerdict:
         lam = sum(w.weight[base + m] for m in range(triple.i, triple.j))
         if lam != 0:
             continue
-        for op in (triple.raising, triple.lowering):
-            if _embedded_action(embed(op, triple.party, parties, symmetry),
-                                w.int_coeffs).any():
-                return KSVerdict(False, triple)
+        if _embedded_action(embed(triple.raising, triple.party, parties, symmetry),
+                            w.int_coeffs).any():
+            return KSVerdict(False, triple)
     return KSVerdict(True, None)

@@ -68,6 +68,7 @@ from .states import (
     StateTensor,
     acting_dims,
     check_unit_norm,
+    local_product,
 )
 
 if TYPE_CHECKING:
@@ -81,9 +82,6 @@ DEFAULT_RANK_TOL = 1e-8
 #: each take fewer than G rows of dim H entries
 MAX_HILBERT_DIM = 4096
 MAX_GENERATORS = 256
-#: the oracle's rotation into the marginals' eigenbases fuses adjacent
-#: slots into one product while their dims multiply to at most this
-FUSED_DIM = 8
 #: the two evaluations of omega must agree this tightly
 OMEGA_CHECK_TOL = 1e-10
 
@@ -187,34 +185,6 @@ def _pair_gather(dims: tuple[int, ...], symmetry: str) -> np.ndarray:
     return table
 
 
-def _rotate(stack: StateStack, turns) -> np.ndarray:
-    """w = (U_1^dag (x) ... (x) U_M^dag) v for each state, (B, dim H), with
-    U_k^dag = evecs_k^T for the (B, N_k, N_k) eigenvectors ``turns[k]``.
-
-    One product per run of adjacent slots whose dims multiply to at most
-    FUSED_DIM, with the Kronecker product of their eigenvectors: BLAS
-    handles a product with 2 x 2 matrices poorly, and twelve qubits take
-    four products instead of twelve.  Each product contracts the leading
-    axes of the (B, n, rest) view, read transposed, and leaves the new
-    index last, so after the last run the party axes are back in order,
-    with no copy between the products.
-    """
-    count, w = len(stack), stack.coeffs
-    runs, size = [], FUSED_DIM + 1
-    for n, evecs in zip(stack.dims, turns):
-        if size * n > FUSED_DIM:
-            runs.append(evecs)
-            size = n
-        else:
-            last = runs[-1]
-            runs[-1] = (last[:, :, None, :, None] * evecs[:, None, :, None, :]).reshape(
-                count, size * n, size * n)
-            size *= n
-    for evecs in runs:
-        w = w.reshape(count, evecs.shape[-1], -1).swapaxes(-1, -2) @ evecs
-    return w.reshape(count, -1)
-
-
 def _pair_rows(w: np.ndarray, dims, symmetry, chosen, keep) -> np.ndarray:
     """The rows R = E_q w, (B, J, dim H), of the pair directions ``chosen``
     (indices into ``_pair_gather``), by one ``take`` from the stacked
@@ -248,7 +218,7 @@ def _kernel_metric(stack: StateStack, eigenbases):
 
     The kernel generators are X = U_k E_q U_k^dag for the directions E_q of
     ``_eigen_directions``.  The state is rotated once into the eigenbases,
-    w = (U_1^dag (x) ... (x) U_M^dag) v (``_rotate``), and X v maps to
+    w = (U_1^dag (x) ... (x) U_M^dag) v (``local_product``), and X v maps to
     R = E_q w, a unitary change that keeps every inner product.  The Cartan
     directions act diagonally, R = i h w with the charges h of
     ``_charge_table``, so their block of G is the covariance of the charges
@@ -276,7 +246,7 @@ def _kernel_metric(stack: StateStack, eigenbases):
         symplectic += (~keep).sum(axis=(1, 2))
         evecs = vectors[n].reshape(count, -1, n, n)
         for p, party in enumerate(parties):
-            turns[party] = evecs[:, p]
+            turns[party] = evecs[:, p]  # local_product applies evecs^T = U_k^dag
         pairs = keep[..., n - 1:]
         own = pairs.any(axis=0)  # (P, pairs): what each party keeps in some state
         for p in np.flatnonzero(own.any(axis=1)).tolist():
@@ -284,7 +254,7 @@ def _kernel_metric(stack: StateStack, eigenbases):
             blocks.append(pairs[:, p, own[p]])
     if symmetry != DISTINGUISHABLE:
         turns = turns * stack.parties
-    w = _rotate(stack, turns)
+    w = local_product(stack.coeffs, turns).reshape(count, -1)
     charges = _charge_table(dims, symmetry)  # (C + 1, dim H), ones last
     cartan = len(charges) - 1
     prob = w.real ** 2 + w.imag ** 2

@@ -36,6 +36,9 @@ NORM_TOL = 1e-8
 #: norms inside this range come from squares that neither underflow nor
 #: overflow; build_state and symmetrize prescale inputs outside it
 NORM_RANGE = (2.0**-500, 2.0**500)
+#: the local product fuses adjacent slots into one product while their
+#: dims multiply to at most this
+FUSED_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -328,47 +331,16 @@ class LocalUnitaryTuple:
     blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        checked = tuple(np.array(b, dtype=complex) for b in self.blocks)
-        sizes: dict[int, list[int]] = {}
-        for k, m in enumerate(checked):
-            if m.ndim == 2 and m.shape[0] == m.shape[1] and np.isfinite(m).all():
-                sizes.setdefault(m.shape[0], []).append(k)
-        # blocks of one size are checked as one stack
-        drift, dets = {}, {}
-        for at in sizes.values():
-            stack = np.array([checked[k] for k in at])
-            drift.update(zip(at, _unitarity_drift(stack).tolist()))
-            dets.update(zip(at, np.linalg.det(stack).tolist()))
-        for k, m in enumerate(checked):  # the first failing block raises
-            if k not in drift:
-                if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                    raise DimensionMismatch("unitary blocks must be square")
-                raise ValueError("block entries must be finite")
-            if drift[k] > UNITARITY_TOL:
-                raise ValueError("block is not unitary within tolerance")
-            if abs(dets[k] - 1.0) > DETERMINANT_TOL:
-                raise ValueError(
-                    "block determinant must equal 1 "
-                    "(use from_blocks(..., fix_determinant=True) to rescale)")
-            m.setflags(write=False)
-        object.__setattr__(self, "blocks", checked)
+        object.__setattr__(self, "blocks", _checked_blocks(self.blocks))
 
     @classmethod
     def from_blocks(cls, blocks, fix_determinant: bool = False) -> "LocalUnitaryTuple":
         """The tuple of the given blocks.  With ``fix_determinant=True`` each
-        block is first rescaled as :func:`special_unitary` does, in one pass
-        per block size: one stacked ``det`` gives the phase and the modulus
-        check, and one Gram product the unitarity check, so the rescaled
-        blocks are not checked a second time.  The errors are those of
-        rescaling block by block and then constructing: on any failure the
-        blocks take that path, and the first failing block raises."""
-        blocks = tuple(blocks)
-        if fix_determinant:
-            fixed = _fix_determinants(blocks)
-            if fixed is not None:
-                return cls._of_checked(fixed)
-            blocks = tuple(special_unitary(b) for b in blocks)
-        return cls(blocks)
+        block is first rescaled as :func:`special_unitary` does, inside the
+        constructor's one pass per block size (``_checked_blocks``)."""
+        if not fix_determinant:
+            return cls(tuple(blocks))
+        return cls._of_checked(_checked_blocks(blocks, rescale=True))
 
     @classmethod
     def _of_checked(cls, blocks) -> "LocalUnitaryTuple":
@@ -392,34 +364,64 @@ class LocalUnitaryTuple:
         return LocalUnitaryTuple(tuple(b.conj().T for b in self.blocks))
 
 
-def _fix_determinants(blocks) -> list[np.ndarray] | None:
-    """The blocks as complex arrays rescaled to determinant one, one stack
-    per size; None when a block is not a finite square matrix, has a
-    determinant off the unit circle or is not unitary within tolerance."""
-    try:
-        blocks = [np.array(b, dtype=complex) for b in blocks]
-    except (TypeError, ValueError):
-        return None
+def _checked_blocks(blocks, rescale: bool = False) -> tuple[np.ndarray, ...]:
+    """The blocks as read-only complex special-unitary matrices, checked in
+    one pass per block size: one stacked ``det`` and one Gram product.
+
+    With ``rescale`` each block is first rescaled by the phase det^(-1/N)
+    of that ``det``, with the bits and the memory layout of its own
+    :func:`special_unitary` call, and its determinant is then its modulus.
+    The first failing block raises: with ``rescale`` the errors of
+    :func:`special_unitary` block by block come first (a block outside the
+    stacked pass, such as a ragged list, gets its own call), then those of
+    the constructor.
+    """
+    blocks, arrays = tuple(blocks), []
+    for b in blocks:
+        try:
+            arrays.append(np.array(b, dtype=complex))
+        except (TypeError, ValueError):
+            if not rescale:
+                raise
+            arrays.append(None)
     sizes: dict[int, list[int]] = {}
-    for k, m in enumerate(blocks):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            return None
-        sizes.setdefault(m.shape[0], []).append(k)
+    for k, m in enumerate(arrays):
+        if (m is not None and m.ndim == 2 and m.shape[0] == m.shape[1]
+                and np.isfinite(m).all()):
+            sizes.setdefault(m.shape[0], []).append(k)
+    drift, dets = {}, {}
     for n, at in sizes.items():
-        stack = np.array([blocks[k] for k in at])
-        if not np.isfinite(stack).all():
-            return None
+        stack = np.array([arrays[k] for k in at])
         det = np.linalg.det(stack)
-        if (abs(abs(det) - 1.0) > DETERMINANT_TOL).any():
-            return None
-        phases = _phases(det, n)
-        if _unitarity_drift(stack * np.reshape(phases, (-1, 1, 1))).max() > UNITARITY_TOL:
-            return None
-        for k, phase in zip(at, phases):
-            # each block keeps its memory layout, which the bits of later
-            # products with it depend on
-            blocks[k] = blocks[k] * phase
-    return blocks
+        if rescale:
+            phases = _phases(det, n)
+            stack *= np.reshape(phases, (-1, 1, 1))
+            det = abs(det)
+            for k, phase in zip(at, phases):
+                # each block keeps its memory layout, which the bits of
+                # later products with it depend on
+                arrays[k] = arrays[k] * phase
+        drift.update(zip(at, _unitarity_drift(stack).tolist()))
+        dets.update(zip(at, det.tolist()))
+    if rescale:
+        for k, b in enumerate(blocks):
+            if k not in dets:  # raises, or gives a stack the constructor refuses
+                arrays[k] = special_unitary(b)
+            elif abs(dets[k] - 1.0) > DETERMINANT_TOL:
+                raise ValueError("matrix determinant does not have unit modulus")
+    for k, m in enumerate(arrays):
+        if k not in drift:
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise DimensionMismatch("unitary blocks must be square")
+            raise ValueError("block entries must be finite")
+        if drift[k] > UNITARITY_TOL:
+            raise ValueError("block is not unitary within tolerance")
+        if abs(dets[k] - 1.0) > DETERMINANT_TOL:
+            raise ValueError(
+                "block determinant must equal 1 "
+                "(use from_blocks(..., fix_determinant=True) to rescale)")
+        m.setflags(write=False)
+    return tuple(arrays)
 
 
 def acting_dims(dims: tuple[int, ...], symmetry: str) -> tuple[int, ...]:
@@ -446,15 +448,37 @@ def party_rows(coeffs: np.ndarray, k: int, batch: int = 0) -> np.ndarray:
     return coeffs.reshape(*lead, pre, n, -1).swapaxes(-3, -2).reshape(*lead, n, -1)
 
 
-def from_party_rows(rows: np.ndarray, shape, k: int) -> np.ndarray:
-    """Inverse of :func:`party_rows` for one state: the tensor of the given
-    shape."""
-    n = shape[k]
-    return rows.reshape(n, math.prod(shape[:k]), -1).swapaxes(0, 1).reshape(shape)
+def local_product(coeffs: np.ndarray, blocks) -> np.ndarray:
+    """Each state v of a (B, *dims) stack with its party axis k contracted
+    with the row index of ``blocks[k]``, (B_1^T (x) ... (x) B_M^T) v, as a
+    (B, *dims) array; a block is one (N_k, N_k) matrix for the whole stack
+    or a (B, N_k, N_k) stack of them.  :func:`apply_local` passes U_k^T.
+
+    One product per run of adjacent slots whose dims multiply to at most
+    FUSED_DIM, with the Kronecker product of their blocks: BLAS handles a
+    product with 2 x 2 matrices poorly, and twelve qubits take four
+    products instead of twelve.  Each product contracts the leading axes of
+    the (B, n, rest) view, read transposed, and leaves the new index last,
+    so after the last run the party axes are back in order, with no copy
+    between the products.
+    """
+    count, w = coeffs.shape[0], coeffs
+    runs, size = [], FUSED_DIM + 1
+    for n, block in zip(coeffs.shape[1:], blocks):
+        if size * n > FUSED_DIM:
+            runs.append(block)
+            size = n
+        else:
+            kron = runs[-1][..., :, None, :, None] * block[..., None, :, None, :]
+            runs[-1] = kron.reshape(-1, size * n, size * n)
+            size *= n
+    for block in runs:
+        w = w.reshape(count, block.shape[-1], -1).swapaxes(-1, -2) @ block
+    return w.reshape(coeffs.shape)
 
 
 def apply_local(state: StateTensor, g: LocalUnitaryTuple) -> StateTensor:
-    """Act with U_1 (x) ... (x) U_M on the state.
+    """Act with U_1 (x) ... (x) U_M on the state, by :func:`local_product`.
 
     Bipartite special case in matrix form: coefficient matrix C maps to
     U_1 C U_2^T.  Norm and symmetry class are preserved; for bosonic and
@@ -469,7 +493,5 @@ def apply_local(state: StateTensor, g: LocalUnitaryTuple) -> StateTensor:
             if not np.allclose(b, first, rtol=0.0, atol=1e-12):
                 raise SymmetryViolation(
                     "indistinguishable particles must all undergo the same block")
-    out = state.coeffs
-    for k, block in enumerate(g.blocks):
-        out = from_party_rows(block @ party_rows(out, k), state.dims, k)
+    out = local_product(state.coeffs[None], [b.T for b in g.blocks])[0]
     return StateTensor(state.dims, out, state.symmetry)

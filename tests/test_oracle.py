@@ -5,12 +5,14 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from orbitent import (
     BOSONIC,
     DISTINGUISHABLE,
     FERMIONIC,
     EnumerationTooLarge,
+    LocalUnitaryTuple,
     NotNormalized,
     StateStack,
     StateTensor,
@@ -27,6 +29,7 @@ from orbitent import (
     verify_against_formula,
     weight_table,
 )
+from orbitent import oracle
 from orbitent.moment import marginal_eigenbases, reduced_matrices
 from orbitent.oracle import (
     DEFAULT_RANK_TOL,
@@ -36,7 +39,7 @@ from orbitent.oracle import (
     _kernel_metric,
     _stable_rank,
 )
-from orbitent.states import acting_dims, embed
+from orbitent.states import acting_dims, embed, local_product
 from orbitent.errors import AmbiguousClustering, RankUnstable
 from orbitent.report import analyze_state
 
@@ -414,6 +417,66 @@ def test_exact_ranks_of_sparse_gaussian_integer_states(dims):
         ranks = exact_ranks(c.real.astype(np.int64), c.imag.astype(np.int64))
         state = build_state(c)
         assert ranks == degeneracy_rank(state).as_tuple() == reference_ranks(state)
+
+
+SPARSE_SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2)]
+
+
+@st.composite
+def rotated_sparse_states(draw):
+    """A nonzero state with entries from {0, 0, 1, -1, i, -i} and the seed
+    of the random local SU that rotates it."""
+    dims = draw(st.sampled_from(SPARSE_SHAPES))
+    size = int(np.prod(dims))
+    entries = draw(st.lists(st.sampled_from([0, 0, 1, -1, 1j, -1j]),
+                            min_size=size, max_size=size))
+    c = np.array(entries, dtype=complex).reshape(dims)
+    assume(c.any())
+    return c, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(rotated_sparse_states())
+def test_rotated_sparse_states_give_the_exact_integers_or_refuse(case):
+    """After a random local SU the float route gives the tolerance-free
+    (r, s, D) of the unrotated state, or refuses; never a wrong integer."""
+    c, seed = case
+    exact = exact_ranks(c.real.astype(np.int64), c.imag.astype(np.int64))
+    moved = apply_local(build_state(c), random_local_unitaries(c.shape, rng=seed))
+    try:
+        report = analyze_state(moved, oracle="verify")
+    except (AmbiguousClustering, RankUnstable):
+        return
+    ranks = report.oracle
+    assert (ranks["orbit_dim"], ranks["symplectic_rank"], ranks["degeneracy"]) == exact
+    assert report.coadjoint_dim == exact[1]
+    for value, want in ((report.orbit_dim, exact[0]), (report.degeneracy, exact[2])):
+        low, high = value if isinstance(value, tuple) else (value, value)
+        assert low <= want <= high
+
+
+@pytest.mark.parametrize("dims, symmetry", [
+    ((2,) * 12, DISTINGUISHABLE), ((3, 5), DISTINGUISHABLE), ((2, 3, 4), DISTINGUISHABLE),
+    ((3, 3, 3), BOSONIC), ((6, 6, 6), FERMIONIC)])
+def test_the_oracles_rotation_is_apply_local_of_each_state(monkeypatch, dims, symmetry):
+    """The oracle rotates a stack by ``states.local_product``, the kernel of
+    ``apply_local``: each state's slice equals ``apply_local`` of that state
+    with the transposes of its own eigenvector blocks, bit for bit.  They
+    are unitary, not special, so that tuple is built without the check."""
+    calls = []
+
+    def spy(coeffs, blocks):
+        calls.append((blocks, local_product(coeffs, blocks)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(oracle, "local_product", spy)
+    rng = np.random.default_rng(len(dims))
+    stack = StateStack.of([random_state(dims, symmetry, rng=rng) for _ in range(3)])
+    degeneracy_rank(stack)
+    [(blocks, rotated)] = calls
+    for b, state in enumerate(stack):
+        g = LocalUnitaryTuple._of_checked(tuple(block[b].T for block in blocks))
+        assert np.array_equal(rotated[b], apply_local(state, g).coeffs)
 
 
 @pytest.mark.parametrize("dims, symmetry", [

@@ -25,7 +25,7 @@ from orbitent import (
     su_basis,
     symmetrize,
 )
-from orbitent.states import check_dims, party_rows
+from orbitent.states import check_dims, local_product, party_rows
 
 EPS = np.finfo(float).eps
 
@@ -254,6 +254,47 @@ def test_apply_local_matches_kronecker_product():
                            rtol=0.0, atol=1e-13)
 
 
+def per_party_product(coeffs, blocks):
+    """Each state of a (B, *dims) stack with party axis k contracted with
+    the rows of ``blocks[k]``, (N_k, N_k) or (B, N_k, N_k), by one
+    ``tensordot`` per party axis."""
+    out = []
+    for b, v in enumerate(coeffs):
+        for k, u in enumerate(blocks):
+            v = np.moveaxis(np.tensordot(v, u if u.ndim == 2 else u[b], axes=(k, 0)), -1, k)
+        out.append(v)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dims", [
+    (5,), (2, 2), (2, 3, 4), (3, 5), (2,) * 3, (2,) * 9, (3, 3, 3), (6, 6, 6)])
+def test_local_product_matches_a_product_per_party(dims):
+    """Runs of slots fuse while their dims multiply to at most FUSED_DIM
+    ((2,)^3 to exactly 8); on both sides of that bound the one product per
+    run equals a product per party, for blocks shared by the stack and for
+    one block per state."""
+    rng = np.random.default_rng(len(dims) * 100 + sum(dims))
+    coeffs = np.array([random_state(dims, rng=rng).coeffs for _ in range(3)])
+    tuples = [random_local_unitaries(dims, rng=rng).blocks for _ in range(3)]
+    shared = tuples[0]
+    stacked = [np.array(blocks) for blocks in zip(*tuples)]
+    for blocks in (shared, stacked):
+        got = local_product(coeffs, blocks)
+        assert got.shape == coeffs.shape
+        assert np.allclose(got, per_party_product(coeffs, blocks), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("symmetry", [BOSONIC, FERMIONIC])
+def test_apply_local_on_particles_matches_a_product_per_party(symmetry):
+    rng = np.random.default_rng(23)
+    state = random_state((3, 3, 3), symmetry, rng=rng)
+    g = random_local_unitaries((3, 3, 3), symmetry, rng=rng)
+    out = apply_local(state, g)
+    want = per_party_product(state.coeffs[None], [b.T for b in g.blocks])[0]
+    assert np.allclose(out.coeffs, want, rtol=0.0, atol=1e-13)
+    assert build_state(out.coeffs, symmetry).symmetry == symmetry
+
+
 def test_apply_local_dimension_mismatch():
     state = build_state([[0, 1], [1, 0]])
     with pytest.raises(DimensionMismatch):
@@ -385,6 +426,8 @@ NOT_UNIT_MODULUS = "matrix determinant does not have unit modulus"
     ((np.diag([np.inf, 1.0]), np.eye(3)), ValueError, NOT_FINITE),
     ((HADAMARD, np.ones((2, 3))), np.linalg.LinAlgError, "must be square"),
     ((np.eye(2)[None], HADAMARD), DimensionMismatch, "must be square"),
+    # a block that is no array, after one whose determinant fails first
+    ((2 * np.eye(3), [[1, 0], [0]]), ValueError, NOT_UNIT_MODULUS),
 ])
 def test_from_blocks_keeps_the_errors_of_rescaling_block_by_block(blocks, error, message):
     with pytest.raises(error, match=re.escape(message)) as got:
@@ -392,6 +435,26 @@ def test_from_blocks_keeps_the_errors_of_rescaling_block_by_block(blocks, error,
     with pytest.raises(error) as want:
         reference_from_blocks(blocks)
     assert str(got.value) == str(want.value)
+
+
+def test_one_det_per_block_size(monkeypatch):
+    """The constructor and ``from_blocks(..., fix_determinant=True)`` each
+    check the blocks in one pass per block size: one stacked ``det``."""
+    rng = np.random.default_rng(37)
+    special = random_local_unitaries((2, 3, 2, 3), rng=rng).blocks
+    phased = [b * np.exp(1j * rng.uniform(0, 7)) for b in special]
+    det, calls = np.linalg.det, []
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    LocalUnitaryTuple(special)
+    assert sorted(calls) == [(2, 2, 2), (2, 3, 3)]
+    calls.clear()
+    LocalUnitaryTuple.from_blocks(phased, fix_determinant=True)
+    assert sorted(calls) == [(2, 2, 2), (2, 3, 3)]
 
 
 @pytest.mark.parametrize("matrix", [
