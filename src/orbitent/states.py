@@ -315,9 +315,11 @@ def _phases(det: np.ndarray, n: int) -> list[complex]:
 
 
 def _unitarity_drift(stack: np.ndarray) -> np.ndarray:
-    """max |U^dag U - I| of each matrix of an (S, N, N) stack."""
-    gram = stack.conj().swapaxes(-1, -2) @ stack
-    return np.abs(gram - np.eye(stack.shape[-1])).max(axis=(-2, -1))
+    """max |U^dag U - I| of each matrix of an (S, N, N) stack; inf or NaN,
+    without a warning, where the Gram product overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = stack.conj().swapaxes(-1, -2) @ stack
+        return np.abs(gram - np.eye(stack.shape[-1])).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -414,7 +416,7 @@ def _checked_blocks(blocks, rescale: bool = False) -> tuple[np.ndarray, ...]:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise DimensionMismatch("unitary blocks must be square")
             raise ValueError("block entries must be finite")
-        if drift[k] > UNITARITY_TOL:
+        if not drift[k] <= UNITARITY_TOL:  # NaN included
             raise ValueError("block is not unitary within tolerance")
         if abs(dets[k] - 1.0) > DETERMINANT_TOL:
             raise ValueError(

@@ -379,6 +379,19 @@ def test_unitary_tuple_raises_the_first_bad_blocks_error(blocks, error, message)
         LocalUnitaryTuple(blocks)
 
 
+def test_unitary_tuple_refuses_a_gram_product_that_overflows():
+    """Entries near 1e200 overflow U^dag U to NaN, which must not pass the
+    unitarity check; a determinant off the unit circle still raises first
+    when rescaling."""
+    huge = np.diag([1e200 * (1 + 1j), 1e-200 * (1 - 1j) / 2])  # det 1
+    assert np.linalg.det(huge) == pytest.approx(1.0)
+    for fix in (False, True):
+        with pytest.raises(ValueError, match=NOT_UNITARY):
+            LocalUnitaryTuple.from_blocks((np.eye(2), huge), fix_determinant=fix)
+    with pytest.raises(ValueError, match="matrix determinant does not have unit modulus"):
+        LocalUnitaryTuple.from_blocks((np.diag([1e200, 0.0]),), fix_determinant=True)
+
+
 def test_special_unitary_of_a_stack_equals_each_matrix():
     rng = np.random.default_rng(29)
     for n in (2, 3, 5):
