@@ -45,7 +45,7 @@ def decide(values: np.ndarray, cut, error: type, what: str) -> np.ndarray:
     ``cut`` is a number or an array that broadcasts against ``values``,
     such as one cut per row of a stack; the message names the smallest
     offending value and its own cut."""
-    near = _near_cut(values, cut)
+    near = (values > cut / AMBIGUITY_FACTOR) & (values < cut * AMBIGUITY_FACTOR)
     if near.any():
         offenders = values[near]
         at = int(offenders.argmin())
@@ -54,12 +54,6 @@ def decide(values: np.ndarray, cut, error: type, what: str) -> np.ndarray:
         raise error(f"{what} {offender:.3e} lies within a factor {AMBIGUITY_FACTOR:g} "
                     f"of the threshold {threshold:.3e}; adjust the tolerance")
     return values >= cut
-
-
-def _near_cut(values: np.ndarray, cut) -> np.ndarray:
-    """The mask of the values strictly within a factor AMBIGUITY_FACTOR of
-    the cut: the one place of the refusal window."""
-    return (values > cut / AMBIGUITY_FACTOR) & (values < cut * AMBIGUITY_FACTOR)
 
 
 @dataclass(frozen=True)
@@ -150,39 +144,70 @@ def cluster_spectrum(values, tol: float = DEFAULT_CLUSTER_TOL):
 
 
 def _cluster_rows(rows: np.ndarray, tol: float) -> tuple[SpectrumClustering, ...]:
-    """``cluster_spectrum`` of each row of a 2-d array, checked at once."""
-    if not (rows.min() >= -1e-10 and rows.max() <= 1.0 + 1e-8):  # also NaN
+    """``cluster_spectrum`` of each row of a 2-d array, checked at once.
+
+    One sort, then one walk per row in Python floats with the arithmetic
+    and comparisons of ``decide``, which finds the blocks and the kernel
+    and tests each gap and value for the refusal window.  A refusal runs
+    ``decide`` per kind over every row, gaps first, for its error."""
+    ascending = np.sort(rows)
+    table = ascending.tolist()
+    # the extremes of each sorted row; NaN sorts last and fails too
+    if not (min(row[0] for row in table) >= -1e-10
+            and max(row[-1] for row in table) <= 1.0 + 1e-8):
         raise ValueError("eigenvalues must lie in [0, 1]")
     if any(abs(total - 1.0) > 1e-8 for total in rows.sum(axis=1).tolist()):
         raise ValueError("spectrum must sum to 1")
-    # descending and contiguous, so a block's mean sums in descending order
-    svals = -np.sort(-np.maximum(rows, 0.0), axis=1)
-    eff = tol * svals[:, :1]
-    # one near-cut test over the gaps (the one between the last positive
-    # and the first kernel value included) and the values together; only a
-    # refusal runs ``decide`` per kind, gaps first, for its error
-    gaps = svals[:, :-1] - svals[:, 1:]
-    both = np.concatenate((gaps, svals), axis=1)
-    if _near_cut(both, eff).any():
-        decide(gaps, eff, AmbiguousClustering, "spectral gap")
-        decide(svals, eff, AmbiguousClustering, "eigenvalue")
-    kept = both >= eff
-    splits = kept[:, :gaps.shape[1]]
-    # sorted descending, so the positive values are a prefix of each row
-    positive = kept[:, gaps.shape[1]:].sum(axis=1)
+    tol = float(tol)
     out = []
-    for row, values, split, count in zip(svals, svals.tolist(), splits.tolist(),
-                                         positive.tolist()):
-        blocks = []
-        start = 0
-        for stop in range(1, count + 1):
-            if stop == count or split[stop - 1]:
-                value = (float(row[start:stop].mean()) if stop - start > 1
-                         else values[start])
-                blocks.append((value, stop - start))
+    for values in table:
+        values.reverse()
+        # The largest value is never near its cut (tol < 1e-2); each later
+        # value is tested with the gap above it, up to the first kernel
+        # value.  Past it, every value, clamped at 0 as ``decide`` sees it,
+        # and every gap is at most cut/10, so far from the cut.  The clamp
+        # moves nothing tested: only a kernel value can be negative, and the
+        # gap above the first one comes down from a value at least 10 cut.
+        previous = values[0]
+        eff = tol * previous
+        low, high = eff / AMBIGUITY_FACTOR, eff * AMBIGUITY_FACTOR
+        blocks, start, count = [], 0, len(values)
+        for stop in range(1, count):
+            value = values[stop]
+            gap = previous - value
+            if low < gap < high or low < value < high:
+                _refuse(ascending, tol)
+            if gap >= eff or value < eff:  # a block ends at stop
+                blocks.append(_block(values, start, stop))
                 start = stop
-        out.append(SpectrumClustering(row.size - count, tuple(blocks), float(tol)))
+                if value < eff:
+                    count = stop
+                    break
+            previous = value
+        else:
+            blocks.append(_block(values, start, count))
+        out.append(SpectrumClustering(len(values) - count, tuple(blocks), tol))
     return tuple(out)
+
+
+def _block(values: list, start: int, stop: int) -> tuple[float, int]:
+    """(value, multiplicity) of a block of a descending spectrum: its mean
+    summed by numpy in descending order, as ``np.ndarray.mean`` of that
+    slice of the row."""
+    if stop - start == 1:
+        return values[start], 1
+    return float(np.array(values[start:stop]).mean()), stop - start
+
+
+def _refuse(ascending: np.ndarray, tol: float):
+    """Raise the refusal of a stack of sorted spectra with a gap or a value
+    near its cut: ``decide`` per kind over the descending rows, clamped at
+    0, gaps first, so a gap refusal wins over a value refusal in any row."""
+    svals = np.maximum(ascending[:, ::-1], 0.0)
+    eff = tol * svals[:, :1]
+    decide(svals[:, :-1] - svals[:, 1:], eff, AmbiguousClustering, "spectral gap")
+    decide(svals, eff, AmbiguousClustering, "eigenvalue")
+    raise AssertionError("a value near the cut escaped decide")
 
 
 def orbit_dimension_bipartite(clustering: SpectrumClustering, dim: int) -> int:

@@ -48,7 +48,12 @@ from .measure import (
     orbit_dimension_bipartite,
     separability_test,
 )
-from .moment import cluster_spectra, marginal_eigenbases, reduced_matrices
+from .moment import (
+    _reduced_matrices,
+    cluster_spectra,
+    marginal_eigenbases,
+    reduced_matrices,
+)
 from .oracle import DEFAULT_RANK_TOL, degeneracy_rank
 from .states import DISTINGUISHABLE, FERMIONIC, StateStack, StateTensor, acting_dims
 
@@ -189,9 +194,12 @@ def _analyze_chunk(chunk, cluster_tol, rank_tol, oracle, boson_convention):
     the stack raises, from one stack per state, in order."""
     try:
         stack = StateStack.of(chunk)
-        reduced = reduced_matrices(stack)
-        reduced.check_unit_norm("analyze_state")
         route = _route(stack)
+        # conj(C C^dag) and (C^dag C)^T of a square C have one spectrum,
+        # zeros included: on the closed form, party 1's clustering serves both
+        schmidt = oracle == ORACLE_OFF and route == ROUTE_BIPARTITE
+        reduced = _reduced_matrices(stack, (0,)) if schmidt else reduced_matrices(stack)
+        reduced.check_unit_norm("analyze_state")
         if oracle != ORACLE_OFF or route == ROUTE_ORACLE:
             # one eigh per party dim gives the spectra and the oracle's bases
             eigenbases = marginal_eigenbases(reduced, cluster_tol)
@@ -199,6 +207,8 @@ def _analyze_chunk(chunk, cluster_tol, rank_tol, oracle, boson_convention):
             ranks = degeneracy_rank(stack, rank_tol, eigenbases)
         else:
             clusterings = cluster_spectra(reduced.spectra(), cluster_tol)
+            if schmidt:
+                clusterings = [(c, c) for (c,) in clusterings]
             ranks = [None] * len(chunk)
     except (OrbitentError, ValueError):
         if len(chunk) == 1:

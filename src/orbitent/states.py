@@ -109,13 +109,8 @@ class StateStack:
             raise DimensionMismatch("stacked states must share dims and symmetry")
         # the states were validated and hold read-only complex copies of
         # the right shape, so one fresh stacked copy needs no second one
-        stack = object.__new__(cls)
-        coeffs = np.array([s.coeffs for s in states])
-        coeffs.setflags(write=False)
-        for name, value in (("dims", first.dims), ("coeffs", coeffs),
-                            ("symmetry", first.symmetry)):
-            object.__setattr__(stack, name, value)
-        return stack
+        return _wrap(cls, first.dims, np.array([s.coeffs for s in states]),
+                     first.symmetry)
 
     @property
     def parties(self) -> int:
@@ -178,6 +173,18 @@ def check_dims(dims, symmetry: str = DISTINGUISHABLE) -> tuple[int, ...]:
         raise DimensionMismatch(f"the antisymmetric space of {len(dims)} particles "
                                 f"in dimension {dims[0]} is trivial")
     return dims
+
+
+def _wrap(cls, dims, coeffs: np.ndarray, symmetry: str):
+    """A StateTensor or StateStack that holds the coefficients as they
+    are, made read-only in place.  For a fresh complex C-contiguous array
+    of checked dims, whose layout the caller vouches for: the
+    constructor's check and copy would only repeat work."""
+    obj = object.__new__(cls)
+    coeffs.setflags(write=False)
+    for name, value in (("dims", dims), ("coeffs", coeffs), ("symmetry", symmetry)):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _store_coeffs(obj, stacked: bool = False) -> None:
@@ -495,5 +502,6 @@ def apply_local(state: StateTensor, g: LocalUnitaryTuple) -> StateTensor:
             if not np.allclose(b, first, rtol=0.0, atol=1e-12):
                 raise SymmetryViolation(
                     "indistinguishable particles must all undergo the same block")
+    # the product is a fresh C-contiguous complex array of the state's shape
     out = local_product(state.coeffs[None], [b.T for b in g.blocks])[0]
-    return StateTensor(state.dims, out, state.symmetry)
+    return _wrap(StateTensor, state.dims, out, state.symmetry)

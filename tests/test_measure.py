@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitent import (
     AmbiguousClustering,
@@ -296,3 +297,59 @@ def test_one_near_cut_test_refuses_as_one_decide_per_kind():
             pair = np.array([first, second])
             assert (outcome(_cluster_rows, pair, EXACT_TOL)
                     == outcome(reference_cluster_rows, pair, EXACT_TOL))
+
+
+def nudged(x, steps):
+    """The float ``steps`` floats above x (below for negative steps)."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, np.inf if steps > 0 else -np.inf)
+    return float(x)
+
+
+@st.composite
+def spectrum_rows(draw, length):
+    """A spectrum of the given length with largest value 1/2, so the cut at
+    EXACT_TOL is 5 * 2^-34 and LOW, HIGH are its window's ends exactly.
+
+    The other values are kernel values and blocks of random multiplicity
+    that share the remaining mass, each entry within a few floats of its
+    block's value (a mean of 8 or more sums pairwise).  Kernel values are
+    0, values far below the window or a negative rounding error.  A "gap"
+    row puts one entry a gap LOW or HIGH, or one float either side, below
+    its block; a "value" row puts one kernel value at LOW or HIGH, or one
+    float either side.  The row is shuffled and sums to 1 within 1e-8."""
+    kind = draw(st.sampled_from(["plain", "plain", "gap", "value"]))
+    kernel = draw(st.integers(0, length - 2))
+    values = [draw(st.sampled_from([0.0, 0.0, 1e-13, -3e-11])) for _ in range(kernel)]
+    if kind == "value" and kernel:
+        values[0] = draw(st.sampled_from(edges(LOW) + edges(HIGH)))
+    multiplicities, left = [], length - 1 - kernel
+    while left:
+        multiplicities.append(draw(st.integers(1, left)))
+        left -= multiplicities[-1]
+    weights = [draw(st.floats(0.05, 1.0)) for _ in multiplicities]
+    scale = (0.5 - sum(values)) / sum(w * m for w, m in zip(weights, multiplicities))
+    row = [0.5]
+    for w, m in zip(weights, multiplicities):
+        row += [nudged(w * scale, draw(st.integers(-3, 3))) for _ in range(m)]
+    if kind == "gap":
+        at = draw(st.integers(1, len(row) - 1))
+        row[at] = nudged(row[at] - draw(st.sampled_from([LOW, HIGH])),
+                         draw(st.integers(-1, 1)))
+    return draw(st.permutations(row + values))
+
+
+@st.composite
+def spectrum_stacks(draw):
+    """1 to 6 spectra of one length, 2 to 12 values each."""
+    length = draw(st.integers(2, 12))
+    return np.array(draw(st.lists(spectrum_rows(length), min_size=1, max_size=6)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(spectrum_stacks())
+def test_cluster_rows_equals_the_reference(rows):
+    """One walk per row gives the reference's clusterings bit for bit, or
+    its exception type and message."""
+    assert (outcome(_cluster_rows, rows, EXACT_TOL)
+            == outcome(reference_cluster_rows, rows, EXACT_TOL))

@@ -19,9 +19,11 @@ from orbitent import (
     analyze_states,
     apply_local,
     build_state,
+    cluster_spectrum,
     random_local_unitaries,
     random_product_state,
     random_state,
+    reduced_matrices,
     symmetrize,
     verify_against_formula,
 )
@@ -348,3 +350,59 @@ def test_the_oracle_route_reads_the_norm_once(monkeypatch):
     assert analyze_state(state, oracle="verify").oracle["consistent"]
     with pytest.raises(AssertionError, match="second pass"):
         orbitent.degeneracy_rank(state)
+
+
+def _schmidt_states(n, rng):
+    """A generic (n, n) state and rotated Schmidt states on degenerate
+    strata: a kernel, equal weights, and a block of eight or more."""
+    profiles = [(1,) * (n // 2), (n // 2, n - n // 2), (n,)]
+    if n >= 8:
+        profiles.append((n // 4, n // 4))
+    if n >= 16:
+        profiles.append((8, 1, n // 4))
+    states = [random_state((n, n), rng=rng)]
+    for profile in profiles:
+        weights = [1 / (b + 1) for b, m in enumerate(profile) for _ in range(m)]
+        diag = np.zeros((n, n))
+        diag[range(len(weights)), range(len(weights))] = np.sqrt(weights)
+        states.append(apply_local(build_state(diag), random_local_unitaries((n, n), rng=rng)))
+    return states
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_closed_form_two_party_route_takes_one_schmidt_spectrum(n):
+    """With the oracle off, two equal parties share party 1's clustering:
+    their marginals have one spectrum, zeros included.  Its profile is
+    the one party 2's own spectrum gives, and its integers are the
+    oracle's wherever the oracle's guards let it run."""
+    for state in _schmidt_states(n, np.random.default_rng(40 + n)):
+        rep = analyze_state(state)
+        assert rep.clusterings[1] == rep.clusterings[0]
+        own = cluster_spectrum(np.linalg.eigvalsh(reduced_matrices(state).matrices[1])[::-1])
+        assert rep.clusterings[1].profile() == own.profile()
+        c = rep.clusterings[0]
+        assert rep.orbit_dim == 2 * n * n - 2 * c.kernel_dim**2 - c.square_sum - 1
+        if n <= 8:
+            checked = analyze_state(state, oracle="verify")
+            assert ((rep.orbit_dim, rep.coadjoint_dim, rep.degeneracy, rep.separable)
+                    == (checked.orbit_dim, checked.coadjoint_dim, checked.degeneracy,
+                        checked.separable))
+            assert [x.profile() for x in checked.clusterings] == [c.profile()] * 2
+
+
+@pytest.mark.parametrize("dims, weights, message", [
+    ((3, 3), [0.5 + 2.5e-8, 0.5 - 2.5e-8, 0.0],
+     "spectral gap 5.000e-08 lies within a factor 10 of the threshold 5.000e-08"),
+    ((4, 4), [0.6, 0.4 - 2e-7, 2e-7, 0.0],
+     "spectral gap 2.000e-07 lies within a factor 10 of the threshold 6.000e-08"),
+    ((2, 2), [1 - 2e-7, 2e-7],
+     "eigenvalue 2.000e-07 lies within a factor 10 of the threshold 1.000e-07")])
+def test_one_schmidt_spectrum_refuses_near_its_cut_as_before(dims, weights, message):
+    """A Schmidt spectrum near its cut is refused with the message both
+    marginals gave when each was clustered, with the oracle off or on."""
+    c = np.diag(np.sqrt(weights))
+    state = apply_local(build_state(c), random_local_unitaries(dims, rng=41))
+    for oracle in ("off", "verify"):
+        with pytest.raises(AmbiguousClustering) as refused:
+            analyze_state(state, oracle=oracle)
+        assert str(refused.value) == message + "; adjust the tolerance"

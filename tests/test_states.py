@@ -295,6 +295,32 @@ def test_apply_local_on_particles_matches_a_product_per_party(symmetry):
     assert build_state(out.coeffs, symmetry).symmetry == symmetry
 
 
+@pytest.mark.parametrize("dims, symmetry", [
+    ((5,), DISTINGUISHABLE), ((3, 3), DISTINGUISHABLE), ((2, 3, 4), DISTINGUISHABLE),
+    ((2,) * 9, DISTINGUISHABLE), ((64, 64), DISTINGUISHABLE), ((3, 3, 3), FERMIONIC)])
+def test_apply_local_wraps_its_product_without_a_second_copy(monkeypatch, dims, symmetry):
+    """The product is fresh, so the state holds it as it is: read-only,
+    C-contiguous, complex, with the bits of the product, and neither the
+    constructor's copy nor its dims check runs."""
+    rng = np.random.default_rng(sum(dims))
+    state = random_state(dims, symmetry, rng=rng)
+    g = random_local_unitaries(dims, symmetry, rng=rng)
+    want = local_product(state.coeffs[None], [b.T for b in g.blocks])[0]
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("the constructor copied and checked the product")
+
+    monkeypatch.setattr("orbitent.states._store_coeffs", unreached)
+    out = apply_local(state, g)
+    assert (out.dims, out.symmetry) == (state.dims, symmetry)
+    flags = out.coeffs.flags
+    assert flags.c_contiguous and not flags.writeable and out.coeffs.dtype == complex
+    assert out.coeffs.shape == dims
+    assert np.array_equal(out.coeffs.view(np.uint64), want.view(np.uint64))
+    with pytest.raises(ValueError, match="read-only"):
+        out.coeffs[(0,) * len(dims)] = 0.0
+
+
 def test_apply_local_dimension_mismatch():
     state = build_state([[0, 1], [1, 0]])
     with pytest.raises(DimensionMismatch):
