@@ -152,9 +152,9 @@ def _cluster_rows(rows: np.ndarray, tol: float) -> tuple[SpectrumClustering, ...
     ``decide`` per kind over every row, gaps first, for its error."""
     ascending = np.sort(rows)
     table = ascending.tolist()
-    # the extremes of each sorted row; NaN sorts last and fails too
-    if not (min(row[0] for row in table) >= -1e-10
-            and max(row[-1] for row in table) <= 1.0 + 1e-8):
+    # the ends of each sorted row; NaN sorts last, and a comparison with it
+    # is false, so a NaN in any row fails too
+    if not all(row[0] >= -1e-10 and row[-1] <= 1.0 + 1e-8 for row in table):
         raise ValueError("eigenvalues must lie in [0, 1]")
     if any(abs(total - 1.0) > 1e-8 for total in rows.sum(axis=1).tolist()):
         raise ValueError("spectrum must sum to 1")

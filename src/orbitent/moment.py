@@ -58,8 +58,7 @@ class ReducedMatrices:
         """Descending eigenvalue list per party, (N_k,) or (B, N_k): the
         ascending ``eigvalsh`` output, reversed."""
         mats = self.matrices
-        if len(mats) > 1 and len({m.shape for m in mats}) == 1:
-            # one eigvalsh for every party
+        if len({m.shape for m in mats}) == 1:  # one eigvalsh for every party
             return tuple(np.linalg.eigvalsh(np.array(mats))[..., ::-1])
         return tuple(np.linalg.eigvalsh(m)[..., ::-1] for m in mats)
 
@@ -69,15 +68,10 @@ def reduced_matrices(state: StateTensor | StateStack) -> ReducedMatrices:
     of matrices per party for a StateStack.  A non-finite state gives
     non-finite matrices without a floating-point warning; their
     ``check_unit_norm`` refuses them."""
-    return _reduced_matrices(state, range(state.parties))
-
-
-def _reduced_matrices(state: StateTensor | StateStack, parties) -> ReducedMatrices:
-    """``reduced_matrices`` of the given parties alone, in their order."""
     batch = state.coeffs.ndim - state.parties
     mats = []
     with np.errstate(invalid="ignore", over="ignore"):
-        for k in parties:
+        for k in range(state.parties):
             rows = party_rows(state.coeffs, k, batch)
             m = rows.conj() @ rows.swapaxes(-1, -2)
             m.setflags(write=False)
@@ -95,12 +89,10 @@ def _by_dim(sizes) -> dict[int, list[int]]:
 
 def cluster_spectra(spectra, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list:
     """Per state, the tuple of its parties' clusterings, from one descending
-    spectrum per party, (B, N_k) or (N_k,).  The spectra of one length go,
-    state-major, into one ``_cluster_groups`` call: the only party of its
-    length as it is, several stacked once."""
+    spectrum per party, (B, N_k) or (N_k,).  The spectra of one length are
+    stacked once, state-major, into one ``_cluster_groups`` call."""
     rows = [s.reshape(-1, s.shape[-1]) for s in spectra]
-    groups = [(parties, rows[parties[0]] if len(parties) == 1
-               else np.stack([rows[k] for k in parties], axis=1).reshape(-1, n))
+    groups = [(parties, np.stack([rows[k] for k in parties], axis=1).reshape(-1, n))
               for n, parties in _by_dim(r.shape[-1] for r in rows).items()]
     return _cluster_groups(groups, rows, cluster_tol)
 

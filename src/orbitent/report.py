@@ -49,7 +49,7 @@ from .measure import (
     separability_test,
 )
 from .moment import (
-    _reduced_matrices,
+    ReducedMatrices,
     cluster_spectra,
     marginal_eigenbases,
     reduced_matrices,
@@ -194,22 +194,22 @@ def _analyze_chunk(chunk, cluster_tol, rank_tol, oracle, boson_convention):
     the stack raises, from one stack per state, in order."""
     try:
         stack = StateStack.of(chunk)
-        route = _route(stack)
-        # conj(C C^dag) and (C^dag C)^T of a square C have one spectrum,
-        # zeros included: on the closed form, party 1's clustering serves both
-        schmidt = oracle == ORACLE_OFF and route == ROUTE_BIPARTITE
-        reduced = _reduced_matrices(stack, (0,)) if schmidt else reduced_matrices(stack)
+        reduced = reduced_matrices(stack)
         reduced.check_unit_norm("analyze_state")
+        route = _route(stack)
+        ranks = [None] * len(chunk)
         if oracle != ORACLE_OFF or route == ROUTE_ORACLE:
             # one eigh per party dim gives the spectra and the oracle's bases
             eigenbases = marginal_eigenbases(reduced, cluster_tol)
             clusterings = eigenbases[1]
             ranks = degeneracy_rank(stack, rank_tol, eigenbases)
+        elif route == ROUTE_BIPARTITE:
+            # conj(C C^dag) and (C^dag C)^T of a square C have one spectrum,
+            # zeros included: party 1's clustering serves both parties
+            schmidt = ReducedMatrices(reduced.matrices[:1]).spectra()
+            clusterings = [(c, c) for (c,) in cluster_spectra(schmidt, cluster_tol)]
         else:
             clusterings = cluster_spectra(reduced.spectra(), cluster_tol)
-            if schmidt:
-                clusterings = [(c, c) for (c,) in clusterings]
-            ranks = [None] * len(chunk)
     except (OrbitentError, ValueError):
         if len(chunk) == 1:
             raise

@@ -353,3 +353,17 @@ def test_cluster_rows_equals_the_reference(rows):
     its exception type and message."""
     assert (outcome(_cluster_rows, rows, EXACT_TOL)
             == outcome(reference_cluster_rows, rows, EXACT_TOL))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_value_in_any_row_is_out_of_range(bad):
+    """A NaN or infinite value fails the range check wherever it sits,
+    also behind a finite value in a later row of a stack."""
+    for at in np.ndindex(3, 3):
+        rows = np.array([[0.5, 0.3, 0.2], [1 / 3] * 3, [0.5, 0.5, 0.0]])
+        rows[at] = bad
+        expected = (ValueError, "eigenvalues must lie in [0, 1]")
+        assert outcome(_cluster_rows, rows, EXACT_TOL) == expected
+        assert outcome(reference_cluster_rows, rows, EXACT_TOL) == expected
+        assert outcome(cluster_spectrum, rows) == expected
+    assert outcome(cluster_spectrum, [[0.5, 0.5], [0.5, bad]]) == expected
