@@ -27,7 +27,6 @@ from .lie import (
     LieBasis,
     Sl2Triple,
     WeightVector,
-    cartan_basis,
     highest_weight_vector,
     kostant_sternberg_check,
     rep_action,
@@ -65,7 +64,6 @@ from .report import (
     BOSON_SYMMETRIC_SIMPLE,
     ConsistencyRecord,
     ORACLE_OFF,
-    ORACLE_ONLY,
     ORACLE_VERIFY,
     analyze_state,
     analyze_states,
@@ -96,7 +94,7 @@ __all__ = [
     "Inconsistency", "NotAWeightVector", "NotBipartite", "NotNormalized",
     "OrbitentError", "RankUnstable", "SymmetryViolation", "ZeroState",
     "load_state", "save_state", "state_from_document", "state_to_document",
-    "KSVerdict", "LieBasis", "Sl2Triple", "WeightVector", "cartan_basis",
+    "KSVerdict", "LieBasis", "Sl2Triple", "WeightVector",
     "highest_weight_vector", "kostant_sternberg_check", "rep_action",
     "sl2_triples", "su_basis", "weight_table",
     "DEFAULT_CLUSTER_TOL", "DegeneracyReport", "SpectrumClustering",
@@ -107,7 +105,7 @@ __all__ = [
     "DEFAULT_RANK_TOL", "DegeneracyRank", "degeneracy_rank",
     "fubini_study_omega", "verify_against_formula",
     "BOSON_PRODUCT", "BOSON_SYMMETRIC_SIMPLE", "ConsistencyRecord",
-    "ORACLE_OFF", "ORACLE_ONLY", "ORACLE_VERIFY", "analyze_state",
+    "ORACLE_OFF", "ORACLE_VERIFY", "analyze_state",
     "analyze_states",
     "random_local_unitaries", "random_product_state",
     "random_special_unitary", "random_state",

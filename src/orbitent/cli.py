@@ -29,7 +29,6 @@ from .report import (
     ROUTE_BIPARTITE,
     ROUTE_BOUNDS,
     ROUTE_ORACLE,
-    ROUTE_ORACLE_ONLY,
     ROUTE_SINGLE,
     analyze_state,
     analyze_states,
@@ -48,7 +47,6 @@ ROUTE_NOTES = {
     ROUTE_SINGLE: (SINGLE_NOTE, COADJOINT_NOTE, SINGLE_NOTE),
     ROUTE_BOUNDS: (BOUNDS_NOTE, COADJOINT_NOTE, BOUNDS_NOTE),
     ROUTE_ORACLE: (ORACLE_NOTE, COADJOINT_NOTE, ORACLE_NOTE),
-    ROUTE_ORACLE_ONLY: (ORACLE_NOTE,) * 3,
 }
 
 SEPARABLE_NOTES = {
@@ -240,6 +238,8 @@ def _cmd_verify(args) -> int:
     dims = _parse_dims(args.dims, args.symmetry)
     if args.count < 1:
         raise ValueError("--count must be positive")
+    if args.seed < 0:
+        raise ValueError("--seed must be non-negative")
     rng = np.random.default_rng(args.seed)
     states = (random_state(dims, args.symmetry, rng) for _ in range(args.count))
     mode = None

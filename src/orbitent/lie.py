@@ -45,8 +45,8 @@ from .states import (
 MAX_ENUMERATION = 10**6
 
 
-def _unit_entry(n: int, i: int, j: int, dtype=np.int64) -> np.ndarray:
-    e = np.zeros((n, n), dtype=dtype)
+def _unit_entry(n: int, i: int, j: int) -> np.ndarray:
+    e = np.zeros((n, n), dtype=np.int64)
     e[i, j] = 1
     return e
 
@@ -96,35 +96,14 @@ def su_basis(dims) -> LieBasis:
     return LieBasis(dims, tuple(elements))
 
 
-@dataclass(frozen=True)
-class CartanGenerator:
-    """H_m = E_mm - E_{m+1,m+1} of party ``party`` (integer entries)."""
-
-    party: int
-    index: int
-    matrix: np.ndarray
-
-
-def cartan_basis(dims) -> tuple[CartanGenerator, ...]:
-    """Fixed Cartan basis, party-major: H_1 ... H_{N_k - 1} per party."""
-    dims = check_dims(dims)
-    gens = []
-    for k, n in enumerate(dims):
-        for m in range(n - 1):
-            h = _unit_entry(n, m, m) - _unit_entry(n, m + 1, m + 1)
-            h.setflags(write=False)
-            gens.append(CartanGenerator(k, m, h))
-    return tuple(gens)
-
-
 def cartan_charges(dims, symmetry: str, digits: np.ndarray) -> np.ndarray:
     """The Cartan charges of P basis states given by their (M, P) digit
     rows, as (C, P) integers for C = sum_k (N_k - 1) over the factors of K.
 
-    The generators of :func:`cartan_basis` are diagonal, so a basis state
-    is a weight vector, and its weight is its charge vector: row m of
-    factor k holds h_m(x) = [x_k = m] - [x_k = m + 1], summed over every
-    slot for indistinguishable particles.
+    The Cartan generators H_m = E_mm - E_{m+1,m+1} are diagonal, so a
+    basis state is a weight vector, and its weight is its charge vector:
+    row m of factor k holds h_m(x) = [x_k = m] - [x_k = m + 1], summed over
+    every slot for indistinguishable particles.
     """
     rows = []
     for k, n in enumerate(acting_dims(dims, symmetry)):
@@ -249,8 +228,8 @@ def rep_action(generator, state) -> np.ndarray:
 class WeightVector:
     """Basis state that is a simultaneous eigenvector of the Cartan action.
 
-    ``weight`` lists the integer eigenvalue under each generator of
-    :func:`cartan_basis` (party-major).  ``int_coeffs`` is the unnormalized
+    ``weight`` lists the integer eigenvalue under each Cartan generator
+    H_m = E_mm - E_{m+1,m+1}, party-major.  ``int_coeffs`` is the unnormalized
     integer coefficient tensor used for exact eigenvalue checks; ``state``
     is the normalized StateTensor.
     """

@@ -204,7 +204,7 @@ def _schmidt_steps(state: StateTensor, cluster_tol: float):
     check_unit_norm(state, "schmidt")
     u, s, vh = np.linalg.svd(state.coeffs)
     clustering = cluster_spectrum(s**2 / np.sum(s**2), cluster_tol)
-    g = LocalUnitaryTuple.from_blocks((u.conj().T, vh.conj().T), fix_determinant=True)
+    g = LocalUnitaryTuple.from_blocks((u.conj().T, vh.conj().T))
     return s, clustering, g.blocks
 
 
@@ -304,5 +304,5 @@ def canonical_form(state: StateTensor,
         bases = _gauge(vectors[n], [clusterings[k] for k in parties])
         for k, block in zip(parties, bases.swapaxes(-1, -2)):
             blocks[k] = block
-    g = LocalUnitaryTuple.from_blocks(blocks, fix_determinant=True)
+    g = LocalUnitaryTuple.from_blocks(blocks)
     return apply_local(state, g), g

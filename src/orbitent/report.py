@@ -2,7 +2,7 @@
 
 ``analyze_states`` (and ``analyze_state``, its stack of one) is the one
 place that decides which formula gives each integer.  It picks one of four
-routes:
+routes, which the report carries:
 
   bipartite   two distinguishable parties of equal dim: exact closed forms
   single      one party: the orbit is all of projective space, D = 0
@@ -12,9 +12,6 @@ routes:
               the orbit, so the numerical oracle runs whatever the
               requested oracle mode and gives r and D; its s is the
               coadjoint formula by construction, so nothing is compared
-
-The report carries its route; under oracle mode "only" the route becomes
-``oracle-only`` because every integer then comes from the oracle.
 
 Separability verdicts:
 
@@ -34,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import Inconsistency, OrbitentError
 from .io import state_to_document
@@ -59,8 +56,7 @@ from .states import DISTINGUISHABLE, FERMIONIC, StateStack, StateTensor, acting_
 
 ORACLE_OFF = "off"
 ORACLE_VERIFY = "verify"
-ORACLE_ONLY = "only"
-ORACLE_MODES = (ORACLE_OFF, ORACLE_VERIFY, ORACLE_ONLY)
+ORACLE_MODES = (ORACLE_OFF, ORACLE_VERIFY)
 
 BOSON_SYMMETRIC_SIMPLE = "symmetric-simple-tensor"
 BOSON_PRODUCT = "product-of-same-vector"
@@ -74,7 +70,6 @@ ROUTE_BIPARTITE = "bipartite"
 ROUTE_SINGLE = "single"
 ROUTE_BOUNDS = "bounds"
 ROUTE_ORACLE = "oracle"
-ROUTE_ORACLE_ONLY = "oracle-only"
 #: the formula-versus-oracle comparison of each route (ConsistencyRecord.mode)
 _CHECK_MODES = {
     ROUTE_BIPARTITE: "exact",
@@ -148,12 +143,11 @@ def analyze_state(state: StateTensor,
                   ) -> DegeneracyReport:
     """Degeneracy report for one state.
 
-    ``oracle`` is one of off / verify / only: "verify" attaches the
-    numerical ranks and checks them against the formulas (raising
-    Inconsistency on disagreement), "only" checks them too and then reports
-    the oracle numbers in place of the formulas.  Both tolerances are
-    checked on entry, whether or not the oracle runs.  The state is
-    analyzed as a stack of one by :func:`analyze_states`.
+    ``oracle`` is off or verify: "verify" attaches the numerical ranks and
+    checks them against the formulas (raising Inconsistency on
+    disagreement).  Both tolerances are checked on entry, whether or not
+    the oracle runs.  The state is analyzed as a stack of one by
+    :func:`analyze_states`.
     """
     return next(analyze_states([state], cluster_tol, rank_tol, oracle,
                                boson_convention))
@@ -218,10 +212,10 @@ def _analyze_chunk(chunk, cluster_tol, rank_tol, oracle, boson_convention):
                                       boson_convention)
         return
     for state, clustering, rank in zip(chunk, clusterings, ranks):
-        yield _report(state, clustering, rank, route, oracle, boson_convention)
+        yield _report(state, clustering, rank, route, boson_convention)
 
 
-def _report(state, clusterings, rank, route, oracle, boson_convention):
+def _report(state, clusterings, rank, route, boson_convention):
     """The report of one state from its clusterings and oracle ranks."""
     # indistinguishable particles: one common reduced matrix, one SU(N)
     group = acting_dims(state.dims, state.symmetry)
@@ -266,13 +260,7 @@ def _report(state, clusterings, rank, route, oracle, boson_convention):
         return report
     # the record compares the formulas of this report, and is attached
     # before the report leaves here
-    record = check_consistency(report, state)
-    if oracle == ORACLE_ONLY:
-        return replace(report, orbit_dim=rank.orbit_dim,
-                       coadjoint_dim=rank.symplectic_rank,
-                       degeneracy=rank.degeneracy,
-                       route=ROUTE_ORACLE_ONLY, consistency=record)
-    object.__setattr__(report, "consistency", record)
+    object.__setattr__(report, "consistency", check_consistency(report, state))
     return report
 
 

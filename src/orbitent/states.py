@@ -333,8 +333,8 @@ def _unitarity_drift(stack: np.ndarray) -> np.ndarray:
 class LocalUnitaryTuple:
     """One special-unitary block per party.
 
-    Blocks must already be special unitary; pass ``fix_determinant=True`` to
-    :meth:`from_blocks` to rescale unit-modulus determinants by det^(-1/N).
+    The constructor takes blocks that are special unitary already;
+    :meth:`from_blocks` rescales unit-modulus determinants by det^(-1/N).
     """
 
     blocks: tuple[np.ndarray, ...]
@@ -343,12 +343,10 @@ class LocalUnitaryTuple:
         object.__setattr__(self, "blocks", _checked_blocks(self.blocks))
 
     @classmethod
-    def from_blocks(cls, blocks, fix_determinant: bool = False) -> "LocalUnitaryTuple":
-        """The tuple of the given blocks.  With ``fix_determinant=True`` each
-        block is first rescaled as :func:`special_unitary` does, inside the
-        constructor's one pass per block size (``_checked_blocks``)."""
-        if not fix_determinant:
-            return cls(tuple(blocks))
+    def from_blocks(cls, blocks) -> "LocalUnitaryTuple":
+        """The tuple of the given blocks, each first rescaled as
+        :func:`special_unitary` does, inside the constructor's one pass per
+        block size (``_checked_blocks``)."""
         return cls._of_checked(_checked_blocks(blocks, rescale=True))
 
     @classmethod
@@ -428,7 +426,7 @@ def _checked_blocks(blocks, rescale: bool = False) -> tuple[np.ndarray, ...]:
         if abs(dets[k] - 1.0) > DETERMINANT_TOL:
             raise ValueError(
                 "block determinant must equal 1 "
-                "(use from_blocks(..., fix_determinant=True) to rescale)")
+                "(use from_blocks to rescale)")
         m.setflags(write=False)
     return tuple(arrays)
 

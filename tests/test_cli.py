@@ -1,12 +1,16 @@
 """CLI contract: formats, determinism, exit codes, error JSON."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from orbitent import build_state, save_state
-from orbitent.cli import main
+from orbitent.cli import _build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -47,15 +51,6 @@ def test_analyze_bell_json_fields(capsys, bell_file):
     assert doc["degeneracy"] == 3
     assert doc["separable"] is False
     assert doc["oracle"]["consistent"] is True
-
-
-def test_analyze_oracle_only_labels_every_count_oracle(capsys, bell_file):
-    code, out, _ = run(capsys, "analyze", "--input", bell_file,
-                       "--oracle", "only")
-    assert code == 0
-    for label in ("orbit dim", "coadjoint dim", "degeneracy D"):
-        line = next(l for l in out.splitlines() if l.startswith(label))
-        assert "(numerical oracle)" in line
 
 
 def test_analyze_single_party_text_has_no_oracle_label(capsys, tmp_path):
@@ -255,6 +250,17 @@ def test_verify_refusal_names_the_first_refused_state(capsys):
                    "threshold 6.840e-08; adjust the tolerance"}
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--count", "0"), ("--count", "-1"), ("--seed", "-1")])
+def test_verify_refuses_a_count_or_seed_out_of_range(capsys, option, value):
+    argv = {"--count": "3", "--seed": "0", option: value}
+    code, out, err = run(capsys, "verify", "--dims", "2,2",
+                         *(item for pair in argv.items() for item in pair))
+    assert code == 1 and not out
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and option in doc["message"]
+
+
 def test_verify_seed_determinism(capsys):
     _, first, _ = run(capsys, "verify", "--count", "3", "--dims", "2,2,2",
                       "--seed", "9", "--format", "json")
@@ -360,3 +366,40 @@ def test_boson_convention_flag(capsys, tmp_path):
                       "--boson-convention", "product-of-same-vector")
     assert json.loads(out_a)["separable"] is True
     assert json.loads(out_b)["separable"] is False
+
+
+def _readme_flags():
+    """README's "Flags per command" table as {command: {option: choices}},
+    the choices None where the table names a value (``FILE``, ``X``); the
+    ``--format`` sentence above the table adds to every command."""
+    section = README.read_text(encoding="utf-8").split("Flags per command", 1)[1]
+    common = re.match(r" \(every command also takes `([^`]*)`\)", section).group(1)
+    table = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            if table:
+                break
+            continue
+        command, flags = re.split(r"(?<!\\)\|", line)[1:3]
+        options = re.findall(r"`(--[^`]*)`", flags) + [common]
+        table[command.strip().strip("`")] = dict(map(_readme_flag, options))
+    return table
+
+
+def _readme_flag(text):
+    name, _, value = text.replace("\\|", "|").partition(" ")
+    return name, tuple(value.split("|")) if "|" in value else None
+
+
+def _parser_flags():
+    """{command: {option: choices}} of the parser, help excluded."""
+    subparsers = next(a for a in _build_parser()._actions if a.choices)
+    return {command: {a.option_strings[-1]: a.choices and tuple(a.choices)
+                      for a in sub._actions if a.dest != "help"}
+            for command, sub in subparsers.choices.items()}
+
+
+def test_readme_flags_table_matches_the_parser():
+    """Every option of every command, and every choice of each, appears
+    in the table, and nothing else does."""
+    assert _readme_flags() == _parser_flags()

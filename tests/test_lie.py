@@ -3,6 +3,7 @@
 import functools
 import itertools
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from orbitent import (
     StateStack,
     WeightVector,
     build_state,
-    cartan_basis,
     degeneracy_rank,
     highest_weight_vector,
     kostant_sternberg_check,
@@ -202,6 +202,27 @@ def test_weight_table_wedge2_c3():
     assert len(table) == 3
     labels = {w.label for w in table}
     assert labels == {"e1^e2", "e1^e3", "e2^e3"}
+
+
+@dataclass(frozen=True)
+class CartanGenerator:
+    """H_m = E_mm - E_{m+1,m+1} of party ``party`` (integer entries)."""
+
+    party: int
+    index: int
+    matrix: np.ndarray
+
+
+def cartan_basis(dims) -> tuple[CartanGenerator, ...]:
+    """Fixed Cartan basis, party-major: H_1 ... H_{N_k - 1} per party; the
+    reference the weights are read against."""
+    gens = []
+    for k, n in enumerate(dims):
+        for m in range(n - 1):
+            h = np.zeros((n, n), dtype=np.int64)
+            h[m, m], h[m + 1, m + 1] = 1, -1
+            gens.append(CartanGenerator(k, m, h))
+    return tuple(gens)
 
 
 def test_weight_vectors_are_exact_cartan_eigenvectors():

@@ -32,36 +32,28 @@ from orbitent import (
 from orbitent import oracle
 from orbitent.moment import marginal_eigenbases, reduced_matrices
 from orbitent.oracle import (
-    DEFAULT_RANK_TOL,
     _charge_table,
     _eigen_directions,
     _kernel_mask,
     _kernel_metric,
     _stable_rank,
 )
-from orbitent.states import acting_dims, embed, local_product
+from orbitent.states import acting_dims, local_product
 from orbitent.errors import AmbiguousClustering, RankUnstable
 from orbitent.report import analyze_state
+
+from rank_references import (
+    all_generators,
+    all_rows,
+    exact_rank,
+    exact_ranks,
+    reference_ranks,
+    reference_symplectic_rank,
+)
 
 
 def bell_state():
     return build_state([[0, 1], [1, 0]])
-
-
-def all_generators(state):
-    """Every basis generator A_a of K as its per-slot tuple, in ``su_basis``
-    order."""
-    group = acting_dims(state.dims, state.symmetry)
-    return [embed(el.matrix, el.party, state.parties, state.symmetry)
-            for el in su_basis(group).elements]
-
-
-def all_rows(state):
-    """The images A_a v of every basis generator of K, one ``rep_action``
-    call each: (G, dim H) for a state, (B, G, dim H) for a stack."""
-    lead = state.coeffs.shape[:state.coeffs.ndim - state.parties]
-    return np.stack([rep_action(mats, state).reshape(*lead, -1)
-                     for mats in all_generators(state)], axis=-2)
 
 
 def test_omega_vanishes_on_equal_arguments():
@@ -314,82 +306,6 @@ def test_tangent_rows_of_a_stack_match_each_state(dims, symmetry):
         assert np.allclose(rows[b], all_rows(state), rtol=0, atol=1e-15)
 
 
-def reference_symplectic_rank(state, rank_tol=DEFAULT_RANK_TOL):
-    """s as the rank of Omega = -Im<A_a v|A_b v> on all of k, from the image
-    of every basis generator: its singular values are linear in the
-    spectral gaps, and no clustering enters."""
-    rows = all_rows(state)
-    im = (rows.conj() @ rows.T).imag
-    sing = np.linalg.svd((im.T - im) / 2.0, compute_uv=False)
-    s = int(_stable_rank(sing, rank_tol, "reference symplectic form"))
-    assert s % 2 == 0
-    return s
-
-
-def reference_ranks(state, rank_tol=DEFAULT_RANK_TOL):
-    """The projected-frame oracle: project each generator image onto the
-    tangent space and read r off the Gram matrix of the projections, on
-    all of k; s is ``reference_symplectic_rank``."""
-    rows = all_rows(state)
-    v = state.coeffs.reshape(1, -1)
-    tangents = rows - (rows @ v.conj().T) * v
-    gram = (tangents.conj() @ tangents.T).real
-    r = int(_stable_rank(np.linalg.eigvalsh((gram + gram.T) / 2.0), rank_tol,
-                         "reference Gram matrix"))
-    s = reference_symplectic_rank(state, rank_tol)
-    return r, s, r - s
-
-
-def exact_rank(matrix) -> int:
-    """The rank of an integer matrix, by fraction-free (Bareiss) elimination
-    in Python ints: after each pivot every entry is a minor of the input,
-    so each division by the previous pivot is exact."""
-    a = np.array(matrix, dtype=object)
-    rank, previous = 0, 1
-    for col in range(a.shape[1]):
-        nonzero = [i for i in range(rank, a.shape[0]) if a[i, col] != 0]
-        if not nonzero:
-            continue
-        a[[rank, nonzero[0]]] = a[[nonzero[0], rank]]
-        pivot = a[rank, col]
-        a[rank + 1:, col + 1:] = (pivot * a[rank + 1:, col + 1:]
-                                  - np.outer(a[rank + 1:, col], a[rank, col + 1:])) // previous
-        a[rank + 1:, col] = 0
-        previous, rank = pivot, rank + 1
-    return rank
-
-
-def exact_ranks(real, imag, symmetry=DISTINGUISHABLE):
-    """(r, s, D) with no tolerance, for the state c of Gaussian-integer
-    coefficients ``real + i imag`` (int64 tensors).
-
-    Over the integer basis of k (``su_basis``: entries 0, +-1, +-i) the
-    images Xc are Gaussian-integer vectors, and at the unit state c / |c|
-    the forms scale to the integer matrices
-    G' = |c|^2 Re<Xc|Yc> - Im<c|Xc> Im<c|Yc> (|c|^4 G, rank r) and
-    Omega' = -Im<Xc|Yc> (|c|^2 Omega, rank s), whose ranks ``exact_rank``
-    takes.  The images and their products are int64, guarded against
-    overflow; G' is formed in Python ints."""
-    dims = real.shape
-    images = []
-    for el in su_basis(acting_dims(dims, symmetry)).elements:
-        a, b = (embed(part.astype(np.int64), el.party, len(dims), symmetry)
-                for part in (el.matrix.real, el.matrix.imag))
-        images.append([(rep_action(a, x) + sign * rep_action(b, y)).reshape(-1)
-                       for x, y, sign in ((real, imag, -1), (imag, real, 1))])
-    xr, xi = np.array(images).swapaxes(0, 1)  # (G, dim H) each
-    c_r, c_i = real.reshape(-1), imag.reshape(-1)
-    peak = max(int(np.abs(t).max(initial=0)) for t in (xr, xi, c_r, c_i))
-    assert 2 * real.size * peak ** 2 < 2 ** 63, "the int64 products would overflow"
-    overlap_re = xr @ xr.T + xi @ xi.T
-    overlap_im = xr @ xi.T - xi @ xr.T
-    alpha = (xi @ c_r - xr @ c_i).astype(object)  # Im<c|Xc>
-    norm = int(c_r @ c_r + c_i @ c_i)
-    r = exact_rank(norm * overlap_re.astype(object) - np.outer(alpha, alpha))
-    s = exact_rank(overlap_im)
-    return r, s, r - s
-
-
 def test_exact_rank_of_integer_matrices():
     rng = np.random.default_rng(41)
     for rank in range(6):
@@ -420,22 +336,44 @@ def test_exact_ranks_of_sparse_gaussian_integer_states(dims):
 
 
 SPARSE_SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2)]
+SCHMIDT_SHAPES = [(3, 3), (4, 4), (3, 4)]
 
 
 @st.composite
-def rotated_sparse_states(draw):
-    """A nonzero state with entries from {0, 0, 1, -1, i, -i} and the seed
-    of the random local SU that rotates it."""
+def sparse_entries(draw):
+    """A nonzero state with entries from {0, 0, 1, -1, i, -i}."""
     dims = draw(st.sampled_from(SPARSE_SHAPES))
     size = int(np.prod(dims))
     entries = draw(st.lists(st.sampled_from([0, 0, 1, -1, 1j, -1j]),
                             min_size=size, max_size=size))
     c = np.array(entries, dtype=complex).reshape(dims)
     assume(c.any())
-    return c, draw(st.integers(0, 2 ** 32 - 1))
+    return c
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@st.composite
+def schmidt_normal_forms(draw):
+    """A nonzero integer Schmidt normal form sum_n c_n e_n (x) e_n with
+    weights from {0, 1, 2}: repeated weights and kernels, such as (2, 1, 1),
+    (1, 1, 0) or (2, 2, 1, 0), reach the degenerate strata where the m_n^2
+    and m_0^2 terms count."""
+    dims = draw(st.sampled_from(SCHMIDT_SHAPES))
+    n = min(dims)
+    weights = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=n, max_size=n))
+    assume(any(weights))
+    c = np.zeros(dims, dtype=complex)
+    c[range(n), range(n)] = weights
+    return c
+
+
+def rotated_sparse_states():
+    """A sparse state or a Schmidt normal form, and the seed of the random
+    local SU that rotates it."""
+    return st.tuples(st.one_of(sparse_entries(), schmidt_normal_forms()),
+                     st.integers(0, 2 ** 32 - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
 @given(rotated_sparse_states())
 def test_rotated_sparse_states_give_the_exact_integers_or_refuse(case):
     """After a random local SU the float route gives the tolerance-free

@@ -47,13 +47,6 @@ def test_bell_report_with_oracle_verify():
     assert rep.oracle["symplectic_rank"] == 0
 
 
-def test_oracle_only_mode_reports_oracle_numbers():
-    rep = analyze_state(bell_state(), oracle="only")
-    assert rep.orbit_dim == 3
-    assert rep.coadjoint_dim == 0
-    assert rep.degeneracy == 3
-
-
 def test_product_state_report():
     rep = analyze_state(build_state([[1, 0], [0, 0]]), oracle="verify")
     assert rep.degeneracy == 0
@@ -133,8 +126,10 @@ def test_report_json_shape():
 
 
 def test_invalid_modes_rejected():
-    with pytest.raises(ValueError):
-        analyze_state(bell_state(), oracle="sometimes")
+    assert orbitent.report.ORACLE_MODES == ("off", "verify")
+    for mode in ("sometimes", "only"):
+        with pytest.raises(ValueError, match="oracle mode"):
+            analyze_state(bell_state(), oracle=mode)
     with pytest.raises(ValueError):
         analyze_state(bell_state(), boson_convention="neither")
 
@@ -239,7 +234,7 @@ def test_analyze_states_equals_one_analyze_state_per_state(dims, symmetry):
     # the special states sit in the first chunk and open the second one
     states[1:1 + len(special)] = special
     states[length:length + len(special)] = special
-    for mode in ("off", "verify", "only"):
+    for mode in ("off", "verify"):
         single = [analyze_state(s, oracle=mode) for s in states]
         # one side of the chunk boundary, then across it
         _same_reports(list(analyze_states(states[:length - 1], oracle=mode)),

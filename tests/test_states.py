@@ -370,7 +370,7 @@ def test_unitary_tuple_rejects_unit_modulus_det_without_request():
     u = np.diag([1j, 1.0])  # unitary, det = 1j
     with pytest.raises(ValueError):
         LocalUnitaryTuple((u,))
-    fixed = LocalUnitaryTuple.from_blocks((u,), fix_determinant=True)
+    fixed = LocalUnitaryTuple.from_blocks((u,))
     assert np.linalg.det(fixed.blocks[0]) == pytest.approx(1.0)
 
 
@@ -411,11 +411,11 @@ def test_unitary_tuple_refuses_a_gram_product_that_overflows():
     when rescaling."""
     huge = np.diag([1e200 * (1 + 1j), 1e-200 * (1 - 1j) / 2])  # det 1
     assert np.linalg.det(huge) == pytest.approx(1.0)
-    for fix in (False, True):
+    for make in (LocalUnitaryTuple, LocalUnitaryTuple.from_blocks):
         with pytest.raises(ValueError, match=NOT_UNITARY):
-            LocalUnitaryTuple.from_blocks((np.eye(2), huge), fix_determinant=fix)
+            make((np.eye(2), huge))
     with pytest.raises(ValueError, match="matrix determinant does not have unit modulus"):
-        LocalUnitaryTuple.from_blocks((np.diag([1e200, 0.0]),), fix_determinant=True)
+        LocalUnitaryTuple.from_blocks((np.diag([1e200, 0.0]),))
 
 
 def test_special_unitary_of_a_stack_equals_each_matrix():
@@ -430,8 +430,8 @@ def test_special_unitary_of_a_stack_equals_each_matrix():
 
 
 def reference_from_blocks(blocks):
-    """``from_blocks(..., fix_determinant=True)`` as one ``special_unitary``
-    per block and then the validating constructor."""
+    """``from_blocks`` as one ``special_unitary`` per block and then the
+    validating constructor."""
     return LocalUnitaryTuple(tuple(special_unitary(b) for b in blocks))
 
 
@@ -444,7 +444,7 @@ def test_from_blocks_rescales_each_block_as_special_unitary_does():
     for n in (2, 3, 2, 5, 3, 2):
         u = random_local_unitaries((n,), rng=rng).blocks[0] * np.exp(1j * rng.uniform(0, 7))
         blocks.append(u if len(blocks) % 2 else u.T)
-    fixed = LocalUnitaryTuple.from_blocks(blocks, fix_determinant=True)
+    fixed = LocalUnitaryTuple.from_blocks(blocks)
     for block, got, want in zip(blocks, fixed.blocks, reference_from_blocks(blocks).blocks,
                                 strict=True):
         assert np.array_equal(got, special_unitary(block))
@@ -470,15 +470,15 @@ NOT_UNIT_MODULUS = "matrix determinant does not have unit modulus"
 ])
 def test_from_blocks_keeps_the_errors_of_rescaling_block_by_block(blocks, error, message):
     with pytest.raises(error, match=re.escape(message)) as got:
-        LocalUnitaryTuple.from_blocks(blocks, fix_determinant=True)
+        LocalUnitaryTuple.from_blocks(blocks)
     with pytest.raises(error) as want:
         reference_from_blocks(blocks)
     assert str(got.value) == str(want.value)
 
 
 def test_one_det_per_block_size(monkeypatch):
-    """The constructor and ``from_blocks(..., fix_determinant=True)`` each
-    check the blocks in one pass per block size: one stacked ``det``."""
+    """The constructor and ``from_blocks`` each check the blocks in one
+    pass per block size: one stacked ``det``."""
     rng = np.random.default_rng(37)
     special = random_local_unitaries((2, 3, 2, 3), rng=rng).blocks
     phased = [b * np.exp(1j * rng.uniform(0, 7)) for b in special]
@@ -492,7 +492,7 @@ def test_one_det_per_block_size(monkeypatch):
     LocalUnitaryTuple(special)
     assert sorted(calls) == [(2, 2, 2), (2, 3, 3)]
     calls.clear()
-    LocalUnitaryTuple.from_blocks(phased, fix_determinant=True)
+    LocalUnitaryTuple.from_blocks(phased)
     assert sorted(calls) == [(2, 2, 2), (2, 3, 3)]
 
 
