@@ -94,6 +94,19 @@ class SpectrumClustering:
         vars(self).update(multiplicities=tuple(multiplicities), positive_rank=rank,
                           square_sum=square_sum)
 
+    @classmethod
+    def _of_walk(cls, kernel_dim: int, blocks: tuple, tolerance: float,
+                 multiplicities: tuple[int, ...], positive_rank: int) -> "SpectrumClustering":
+        """The clustering that ``_cluster_rows`` walked a spectrum to, with
+        the multiplicities and their sum counted on the way.  The walk
+        leaves a nonnegative kernel and descending blocks of multiplicity
+        at least one, so ``__post_init__`` would only check them again."""
+        c = object.__new__(cls)
+        vars(c).update(kernel_dim=kernel_dim, blocks=blocks, tolerance=tolerance,
+                       multiplicities=multiplicities, positive_rank=positive_rank,
+                       square_sum=sum([m * m for m in multiplicities]))
+        return c
+
     @property
     def size(self) -> int:
         return self.kernel_dim + self.positive_rank
@@ -171,7 +184,7 @@ def _cluster_rows(rows: np.ndarray, tol: float) -> tuple[SpectrumClustering, ...
         previous = values[0]
         eff = tol * previous
         low, high = eff / AMBIGUITY_FACTOR, eff * AMBIGUITY_FACTOR
-        blocks, start, count = [], 0, len(values)
+        blocks, sizes, start, count = [], [], 0, len(values)
         for stop in range(1, count):
             value = values[stop]
             gap = previous - value
@@ -179,6 +192,7 @@ def _cluster_rows(rows: np.ndarray, tol: float) -> tuple[SpectrumClustering, ...
                 _refuse(ascending, tol)
             if gap >= eff or value < eff:  # a block ends at stop
                 blocks.append(_block(values, start, stop))
+                sizes.append(stop - start)
                 start = stop
                 if value < eff:
                     count = stop
@@ -186,7 +200,9 @@ def _cluster_rows(rows: np.ndarray, tol: float) -> tuple[SpectrumClustering, ...
             previous = value
         else:
             blocks.append(_block(values, start, count))
-        out.append(SpectrumClustering(len(values) - count, tuple(blocks), tol))
+            sizes.append(count - start)
+        out.append(SpectrumClustering._of_walk(len(values) - count, tuple(blocks), tol,
+                                               tuple(sizes), count))
     return tuple(out)
 
 

@@ -14,6 +14,7 @@ unitaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ from .states import (
 
 @dataclass(frozen=True)
 class ReducedMatrices:
-    """One positive semidefinite trace-one matrix per party, (N_k, N_k), or
-    (B, N_k, N_k) for a stack of B states."""
+    """One positive semidefinite trace-one matrix per party built, (N_k,
+    N_k), or (B, N_k, N_k) for a stack of B states."""
 
     matrices: tuple[np.ndarray, ...]
 
@@ -50,28 +51,37 @@ class ReducedMatrices:
         trace of the first reduced matrix, which is the squared norm: no
         further pass over the coefficients.  A NaN or infinite state fails
         too."""
-        traces = np.trace(self.matrices[0], axis1=-2, axis2=-1).real
-        if not (np.abs(np.sqrt(traces) - 1.0) <= NORM_TOL).all():
+        traces = np.trace(self.matrices[0], axis1=-2, axis2=-1).real.reshape(-1)
+        if not all(abs(math.sqrt(t) - 1.0) <= NORM_TOL for t in traces.tolist()):
             raise NotNormalized(f"{what} needs unit vectors")
 
-    def spectra(self) -> tuple[np.ndarray, ...]:
-        """Descending eigenvalue list per party, (N_k,) or (B, N_k): the
-        ascending ``eigvalsh`` output, reversed."""
+    def _stacks(self) -> list[tuple[list[int], np.ndarray]]:
+        """One ``(positions, matrices)`` pair per matrix dim n, in order of
+        first appearance: the positions in ``matrices`` of the matrices of
+        dim n, and those matrices, stacked once and viewed state-major,
+        (P_n, n, n) or (B, P_n, n, n)."""
         mats = self.matrices
-        if len({m.shape for m in mats}) == 1:  # one eigvalsh for every party
-            return tuple(np.linalg.eigvalsh(np.array(mats))[..., ::-1])
-        return tuple(np.linalg.eigvalsh(m)[..., ::-1] for m in mats)
+        # the axis over the matrices goes behind any stack axis
+        return [(ks, np.array([mats[k] for k in ks]).swapaxes(0, -3))
+                for ks in _by_dim(m.shape[-1] for m in mats).values()]
+
+    def spectra(self) -> list[tuple[list[int], np.ndarray]]:
+        """One ``(positions, spectra)`` pair per pair of ``_stacks``: the
+        descending eigenvalues of each stack of matrices, (P_n, n) or
+        (B, P_n, n), state-major, from one ``eigvalsh`` per dim, reversed."""
+        return [(ks, np.linalg.eigvalsh(group)[..., ::-1]) for ks, group in self._stacks()]
 
 
-def reduced_matrices(state: StateTensor | StateStack) -> ReducedMatrices:
-    """All M one-party reduced matrices, by direct contraction; one stack
-    of matrices per party for a StateStack.  A non-finite state gives
-    non-finite matrices without a floating-point warning; their
-    ``check_unit_norm`` refuses them."""
+def reduced_matrices(state: StateTensor | StateStack, parties=None) -> ReducedMatrices:
+    """The one-party reduced matrices of the given parties, in that order,
+    or of every party, by direct contraction; one stack of matrices per
+    party for a StateStack.  A non-finite state gives non-finite matrices
+    without a floating-point warning; their ``check_unit_norm`` refuses
+    them."""
     batch = state.coeffs.ndim - state.parties
     mats = []
     with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(state.parties):
+        for k in range(state.parties) if parties is None else parties:
             rows = party_rows(state.coeffs, k, batch)
             m = rows.conj() @ rows.swapaxes(-1, -2)
             m.setflags(write=False)
@@ -88,29 +98,23 @@ def _by_dim(sizes) -> dict[int, list[int]]:
 
 
 def cluster_spectra(spectra, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list:
-    """Per state, the tuple of its parties' clusterings, from one descending
-    spectrum per party, (B, N_k) or (N_k,).  The spectra of one length are
-    stacked once, state-major, into one ``_cluster_groups`` call."""
-    rows = [s.reshape(-1, s.shape[-1]) for s in spectra]
-    groups = [(parties, np.stack([rows[k] for k in parties], axis=1).reshape(-1, n))
-              for n, parties in _by_dim(r.shape[-1] for r in rows).items()]
-    return _cluster_groups(groups, rows, cluster_tol)
-
-
-def _cluster_groups(groups, rows, cluster_tol: float) -> list:
-    """Per state, the tuple of its parties' clusterings.  ``groups`` holds,
-    per party dim, its parties and their spectra as one (B P, n) array,
-    state-major; each goes through one ``cluster_spectrum`` call.  On a
-    refusal, ``rows``, one (B, N_k) array per party, are replayed state by
-    state and party by party, so the first refused party of the first
-    refused state raises its own error."""
-    by_party = [None] * len(rows)
+    """Per state, the tuple of its parties' clusterings, from the
+    ``(parties, spectra)`` pairs of ``ReducedMatrices.spectra``: the
+    descending spectra of the parties of one dim, (P, n) or (B, P, n),
+    state-major, go through one ``cluster_spectrum`` call.  On a refusal
+    the spectra are replayed state by state and party by party, so the
+    first refused party of the first refused state raises its own error."""
+    by_party = [None] * sum(len(parties) for parties, _ in spectra)
     try:
-        for parties, stacked in groups:
-            flat = cluster_spectrum(stacked, cluster_tol)
+        for parties, vals in spectra:
+            flat = cluster_spectrum(vals.reshape(-1, vals.shape[-1]), cluster_tol)
             for p, k in enumerate(parties):
                 by_party[k] = flat[p::len(parties)]
     except (AmbiguousClustering, ValueError):
+        rows = [None] * len(by_party)
+        for parties, vals in spectra:
+            for p, k in enumerate(parties):
+                rows[k] = vals[..., p, :].reshape(-1, vals.shape[-1])
         for state in zip(*rows):
             for row in state:
                 cluster_spectrum(row, cluster_tol)
@@ -121,25 +125,21 @@ def _cluster_groups(groups, rows, cluster_tol: float) -> list:
 def marginal_eigenbases(reduced: ReducedMatrices,
                         cluster_tol: float = DEFAULT_CLUSTER_TOL):
     """One ``eigh`` per party dim over the stacked marginals, reversed to
-    descending order and clustered with one ``cluster_spectrum`` call per
-    party dim: the one decision of which eigenvalues are equal, for every
-    consumer of the eigenbases.  A refusal names the first refused party
-    of the first refused state, as ``cluster_spectra`` does.
+    descending order and clustered by ``cluster_spectra``, one
+    ``cluster_spectrum`` call per party dim: the one decision of which
+    eigenvalues are equal, for every consumer of the eigenbases.  A refusal
+    names the first refused party of the first refused state.
 
     Returns ``(vectors, clusterings)``: ``vectors[n]``, (..., P_n, n, n),
     holds as columns the eigenvectors of the parties of dim n, in party
     order, matching their descending spectra.
     """
-    mats = reduced.matrices
-    vectors, groups, rows = {}, [], [None] * len(mats)
-    for n, parties in _by_dim(m.shape[-1] for m in mats).items():
-        # the party axis goes next to the matrix axes, behind any stack axis
-        vals, vecs = np.linalg.eigh(np.array([mats[k] for k in parties]).swapaxes(0, -3))
-        vals, vectors[n] = vals[..., ::-1], vecs[..., ::-1]  # descending; vectors are columns
-        groups.append((parties, vals.reshape(-1, n)))
-        for p, k in enumerate(parties):
-            rows[k] = vals[..., p, :].reshape(-1, n)
-    return vectors, _cluster_groups(groups, rows, cluster_tol)
+    vectors, spectra = {}, []
+    for parties, group in reduced._stacks():
+        vals, vecs = np.linalg.eigh(group)
+        vectors[group.shape[-1]] = vecs[..., ::-1]  # descending; vectors are columns
+        spectra.append((parties, vals[..., ::-1]))
+    return vectors, cluster_spectra(spectra, cluster_tol)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,6 @@ from .measure import (
     separability_test,
 )
 from .moment import (
-    ReducedMatrices,
     cluster_spectra,
     marginal_eigenbases,
     reduced_matrices,
@@ -135,6 +134,17 @@ def _chunks(states):
         yield chunk
 
 
+def _check_options(cluster_tol, rank_tol, oracle, boson_convention) -> None:
+    """Refuse a tolerance, oracle mode or boson convention out of range."""
+    check_tolerance(cluster_tol, "clustering")
+    check_tolerance(rank_tol, "rank")
+    if oracle not in ORACLE_MODES:
+        raise ValueError(f"oracle mode must be one of {ORACLE_MODES}")
+    if boson_convention not in BOSON_CONVENTIONS:
+        raise ValueError(
+            f"boson convention must be one of {BOSON_CONVENTIONS}")
+
+
 def analyze_state(state: StateTensor,
                   cluster_tol: float = DEFAULT_CLUSTER_TOL,
                   rank_tol: float = DEFAULT_RANK_TOL,
@@ -146,11 +156,13 @@ def analyze_state(state: StateTensor,
     ``oracle`` is off or verify: "verify" attaches the numerical ranks and
     checks them against the formulas (raising Inconsistency on
     disagreement).  Both tolerances are checked on entry, whether or not
-    the oracle runs.  The state is analyzed as a stack of one by
-    :func:`analyze_states`.
+    the oracle runs.  The state is analyzed as a stack of one, a view of
+    its coefficients, by the steps :func:`analyze_states` runs per chunk.
     """
-    return next(analyze_states([state], cluster_tol, rank_tol, oracle,
-                               boson_convention))
+    _check_options(cluster_tol, rank_tol, oracle, boson_convention)
+    route, (clusterings,), (rank,) = _clusterings([state], cluster_tol,
+                                                  rank_tol, oracle)
+    return _report(state, clusterings, rank, route, boson_convention)
 
 
 def analyze_states(states,
@@ -171,13 +183,7 @@ def analyze_states(states,
     raises its own exception and message, as a loop of ``analyze_state``
     would.
     """
-    check_tolerance(cluster_tol, "clustering")
-    check_tolerance(rank_tol, "rank")
-    if oracle not in ORACLE_MODES:
-        raise ValueError(f"oracle mode must be one of {ORACLE_MODES}")
-    if boson_convention not in BOSON_CONVENTIONS:
-        raise ValueError(
-            f"boson convention must be one of {BOSON_CONVENTIONS}")
+    _check_options(cluster_tol, rank_tol, oracle, boson_convention)
     for chunk in _chunks(states):
         yield from _analyze_chunk(chunk, cluster_tol, rank_tol, oracle,
                                   boson_convention)
@@ -187,23 +193,8 @@ def _analyze_chunk(chunk, cluster_tol, rank_tol, oracle, boson_convention):
     """The reports of one chunk of same-class states, from one stack; when
     the stack raises, from one stack per state, in order."""
     try:
-        stack = StateStack.of(chunk)
-        reduced = reduced_matrices(stack)
-        reduced.check_unit_norm("analyze_state")
-        route = _route(stack)
-        ranks = [None] * len(chunk)
-        if oracle != ORACLE_OFF or route == ROUTE_ORACLE:
-            # one eigh per party dim gives the spectra and the oracle's bases
-            eigenbases = marginal_eigenbases(reduced, cluster_tol)
-            clusterings = eigenbases[1]
-            ranks = degeneracy_rank(stack, rank_tol, eigenbases)
-        elif route == ROUTE_BIPARTITE:
-            # conj(C C^dag) and (C^dag C)^T of a square C have one spectrum,
-            # zeros included: party 1's clustering serves both parties
-            schmidt = ReducedMatrices(reduced.matrices[:1]).spectra()
-            clusterings = [(c, c) for (c,) in cluster_spectra(schmidt, cluster_tol)]
-        else:
-            clusterings = cluster_spectra(reduced.spectra(), cluster_tol)
+        route, clusterings, ranks = _clusterings(chunk, cluster_tol, rank_tol,
+                                                 oracle)
     except (OrbitentError, ValueError):
         if len(chunk) == 1:
             raise
@@ -213,6 +204,32 @@ def _analyze_chunk(chunk, cluster_tol, rank_tol, oracle, boson_convention):
         return
     for state, clustering, rank in zip(chunk, clusterings, ranks):
         yield _report(state, clustering, rank, route, boson_convention)
+
+
+def _clusterings(chunk, cluster_tol, rank_tol, oracle):
+    """(route, clusterings per state, oracle ranks per state) of a list of
+    same-class states, from one stack.
+
+    Without the oracle the closed forms read the reduced spectra alone:
+    one ``eigvalsh`` and one clustering call per party dim.  Two equal
+    parties build party 1's matrix alone, since conj(C C^dag) and
+    (C^dag C)^T of a square C have one spectrum, zeros included, and
+    party 1's clustering serves both."""
+    stack = StateStack.of(chunk)
+    route = _route(stack)
+    if oracle == ORACLE_OFF and route != ROUTE_ORACLE:
+        schmidt = route == ROUTE_BIPARTITE
+        reduced = reduced_matrices(stack, parties=(0,) if schmidt else None)
+        reduced.check_unit_norm("analyze_state")
+        clusterings = cluster_spectra(reduced.spectra(), cluster_tol)
+        if schmidt:
+            clusterings = [(c, c) for (c,) in clusterings]
+        return route, clusterings, [None] * len(chunk)
+    reduced = reduced_matrices(stack)
+    reduced.check_unit_norm("analyze_state")
+    # one eigh per party dim gives the spectra and the oracle's bases
+    eigenbases = marginal_eigenbases(reduced, cluster_tol)
+    return route, eigenbases[1], degeneracy_rank(stack, rank_tol, eigenbases)
 
 
 def _report(state, clusterings, rank, route, boson_convention):

@@ -108,7 +108,10 @@ class StateStack:
                for s in states):
             raise DimensionMismatch("stacked states must share dims and symmetry")
         # the states were validated and hold read-only complex copies of
-        # the right shape, so one fresh stacked copy needs no second one
+        # the right shape: a lone C-ordered one is wrapped as a view, and
+        # any other list gets one fresh stacked copy, with no second one
+        if len(states) == 1 and first.coeffs.flags.c_contiguous:
+            return _wrap(cls, first.dims, first.coeffs[None], first.symmetry)
         return _wrap(cls, first.dims, np.array([s.coeffs for s in states]),
                      first.symmetry)
 
@@ -178,8 +181,9 @@ def check_dims(dims, symmetry: str = DISTINGUISHABLE) -> tuple[int, ...]:
 def _wrap(cls, dims, coeffs: np.ndarray, symmetry: str):
     """A StateTensor or StateStack that holds the coefficients as they
     are, made read-only in place.  For a fresh complex C-contiguous array
-    of checked dims, whose layout the caller vouches for: the
-    constructor's check and copy would only repeat work."""
+    of checked dims, or a view of a state's read-only one, whose layout
+    the caller vouches for: the constructor's check and copy would only
+    repeat work."""
     obj = object.__new__(cls)
     coeffs.setflags(write=False)
     for name, value in (("dims", dims), ("coeffs", coeffs), ("symmetry", symmetry)):

@@ -350,9 +350,15 @@ def spectrum_stacks(draw):
 @given(spectrum_stacks())
 def test_cluster_rows_equals_the_reference(rows):
     """One walk per row gives the reference's clusterings bit for bit, or
-    its exception type and message."""
-    assert (outcome(_cluster_rows, rows, EXACT_TOL)
-            == outcome(reference_cluster_rows, rows, EXACT_TOL))
+    its exception type and message.  A clustering the walk builds without
+    ``__post_init__`` equals the public constructor's, cached fields
+    included."""
+    got = outcome(_cluster_rows, rows, EXACT_TOL)
+    assert got == outcome(reference_cluster_rows, rows, EXACT_TOL)
+    if isinstance(got[0], SpectrumClustering):
+        for c in got:
+            public = SpectrumClustering(c.kernel_dim, c.blocks, c.tolerance)
+            assert type(c) is SpectrumClustering and vars(c) == vars(public)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

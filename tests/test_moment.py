@@ -17,6 +17,7 @@ from orbitent import (
     StateStack,
     StateTensor,
     SymmetryViolation,
+    analyze_state,
     apply_local,
     build_state,
     canonical_form,
@@ -29,6 +30,7 @@ from orbitent import (
     symmetrize,
 )
 from orbitent.measure import DEFAULT_CLUSTER_TOL, cluster_spectrum
+from orbitent.moment import _by_dim
 
 
 def slow_reduced(state, party):
@@ -61,6 +63,16 @@ def fortran_state(rng):
     state = build_state(np.asfortranarray(raw))
     assert state.coeffs.flags.f_contiguous and not state.coeffs.flags.c_contiguous
     return state
+
+
+def party_spectra(reduced):
+    """The descending spectrum of each matrix of ``reduced``, in order,
+    read off the per-dim groups of ``ReducedMatrices.spectra``."""
+    out = [None] * len(reduced.matrices)
+    for ks, vals in reduced.spectra():
+        for p, k in enumerate(ks):
+            out[k] = vals[..., p, :]
+    return out
 
 
 def test_reduced_matches_brute_force_contraction():
@@ -101,7 +113,7 @@ def test_reduced_invariants():
         assert np.abs(m - m.conj().T).max() < 1e-12
         assert np.trace(m).real == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(m).min() > -1e-12
-    s0, s1 = red.spectra()
+    s0, s1 = party_spectra(red)
     # bipartite spectra agree as multisets up to kernel padding
     assert np.allclose(s0[:3], s1[:3], atol=1e-9)
     assert np.allclose(s1[3:], 0.0, atol=1e-12)
@@ -125,8 +137,8 @@ def test_reduced_spectra_invariant_under_local_action():
     rng = np.random.default_rng(41)
     state = random_state((3, 3), rng=rng)
     g = random_local_unitaries((3, 3), rng=rng)
-    before = reduced_matrices(state).spectra()
-    after = reduced_matrices(apply_local(state, g)).spectra()
+    before = party_spectra(reduced_matrices(state))
+    after = party_spectra(reduced_matrices(apply_local(state, g)))
     for b, a in zip(before, after):
         assert np.allclose(b, a, atol=1e-9)
 
@@ -178,7 +190,7 @@ def test_schmidt_multiplicities_match_reduced_clustering():
     rng = np.random.default_rng(53)
     state = random_state((3, 3), rng=rng)
     data = schmidt(state)
-    spectrum = reduced_matrices(state).spectra()[0]
+    spectrum = party_spectra(reduced_matrices(state))[0]
     clustering = cluster_spectrum(spectrum)
     assert clustering.multiplicities == data.multiplicities
     assert clustering.kernel_dim == data.kernel_dim
@@ -312,13 +324,17 @@ def test_stacked_reduced_matrices_and_spectra_equal_each_states(dims, symmetry):
     rng = np.random.default_rng(13)
     states = [random_state(dims, symmetry, rng=rng) for _ in range(6)]
     stacked = reduced_matrices(StateStack.of(states))
-    spectra = stacked.spectra()
+    # one state-major group per party dim, parties in order of first appearance
+    groups = stacked.spectra()
+    assert [(ks, vals.shape) for ks, vals in groups] == [
+        (ks, (6, len(ks), n)) for n, ks in _by_dim(dims).items()]
+    spectra = party_spectra(stacked)
     for b, state in enumerate(states):
         single = reduced_matrices(state)
         for k, (m, one) in enumerate(zip(stacked.matrices, single.matrices)):
             assert m.shape == (6, dims[k], dims[k])
             assert np.array_equal(m[b], one)
-        for s, one in zip(spectra, single.spectra()):
+        for s, one in zip(spectra, party_spectra(single)):
             assert np.array_equal(s[b], one)
 
 
@@ -425,7 +441,7 @@ def test_canonical_form_refuses_with_the_first_refused_party(dims):
     # party 1 has dim 3 and party 2 shares the stack of dim 2 with party 0.
     state = product_of_pairs(dims, [(0, 5, 0.3), (1, 3, 0.5 - 1e-7),
                                     (2, 4, 0.5 - 1.5e-8)])
-    spectra = reduced_matrices(state).spectra()
+    spectra = party_spectra(reduced_matrices(state))
     cluster_spectrum(spectra[0])
     messages = []
     for k in (1, 2):
@@ -436,6 +452,10 @@ def test_canonical_form_refuses_with_the_first_refused_party(dims):
     with pytest.raises(AmbiguousClustering) as refusal:
         canonical_form(state)
     assert str(refusal.value) == messages[0]
+    for oracle in ("off", "verify"):
+        with pytest.raises(AmbiguousClustering) as refusal:
+            analyze_state(state, oracle=oracle)
+        assert str(refusal.value) == messages[0]
 
 
 @pytest.mark.parametrize("coeffs", [

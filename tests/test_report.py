@@ -15,6 +15,7 @@ from orbitent import (
     DISTINGUISHABLE,
     FERMIONIC,
     AmbiguousClustering,
+    StateTensor,
     analyze_state,
     analyze_states,
     apply_local,
@@ -225,7 +226,8 @@ def _same_reports(batched, single):
 @pytest.mark.parametrize("dims, symmetry", [
     ((2, 2), DISTINGUISHABLE), ((3, 3), DISTINGUISHABLE),
     ((2, 3), DISTINGUISHABLE), ((2, 2, 2), DISTINGUISHABLE),
-    ((3, 3, 3), DISTINGUISHABLE), ((3, 3), BOSONIC), ((4, 4, 4), FERMIONIC)])
+    ((3, 3, 3), DISTINGUISHABLE), ((3, 3), BOSONIC), ((4, 4, 4), FERMIONIC),
+    ((2, 3, 2), DISTINGUISHABLE), ((2, 2, 3), DISTINGUISHABLE)])
 def test_analyze_states_equals_one_analyze_state_per_state(dims, symmetry):
     rng = np.random.default_rng(31)
     length = orbitent.report._stack_length(dims, symmetry)
@@ -266,12 +268,14 @@ def _near_threshold_case(dims, party, rng, weights):
     return build_state(np.moveaxis(rows.reshape(dims[party], *others), 0, party))
 
 
-def test_a_refused_stack_yields_up_to_the_first_refused_state():
+@pytest.mark.parametrize("dims", [(2, 2, 3), (3, 3, 3)])
+def test_a_refused_stack_yields_up_to_the_first_refused_state(dims):
     rng = np.random.default_rng(32)
-    dims = (2, 2, 3)
     good = random_state(dims, rng=rng)
     # A: the third party has an eigenvalue near its cut; B: the first
-    # party a gap near its cut.  Party by party, the stack meets B's first.
+    # party a gap near its cut.  With two party dims the stack meets B's
+    # first, one dim after the other; with one shared dim, A's, state by
+    # state.  Either way A, the first refused state, raises its own error.
     refused_a = _near_threshold_case(dims, 2, rng, [0.6, 0.4 - 2e-7, 2e-7])
     refused_b = _near_threshold_case(dims, 0, rng, [0.5 + 2.5e-8, 0.5 - 2.5e-8])
     with pytest.raises(AmbiguousClustering) as alone:
@@ -284,6 +288,45 @@ def test_a_refused_stack_yields_up_to_the_first_refused_state():
     with pytest.raises(AmbiguousClustering) as stacked:
         next(reports)
     assert str(stacked.value) == str(alone.value)
+
+
+def test_closed_form_reads_a_view_and_only_the_matrices_it_clusters(monkeypatch):
+    """A lone C-ordered state is analyzed in place, two equal parties
+    without the oracle build party 1's matrix alone, and every other route
+    builds one matrix per party."""
+    calls = []
+    original = orbitent.report.reduced_matrices
+
+    def recorded(stack, *args, **kwargs):
+        reduced = original(stack, *args, **kwargs)
+        calls.append((stack, reduced))
+        return reduced
+
+    monkeypatch.setattr(orbitent.report, "reduced_matrices", recorded)
+    rng = np.random.default_rng(36)
+    for dims, symmetry in [((3, 3), DISTINGUISHABLE), ((4,), DISTINGUISHABLE),
+                           ((2, 3, 2), DISTINGUISHABLE), ((2, 3), DISTINGUISHABLE),
+                           ((3, 3), BOSONIC)]:
+        state = random_state(dims, symmetry, rng=rng)
+        for oracle in ("off", "verify"):
+            calls.clear()
+            report = analyze_state(state, oracle=oracle)
+            [(stack, reduced)] = calls
+            assert np.shares_memory(stack.coeffs, state.coeffs)
+            schmidt = report.route == "bipartite" and oracle == "off"
+            assert len(reduced.matrices) == (1 if schmidt else state.parties)
+    # a Fortran-ordered state is copied into its stack, and reads as its
+    # C-ordered copy does
+    for dims in [(3, 2, 4), (3, 3)]:
+        raw = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+        fortran = build_state(np.asfortranarray(raw))
+        assert not fortran.coeffs.flags.c_contiguous
+        ordered = StateTensor(dims, np.ascontiguousarray(fortran.coeffs))
+        for oracle in ("off", "verify"):
+            calls.clear()
+            assert (analyze_state(fortran, oracle=oracle).to_json_dict()
+                    == analyze_state(ordered, oracle=oracle).to_json_dict())
+            assert not np.shares_memory(calls[0][0].coeffs, fortran.coeffs)
 
 
 def test_analyze_states_is_lazy():
