@@ -217,19 +217,18 @@ def _clusterings(chunk, cluster_tol, rank_tol, oracle):
     party 1's clustering serves both."""
     stack = StateStack.of(chunk)
     route = _route(stack)
-    if oracle == ORACLE_OFF and route != ROUTE_ORACLE:
-        schmidt = route == ROUTE_BIPARTITE
-        reduced = reduced_matrices(stack, parties=(0,) if schmidt else None)
-        reduced.check_unit_norm("analyze_state")
-        clusterings = cluster_spectra(reduced.spectra(), cluster_tol)
-        if schmidt:
-            clusterings = [(c, c) for (c,) in clusterings]
-        return route, clusterings, [None] * len(chunk)
-    reduced = reduced_matrices(stack)
+    closed = oracle == ORACLE_OFF and route != ROUTE_ORACLE
+    schmidt = closed and route == ROUTE_BIPARTITE
+    reduced = reduced_matrices(stack, parties=(0,) if schmidt else None)
     reduced.check_unit_norm("analyze_state")
-    # one eigh per party dim gives the spectra and the oracle's bases
-    eigenbases = marginal_eigenbases(reduced, cluster_tol)
-    return route, eigenbases[1], degeneracy_rank(stack, rank_tol, eigenbases)
+    if not closed:
+        # one eigh per party dim gives the spectra and the oracle's bases
+        eigenbases = marginal_eigenbases(reduced, cluster_tol)
+        return route, eigenbases[1], degeneracy_rank(stack, rank_tol, eigenbases)
+    clusterings = cluster_spectra(reduced.spectra(), cluster_tol)
+    if schmidt:
+        clusterings = [(c, c) for (c,) in clusterings]
+    return route, clusterings, [None] * len(chunk)
 
 
 def _report(state, clusterings, rank, route, boson_convention):
