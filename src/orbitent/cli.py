@@ -72,7 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="relative eigenvalue clustering tolerance")
         if rank_tol:
             p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
-                           help="relative rank tolerance; decides D only")
+                           help="relative rank tolerance; decides D only. "
+                                "Below the default it can turn a RankUnstable "
+                                "refusal (exit 2) into an Inconsistency (exit 1) "
+                                "on a near-degenerate state")
 
     p = sub.add_parser("analyze",
                        help="degeneracy report for a state file")

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -76,12 +77,13 @@ if TYPE_CHECKING:
 
 #: metric eigenvalues below this fraction of the largest count as zero
 DEFAULT_RANK_TOL = 1e-8
-#: desk-scale guards on dim H and on the G generators of K: the metric's
-#: eigvalsh costs up to O(G^3), reached when every marginal is maximally
-#: mixed and all of k is ker Omega; the charge table and the pair rows
-#: each take fewer than G rows of dim H entries
-MAX_HILBERT_DIM = 4096
-MAX_GENERATORS = 256
+#: the oracle refuses a stack for which it would build more than this many
+#: bytes (``footprint``), once the clustering has fixed the pairs it keeps
+ORACLE_BYTES = 2**28
+#: the pair gathers kept for reuse hold at most this many bytes, in at most
+#: GATHER_CACHE_ENTRIES tables
+GATHER_CACHE_BYTES = 2**25
+GATHER_CACHE_ENTRIES = 64
 #: the two evaluations of omega must agree this tightly
 OMEGA_CHECK_TOL = 1e-10
 
@@ -103,30 +105,17 @@ def _stable_rank(values, rel_tol: float, what: str) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _eigen_directions(n: int):
-    """su(n) in eigen coordinates, read-only: its n^2 - 1 directions E_q,
-    (n^2 - 1, n, n), are the n - 1 Cartan directions
-    i(E_aa - E_{a+1,a+1}), then E_ij - E_ji and i(E_ij + E_ji) for each
-    pair i < j in turn, the order of ``lie.su_basis``.  Returns them with,
-    for each direction, the flat index i n + j of the eigenvalue pair that
-    decides whether it lies in ker Omega, 0 (one eigenvalue with itself)
-    for the Cartan ones; and, for the pair directions alone, E_q as a
-    gather: (E_q x)_a = weight[q, a] x[source[q, a]], since each E_q has
-    two nonzero entries, (i, j) and (j, i), so one per row or none."""
+def _decided_by(n: int) -> np.ndarray:
+    """su(n) in eigen coordinates has n^2 - 1 directions E_q: the n - 1
+    Cartan directions i(E_aa - E_{a+1,a+1}), then E_ij - E_ji and
+    i(E_ij + E_ji) for each pair i < j in turn, the order of
+    ``lie.su_basis``.  For each, the flat index i n + j of the eigenvalue
+    pair that decides whether it lies in ker Omega, 0 (one eigenvalue with
+    itself) for the Cartan ones.  Read-only, (n^2 - 1,)."""
     i, j = np.triu_indices(n, 1)
     decided_by = np.concatenate([np.zeros(n - 1, dtype=np.intp), (i * n + j).repeat(2)])
-    directions = np.zeros((n * n - 1, n, n), dtype=complex)
-    a = np.arange(n - 1)
-    directions[a, a, a], directions[a, a + 1, a + 1] = 1j, -1j
-    q = n - 1 + 2 * np.arange(i.size)
-    directions[q, i, j], directions[q, j, i] = 1, -1
-    directions[q + 1, i, j] = directions[q + 1, j, i] = 1j
-    pairs = directions[n - 1:]
-    source = np.abs(pairs).argmax(axis=-1)
-    weight = np.take_along_axis(pairs, source[..., None], axis=-1)[..., 0]
-    for table in (directions, decided_by, source, weight):
-        table.setflags(write=False)
-    return directions, decided_by, (source, weight)
+    decided_by.setflags(write=False)
+    return decided_by
 
 
 @functools.lru_cache(maxsize=64)
@@ -134,7 +123,7 @@ def _charge_table(dims: tuple[int, ...], symmetry: str) -> np.ndarray:
     """The Cartan charges of every basis state, read-only, (C + 1, dim H)
     for C = sum_k (N_k - 1) over the factors of K: row a of factor k holds
     h_a(x) = [x_k = a] - [x_k = a + 1], the eigenvalue of the Cartan
-    direction i(E_aa - E_{a+1,a+1}) of ``_eigen_directions`` divided by i,
+    direction i(E_aa - E_{a+1,a+1}) of ``_decided_by`` divided by i,
     summed over every slot for indistinguishable particles
     (``lie.cartan_charges``).  A last row of ones lets the product that
     weighs the charges also sum the weights."""
@@ -146,58 +135,113 @@ def _charge_table(dims: tuple[int, ...], symmetry: str) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _kernel_mask(profile: tuple[int, tuple[int, ...]]) -> np.ndarray:
-    """Which directions of ``_eigen_directions(n)`` lie in ker Omega_k for
+    """Which directions E_q of ``_decided_by(n)`` lie in ker Omega_k for
     a descending spectrum clustered as ``profile`` (kernel multiplicity,
     positive multiplicities): the Cartan directions and the pairs inside
     one block, the kernel block included.  Read-only, (n^2 - 1,)."""
     kernel, multiplicities = profile
     labels = np.repeat(np.arange(len(multiplicities) + 1), multiplicities + (kernel,))
-    mask = (labels[:, None] == labels).ravel()[_eigen_directions(labels.size)[1]]
+    mask = (labels[:, None] == labels).ravel()[_decided_by(labels.size)]
     mask.setflags(write=False)
     return mask
 
 
-@functools.lru_cache(maxsize=64)
-def _pair_gather(dims: tuple[int, ...], symmetry: str) -> np.ndarray:
-    """Every pair direction E_q of every factor of K, factor by factor, as
-    one gather, read-only: (J, S, dim H) indices into the source
-    [w, -w, i w, 0] of length 3 dim H + 1, such that E_q w is the sum over
-    the S slots of the source at them.  S is one for distinguishable
-    parties and every slot otherwise.  E_q w puts w's slice j, weighted
-    1, -1 or i, at slice i of the slot's axis, its slice i at slice j, and
-    the final 0 elsewhere: one ``take`` where a product with E_q would
-    run tiny strided loops on the later slots of a many-qubit state."""
+def footprint(dims: tuple[int, ...], symmetry: str,
+              pairs: int | None = None) -> tuple[int, int]:
+    """(bytes per state, bytes per class) of what the oracle builds for
+    states of one class that keep ``pairs`` pair directions in ker Omega;
+    by default every pair direction of K, the most a clustering keeps.
+
+    Per state: the rotated state w and its weights |w|^2, the charge table
+    weighted by them, and three metrics on ker Omega (the metric, the
+    outer product of the moment map subtracted from it, and the copy that
+    ``eigvalsh`` takes); with pairs kept, also the gather source
+    [w, -w, i w, 0], the pair rows and their imaginary part, and for
+    indistinguishable particles the rows of every slot before they are
+    summed.  Per class: the charge table and the pairs' gather table."""
+    group = acting_dims(dims, symmetry)
+    total = math.prod(dims)
+    cartan = sum(n - 1 for n in group)
+    if pairs is None:
+        pairs = sum(n * (n - 1) for n in group)
+    slots = 1 if symmetry == DISTINGUISHABLE else len(dims)
+    per_state = (24 + 8 * (cartan + 1)) * total + 24 * (cartan + pairs) ** 2
+    if pairs:
+        rows = 24 if slots == 1 else 24 + 16 * slots
+        per_state += (48 + rows * pairs) * total
+    return per_state, 8 * (cartan + 1 + slots * pairs) * total
+
+
+#: ``_pair_gather``'s tables, least recently used first, and their lock
+_gathers: dict[tuple, np.ndarray] = {}
+_gathers_lock = threading.Lock()
+
+
+def _pair_gather(dims: tuple[int, ...], symmetry: str, chosen: np.ndarray) -> np.ndarray:
+    """The pair directions ``chosen`` as one gather, read-only and cached:
+    (J, S, dim H) indices into the source [w, -w, i w, 0] of length
+    3 dim H + 1, such that E_q w is the sum over the S slots of the source
+    at them.  ``chosen`` numbers the pair directions of every factor of K,
+    factor by factor, and may list them in any order.  S is one for
+    distinguishable parties and every slot otherwise.  E_q w puts w's
+    slice j, weighted 1, -1 or i, at slice i of the slot's axis, its slice
+    i at slice j, and the final 0 elsewhere: one ``take`` where a product
+    with E_q would run tiny strided loops on the later slots of a
+    many-qubit state.  The cache drops its least recently used tables
+    beyond GATHER_CACHE_BYTES or GATHER_CACHE_ENTRIES."""
+    key = (dims, symmetry, chosen.tobytes())
+    with _gathers_lock:
+        table = _gathers.pop(key, None)
+        if table is None:
+            table = _build_pair_gather(dims, symmetry, chosen)
+        _gathers[key] = table
+        held = sum(t.nbytes for t in _gathers.values())
+        while held > GATHER_CACHE_BYTES or len(_gathers) > GATHER_CACHE_ENTRIES:
+            held -= _gathers.pop(next(iter(_gathers))).nbytes
+    return table
+
+
+def _build_pair_gather(dims, symmetry, chosen) -> np.ndarray:
+    """``_pair_gather``'s table, built factor by factor for the chosen
+    directions of each factor alone.  The q-th pair direction of su(n)
+    belongs to the (q // 2)-th pair i < j: E_ij - E_ji for even q, which
+    moves x_j to row i and -x_i to row j, and i(E_ij + E_ji) for odd q,
+    which moves i x_j and i x_i there."""
+    group = acting_dims(dims, symmetry)
     digits = np.indices(dims).reshape(len(dims), -1)
     total = digits.shape[1]
     strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
-    tables = []
-    for k, n in enumerate(acting_dims(dims, symmetry)):
-        source, weight = _eigen_directions(n)[2]
-        per_slot = []
-        for slot in ([k] if symmetry == DISTINGUISHABLE else range(len(dims))):
+    offsets = np.cumsum([0, *(n * (n - 1) for n in group)])
+    factor = np.searchsorted(offsets, chosen, side="right") - 1
+    every = symmetry != DISTINGUISHABLE
+    table = np.empty((len(chosen), len(dims) if every else 1, total), dtype=np.intp)
+    for k in np.unique(factor).tolist():
+        at = np.flatnonzero(factor == k)
+        q = chosen[at, None] - offsets[k]
+        i, j = (t[q // 2] for t in np.triu_indices(group[k], 1))  # (J_k, 1) each
+        for s, slot in enumerate(range(len(dims)) if every else [k]):
             d = digits[slot]
-            moved = np.arange(total) + (source[:, d] - d) * strides[slot]  # (J, dim H)
-            segment = np.select([weight[:, d] == 1, weight[:, d] == -1], [0, 1], 2)
-            per_slot.append(np.where(weight[:, d] == 0, 3 * total, segment * total + moved))
-        tables.append(np.stack(per_slot, axis=1))
-    table = np.concatenate(tables)
+            row_i, row_j = d == i, d == j  # (J_k, dim H)
+            moved = np.arange(total) + (j - i) * (row_i.astype(np.intp) - row_j) * strides[slot]
+            segment = np.where(q % 2 == 1, 2, np.where(row_i, 0, 1))  # w, -w or i w
+            table[at, s] = np.where(row_i | row_j, segment * total + moved, 3 * total)
     table.setflags(write=False)
     return table
 
 
 def _pair_rows(w: np.ndarray, dims, symmetry, chosen, keep) -> np.ndarray:
     """The rows R = E_q w, (B, J, dim H), of the pair directions ``chosen``
-    (indices into ``_pair_gather``), by one ``take`` from the stacked
+    (numbered as in ``_pair_gather``), by one ``take`` from the stacked
     [w, -w, i w, 0]; for indistinguishable particles the slots add up.
     ``keep``, (B, J), zeroes a direction in a state that does not keep it."""
-    table = _pair_gather(dims, symmetry)
+    table = _pair_gather(dims, symmetry, chosen)
     count, total = w.shape
     source = np.empty((count, 3 * total + 1), dtype=complex)
     source[:, :total] = w
     np.negative(w, out=source[:, total:2 * total])
     np.multiply(w, 1j, out=source[:, 2 * total:3 * total])
     source[:, -1] = 0
-    rows = source.take(table[chosen], axis=1)  # (B, J, S, dim H)
+    rows = source.take(table, axis=1)  # (B, J, S, dim H)
     rows = rows[:, :, 0] if rows.shape[2] == 1 else rows.sum(axis=2)
     if not keep.all():
         rows *= keep[..., None]
@@ -217,7 +261,7 @@ def _kernel_metric(stack: StateStack, eigenbases):
     the first slot.
 
     The kernel generators are X = U_k E_q U_k^dag for the directions E_q of
-    ``_eigen_directions``.  The state is rotated once into the eigenbases,
+    ``_decided_by``.  The state is rotated once into the eigenbases,
     w = (U_1^dag (x) ... (x) U_M^dag) v (``local_product``), and X v maps to
     R = E_q w, a unitary change that keeps every inner product.  The Cartan
     directions act diagonally, R = i h w with the charges h of
@@ -231,6 +275,10 @@ def _kernel_metric(stack: StateStack, eigenbases):
     rows at all.  A party keeps the pairs inside one block in any state of
     the stack; a state whose own pair straddles two blocks gets a zero row
     there, which adds only a zero eigenvalue to the metric.
+
+    Once the clustering has fixed the kept pairs, and before any array per
+    state is built, the stack is refused with EnumerationTooLarge when
+    what the oracle would build (``footprint``) exceeds ORACLE_BYTES.
     """
     vectors, clusterings = eigenbases
     count, dims, symmetry = len(stack), stack.dims, stack.symmetry
@@ -252,6 +300,14 @@ def _kernel_metric(stack: StateStack, eigenbases):
         for p in np.flatnonzero(own.any(axis=1)).tolist():
             chosen.append(offsets[parties[p]] + np.flatnonzero(own[p]))
             blocks.append(pairs[:, p, own[p]])
+    kept = sum(map(len, chosen))
+    per_state, per_class = footprint(dims, symmetry, kept)
+    needed = count * per_state + per_class
+    if needed > ORACLE_BYTES:
+        raise EnumerationTooLarge(
+            f"the oracle needs {needed} bytes for a stack of {count} at dims "
+            f"{dims} keeping {kept} pair directions, above its budget of "
+            f"{ORACLE_BYTES} bytes")
     if symmetry != DISTINGUISHABLE:
         turns = turns * stack.parties
     w = local_product(stack.coeffs, turns).reshape(count, -1)
@@ -317,29 +373,29 @@ def degeneracy_rank(state: StateTensor | StateStack,
     are written only for the pairs inside one block.  No SVD is taken, no
     su(N) basis built and no ``rep_action`` called.
 
+    The one size limit is a byte budget: once the clustering has fixed the
+    pairs each state keeps, a stack for which the oracle would build more
+    than ORACLE_BYTES (``footprint``) raises EnumerationTooLarge, naming
+    the bytes, before any array per state is built.  So dim H and the
+    generator count are not limited as such: a generic (64, 64) state,
+    with no pair rows, is answered, and the maximally entangled one, whose
+    8064 pair directions would take 528 MB of rows and a 537 MB metric, is
+    refused.
+
     A StateTensor gives one DegeneracyRank.  A StateStack gives a list with
     one per state: the rotation, the metric, its spectrum and the rank
     cut run once over the stack, and a refusal of any state raises for the
     whole stack.  ``eigenbases`` is ``moment.marginal_eigenbases`` of the
     input's reduced matrices, for a caller that already holds them; by
     default they are computed here, clustered at DEFAULT_CLUSTER_TOL, so
-    an undecidable spectrum raises AmbiguousClustering.  The two size
-    guards run first.  A bare call then checks the unit norm
-    (NotNormalized, NaN included) before any marginal is read or any
-    arithmetic on the coefficients.  Given eigenbases, the norms were read
-    off their eigenvalue sums, the traces of the marginals, which their
-    clustering refuses unless they sum to one, so no further pass over the
-    coefficients is made.
+    an undecidable spectrum raises AmbiguousClustering.  A bare call
+    first checks the unit norm (NotNormalized, NaN included), before any
+    marginal is read or any arithmetic on the coefficients.  Given
+    eigenbases, the norms were read off their eigenvalue sums, the traces
+    of the marginals, which their clustering refuses unless they sum to
+    one, so no further pass over the coefficients is made.
     """
     check_tolerance(rank_tol, "rank")
-    if state.total_dim > MAX_HILBERT_DIM:
-        raise EnumerationTooLarge(
-            f"Hilbert dimension {state.total_dim} exceeds the oracle guard "
-            f"{MAX_HILBERT_DIM}")
-    count = sum(n * n - 1 for n in acting_dims(state.dims, state.symmetry))
-    if count > MAX_GENERATORS:
-        raise EnumerationTooLarge(
-            f"{count} generators exceed the oracle guard {MAX_GENERATORS}")
     stack = state if isinstance(state, StateStack) else StateStack.of([state])
     if eigenbases is None:
         check_unit_norm(state, "degeneracy_rank")

@@ -29,7 +29,6 @@ Separability verdicts:
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -50,7 +49,7 @@ from .moment import (
     marginal_eigenbases,
     reduced_matrices,
 )
-from .oracle import DEFAULT_RANK_TOL, degeneracy_rank
+from .oracle import DEFAULT_RANK_TOL, degeneracy_rank, footprint
 from .states import DISTINGUISHABLE, FERMIONIC, StateStack, StateTensor, acting_dims
 
 ORACLE_OFF = "off"
@@ -61,9 +60,9 @@ BOSON_SYMMETRIC_SIMPLE = "symmetric-simple-tensor"
 BOSON_PRODUCT = "product-of-same-vector"
 BOSON_CONVENTIONS = (BOSON_SYMMETRIC_SIMPLE, BOSON_PRODUCT)
 
-#: analyze_states stacks at most this many bytes of the oracle's largest
-#: per-state array into one chunk (see ``_stack_length``)
-STACK_BYTES = 2**18
+#: analyze_states stacks at most this many bytes of what the oracle builds
+#: per state into one chunk (see ``_stack_length``)
+STACK_BYTES = 2**20
 
 ROUTE_BIPARTITE = "bipartite"
 ROUTE_SINGLE = "single"
@@ -105,17 +104,11 @@ def _boson_separable(convention, clustering, degeneracy, parties):
 
 @functools.lru_cache(maxsize=64)
 def _stack_length(dims: tuple[int, ...], symmetry: str) -> int:
-    """How many states of this class one chunk holds: that many times
-    16 G max(G, dim H) bytes, for G generators of the acting group, stays
-    within STACK_BYTES.  That bound covers each of the oracle's
-    per-state arrays: the rotated state and its weights, a few dim H
-    entries; the charge-weighted floats, at most 8 G dim H bytes for the
-    fewer than G Cartan charges; the pair rows, fewer than G complex rows
-    of length dim H, at most 16 G dim H bytes (the later slots of
-    indistinguishable particles add a temporary as large); and the metric,
-    at most 8 G^2 bytes.  The charge tables are per class, not per state."""
-    g = sum(n * n - 1 for n in acting_dims(dims, symmetry))
-    return max(1, STACK_BYTES // (16 * g * max(g, math.prod(dims))))
+    """How many states of this class one chunk holds: as many as fit
+    STACK_BYTES of what the oracle builds per state, with every pair
+    direction kept, the bound before clustering (``oracle.footprint``),
+    and at least one."""
+    return max(1, STACK_BYTES // footprint(dims, symmetry)[0])
 
 
 def _chunks(states):

@@ -1,6 +1,9 @@
 """Reference ranks for the oracle's tests: the projected-frame oracle on
 all of k, with a tolerance, and the tolerance-free (r, s, D) of a
-Gaussian-integer state."""
+Gaussian-integer state; and the gather of every pair direction, which the
+oracle builds only for the pairs it keeps."""
+
+import math
 
 import numpy as np
 
@@ -99,3 +102,28 @@ def exact_ranks(real, imag, symmetry=DISTINGUISHABLE):
     r = exact_rank(norm * overlap_re.astype(object) - np.outer(alpha, alpha))
     s = exact_rank(overlap_im)
     return r, s, r - s
+
+
+def full_pair_gather(dims, symmetry):
+    """Every pair direction E_q of every factor of K, factor by factor, as
+    one gather: (J, S, dim H) indices into [w, -w, i w, 0], built for the
+    whole class at once from the matrices of ``su_basis``, as the oracle
+    did before it built only the pairs a stack keeps.  Each pair direction
+    has one nonzero entry per row or none, so (E_q x)_a =
+    weight[q, a] x[source[q, a]]."""
+    digits = np.indices(dims).reshape(len(dims), -1)
+    total = digits.shape[1]
+    strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
+    tables = []
+    for k, n in enumerate(acting_dims(dims, symmetry)):
+        pairs = np.array([el.matrix for el in su_basis((n,)).elements])[n - 1:]
+        source = np.abs(pairs).argmax(axis=-1)
+        weight = np.take_along_axis(pairs, source[..., None], axis=-1)[..., 0]
+        per_slot = []
+        for slot in ([k] if symmetry == DISTINGUISHABLE else range(len(dims))):
+            d = digits[slot]
+            moved = np.arange(total) + (source[:, d] - d) * strides[slot]  # (J, dim H)
+            segment = np.select([weight[:, d] == 1, weight[:, d] == -1], [0, 1], 2)
+            per_slot.append(np.where(weight[:, d] == 0, 3 * total, segment * total + moved))
+        tables.append(np.stack(per_slot, axis=1))
+    return np.concatenate(tables)

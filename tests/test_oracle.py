@@ -33,9 +33,10 @@ from orbitent import oracle
 from orbitent.moment import marginal_eigenbases, reduced_matrices
 from orbitent.oracle import (
     _charge_table,
-    _eigen_directions,
+    _decided_by,
     _kernel_mask,
     _kernel_metric,
+    _pair_gather,
     _stable_rank,
 )
 from orbitent.states import acting_dims, local_product
@@ -47,6 +48,7 @@ from rank_references import (
     all_rows,
     exact_rank,
     exact_ranks,
+    full_pair_gather,
     reference_ranks,
     reference_symplectic_rank,
 )
@@ -238,21 +240,27 @@ def test_verify_against_formula_checks_coadjoint_without_closed_form():
         assert rec.observed["coadjoint_dim"] == reference_symplectic_rank(state)
 
 
-def test_oracle_size_guard():
-    with pytest.raises(EnumerationTooLarge):
-        degeneracy_rank(build_state(np.ones((2,) * 13)))
-
-
-def test_generator_guard_refuses_before_building_the_basis(monkeypatch):
-    state = build_state(np.eye(12))
+def test_byte_budget_refuses_before_any_array_per_state(monkeypatch):
+    """The maximally entangled (64, 64) state keeps all 8064 pair
+    directions: its rows alone would take 528 MB and its 8190 x 8190
+    metric 537 MB.  Once the clustering has fixed the kept pairs, the
+    budget refuses it, naming the bytes, before the rotation or any
+    gather is built."""
+    state = build_state(np.eye(64))
+    per_state, per_class = oracle.footprint((64, 64), DISTINGUISHABLE)
+    assert per_state > 16 * 8064 * 4096 + 8 * 8190**2
+    needed = per_state + per_class
 
     def unreached(*args, **kwargs):
-        raise AssertionError("marginals read for a refused state")
+        raise AssertionError("an array per state built for a refused state")
 
-    monkeypatch.setattr("orbitent.oracle.reduced_matrices", unreached)
-    monkeypatch.setattr("orbitent.oracle.np.linalg.eigh", unreached)
-    with pytest.raises(EnumerationTooLarge, match="286 generators"):
+    monkeypatch.setattr("orbitent.oracle.local_product", unreached)
+    monkeypatch.setattr("orbitent.oracle._pair_gather", unreached)
+    message = f"needs {needed} bytes .* budget of {oracle.ORACLE_BYTES} bytes"
+    with pytest.raises(EnumerationTooLarge, match=message):
         degeneracy_rank(state)
+    with pytest.raises(EnumerationTooLarge, match=message):
+        analyze_state(state, oracle="verify")
 
 
 def test_stable_rank_guard():
@@ -530,6 +538,70 @@ def test_stack_with_different_kernel_pairs_per_state_equals_the_reference():
     assert len({r[0] for r in ranks}) >= 4
 
 
+@pytest.mark.parametrize("dims, symmetry", [
+    ((2, 3, 2), DISTINGUISHABLE), ((3, 3, 3), BOSONIC), ((4, 4, 4), FERMIONIC)])
+def test_kept_pairs_gather_equals_the_full_table_at_those_pairs(monkeypatch, dims,
+                                                                symmetry):
+    """``_pair_gather`` builds only the pair directions it is given, in
+    their order, as the rows of the class's full table at those pairs:
+    half of them shuffled, all of them, and the last one alone.  A second
+    call with the same pairs returns the cached table."""
+    monkeypatch.setattr(oracle, "_gathers", {})
+    full = full_pair_gather(dims, symmetry)
+    rng = np.random.default_rng(len(full))
+    for chosen in (rng.permutation(len(full))[:len(full) // 2],
+                   np.arange(len(full)), np.arange(len(full) - 1, len(full))):
+        table = _pair_gather(dims, symmetry, chosen)
+        assert np.array_equal(table, full[chosen])
+        assert not table.flags.writeable
+        assert _pair_gather(dims, symmetry, chosen.copy()) is table
+
+
+def test_a_stack_gathers_only_the_pairs_its_states_keep(monkeypatch):
+    """A (3, 3) stack of generic weights, weights (a, a, b) and weights
+    (a, b, b): each party keeps pair (1, 2) in one state and pair (2, 3) in
+    another, never (1, 3).  The one gather built holds the union, the
+    directions 0, 1, 4 and 5 of each party, as the full table has them;
+    a generic state alone gathers nothing."""
+    rng = np.random.default_rng(30)
+    weights = [(0.45, 0.35, 0.2), (0.4, 0.4, 0.2), (0.5, 0.25, 0.25)]
+    states = [apply_local(build_state(np.diag(np.sqrt(w))),
+                          random_local_unitaries((3, 3), rng=rng)) for w in weights]
+    monkeypatch.setattr(oracle, "_gathers", {})
+    seen, gather = [], oracle._pair_gather
+
+    def recording(dims, symmetry, chosen):
+        seen.append((chosen.copy(), gather(dims, symmetry, chosen)))
+        return seen[-1][1]
+
+    monkeypatch.setattr("orbitent.oracle._pair_gather", recording)
+    ranks = [r.as_tuple() for r in degeneracy_rank(StateStack.of(states))]
+    assert ranks == [reference_ranks(s) for s in states]
+    [(chosen, table)] = seen
+    assert chosen.tolist() == [0, 1, 4, 5, 6, 7, 10, 11]
+    assert np.array_equal(table, full_pair_gather((3, 3), DISTINGUISHABLE)[chosen])
+    seen.clear()
+    degeneracy_rank(states[0])
+    assert seen == []
+
+
+def test_the_gather_cache_is_bounded_in_bytes_and_entries(monkeypatch):
+    """Past either bound the least recently used tables go first."""
+    dims = (2,) * 6
+    monkeypatch.setattr(oracle, "_gathers", {})
+    size = _pair_gather(dims, DISTINGUISHABLE, np.arange(2)).nbytes
+    monkeypatch.setattr(oracle, "GATHER_CACHE_BYTES", 2 * size)
+    pairs = [np.arange(q, q + 2) for q in range(0, 12, 2)]
+    for chosen in pairs:
+        _pair_gather(dims, DISTINGUISHABLE, chosen)
+    assert [key[2] for key in oracle._gathers] == [p.tobytes() for p in pairs[-2:]]
+    monkeypatch.setattr(oracle, "GATHER_CACHE_BYTES", 100 * size)
+    monkeypatch.setattr(oracle, "GATHER_CACHE_ENTRIES", 3)
+    for chosen in pairs[:3] + pairs[:1]:
+        _pair_gather(dims, DISTINGUISHABLE, chosen)
+    assert [key[2] for key in oracle._gathers] == [p.tobytes() for p in pairs[1:3] + pairs[:1]]
+
+
 def test_near_bell_schmidt_weights_give_the_closed_form():
     """Schmidt weights 1/2 +- 1e-5: the metric on all of k has eigenvalues
     of order the squared gap and once read the Bell orbit (r = 3) against
@@ -623,23 +695,19 @@ def test_metric_rows_span_only_the_kernel_of_omega(monkeypatch, state, count):
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_rotated_directions_are_the_su_basis_in_eigen_coordinates(n):
     """The constant directions E_q are the ``su_basis`` of su(n) in its
-    order, so U E_q U^dag, U = conj(evecs), is that basis moved into any
-    eigenbasis and back; and the charge table holds the eigenvalue of each
-    Cartan generator on every basis state, divided by i: per party for
-    distinguishable parties, summed over the slots otherwise."""
+    order, so U E_q U^dag, U = conj(evecs), is that basis moved into an
+    eigenbasis: each is decided by its eigenvalue pair, and the gather of
+    the pair directions moves x as the basis matrices do, with no dense
+    (n^2 - 1, n, n) array; and the charge table holds the eigenvalue of
+    each Cartan generator on every basis state, divided by i: per party
+    for distinguishable parties, summed over the slots otherwise."""
     rng = np.random.default_rng(n)
-    evecs = np.linalg.qr(rng.standard_normal((2, n, n))
-                         + 1j * rng.standard_normal((2, n, n)))[0]
     basis = np.array([el.matrix for el in su_basis((n,)).elements])
-    directions, decided_by, (source, weight) = _eigen_directions(n)
     i, j = np.triu_indices(n, 1)
-    assert np.array_equal(decided_by, np.concatenate([np.zeros(n - 1), np.repeat(i * n + j, 2)]))
-    assert np.array_equal(directions, basis)
+    assert np.array_equal(_decided_by(n), np.concatenate([np.zeros(n - 1), np.repeat(i * n + j, 2)]))
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert np.array_equal(weight * x[source], directions[n - 1:] @ x)
-    rotated = evecs.conj()[:, None] @ directions @ evecs.swapaxes(-1, -2)[:, None]
-    back = evecs.swapaxes(-1, -2)[:, None] @ rotated @ evecs.conj()[:, None]
-    assert np.allclose(back, basis, rtol=0, atol=1e-14)
+    table = _pair_gather((n,), DISTINGUISHABLE, np.arange(n * (n - 1)))
+    assert np.array_equal(np.concatenate([x, -x, 1j * x, [0]])[table[:, 0]], basis[n - 1:] @ x)
     for dims, symmetry in [((n,), DISTINGUISHABLE), ((2, n, 3), DISTINGUISHABLE),
                            ((n, n), BOSONIC), ((n,) * 3, BOSONIC)]:
         group = acting_dims(dims, symmetry)
@@ -887,6 +955,9 @@ def named_states():
         ones = [tuple(int(j == i) for j in range(m)) for i in range(m)]
         table.append((f"w-{m}", build_state(_basis_tensor((2,) * m, *ones)),
                       (3 * m - 1, 2 * m, m - 1)))
+    table.append(("ghz-14", build_state(_basis_tensor((2,) * 14, (0,) * 14, (1,) * 14)),
+                  (29, 0, 29)))
+    table.append(("plus-13", build_state(np.ones((2,) * 13)), (26, 26, 0)))
     cluster = _basis_tensor((2,) * 4, (0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0))
     cluster[1, 1, 1, 1] = -1
     bells = [(a, a, b, b) for a in (0, 1) for b in (0, 1)]
@@ -904,9 +975,13 @@ def named_states():
 def test_named_states_after_a_local_unitary(name):
     """Each named state after a random local SU (one block on every slot
     for indistinguishable particles), alone and stacked with itself
-    unrotated."""
+    unrotated; and its report, whose formulas the oracle meets and which
+    finds the state separable exactly where D = 0.  GHZ_14 and the
+    product |+>^13 lie past dim H 4096, where the oracle once refused."""
     state, expected = {n: (s, e) for n, s, e in named_states()}[name][:2]
     rng = np.random.default_rng(sum(map(ord, name)))
     moved = apply_local(state, random_local_unitaries(state.dims, state.symmetry, rng=rng))
     assert degeneracy_rank(moved).as_tuple() == expected
     assert [r.as_tuple() for r in degeneracy_rank(StateStack.of([moved, state]))] == [expected] * 2
+    report = analyze_state(moved, oracle="verify")
+    assert report.consistency.passed and report.separable is (expected[2] == 0)
