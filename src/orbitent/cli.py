@@ -26,35 +26,15 @@ from .report import (
     ORACLE_MODES,
     ORACLE_OFF,
     ORACLE_VERIFY,
-    ROUTE_BIPARTITE,
-    ROUTE_BOUNDS,
-    ROUTE_ORACLE,
-    ROUTE_SINGLE,
+    SEPARABILITY,
     analyze_state,
     analyze_states,
+    select_route,
 )
 from .sampling import random_state
 from .states import DISTINGUISHABLE, SYMMETRY_CLASSES
 
 COADJOINT_NOTE = "dim(mu(O)) = sum_k (N_k^2 - 1) - (sum_{k,n} m_kn^2 - M)"
-BOUNDS_NOTE = "max_k S_k - 1 <= D <= sum_k S_k - M,  S_k = sum m_kn^2"
-SINGLE_NOTE = "one party: dim(O) = dim(mu(O)) = 2(N - 1), D = 0"
-ORACLE_NOTE = "numerical oracle"
-#: (orbit, coadjoint, degeneracy) line notes for each route of analyze_state
-ROUTE_NOTES = {
-    ROUTE_BIPARTITE: ("dim(O) = 2N^2 - 2 m0^2 - sum m_n^2 - 1",
-                      COADJOINT_NOTE, "D = sum_{n>=1} m_n^2 - 1"),
-    ROUTE_SINGLE: (SINGLE_NOTE, COADJOINT_NOTE, SINGLE_NOTE),
-    ROUTE_BOUNDS: (BOUNDS_NOTE, COADJOINT_NOTE, BOUNDS_NOTE),
-    ROUTE_ORACLE: (ORACLE_NOTE, COADJOINT_NOTE, ORACLE_NOTE),
-}
-
-SEPARABLE_NOTES = {
-    "distinguishable": "separable iff every party has sum_{n>=1} m_kn^2 = 1",
-    "fermionic": "single Slater iff reduced rank = particle count",
-    "product-of-same-vector": "v^(x)M iff reduced rank = 1",
-    "symmetric-simple-tensor": "D = 0 implies yes; rank <= 2 decides 2 bosons",
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -148,12 +128,13 @@ def _render_report(report: DegeneracyReport) -> str:
     for k, c in enumerate(report.clusterings):
         blocks = ", ".join(f"{v:.6g} x{m}" for v, m in c.blocks)
         lines.append(f"  party {k + 1}: kernel {c.kernel_dim} | {blocks}")
-    orbit_note, coadjoint_note, deg_note = ROUTE_NOTES[report.route]
-    lines.append(f"orbit dim      {_fmt_dim(doc['orbit_dim']):>8}   ({orbit_note})")
-    lines.append(f"coadjoint dim  {doc['coadjoint_dim']:>8}   ({coadjoint_note})")
-    lines.append(f"degeneracy D   {_fmt_dim(doc['degeneracy']):>8}   ({deg_note})")
+    route = select_route(report.dims, report.symmetry)
+    lines.append(f"orbit dim      {_fmt_dim(doc['orbit_dim']):>8}   ({route.orbit_note})")
+    lines.append(f"coadjoint dim  {doc['coadjoint_dim']:>8}   ({COADJOINT_NOTE})")
+    lines.append(f"degeneracy D   {_fmt_dim(doc['degeneracy']):>8}   "
+                 f"({route.degeneracy_note})")
     sep = {True: "yes", False: "no", None: "undetermined"}[report.separable]
-    sep_note = SEPARABLE_NOTES[report.boson_convention or report.symmetry]
+    sep_note = SEPARABILITY[report.boson_convention or report.symmetry].note
     lines.append(f"separable      {sep:>8}   ({sep_note})")
     if report.boson_convention:
         lines.append(f"boson convention: {report.boson_convention}")

@@ -285,7 +285,7 @@ class DegeneracyReport:
     or the oracle provides them, or a (low, high) interval for M >= 3
     bounds.  ``oracle`` is an optional attachment dict with the numerically
     computed ranks.  ``route`` names the formulas the integers came from
-    (see ``report.analyze_state``), and ``consistency`` holds the
+    (a key of ``report.ROUTES``), and ``consistency`` holds the
     formula-versus-oracle record (``report.ConsistencyRecord``) whenever the
     oracle ran; neither is part of the JSON document.
     """

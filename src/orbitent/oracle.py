@@ -439,11 +439,9 @@ def verify_against_formula(state: StateTensor,
     """Check the oracle ranks against the formulas for one state.
 
     Runs ``analyze_state(..., oracle="verify")`` and returns the comparison
-    record it built: mode "exact" for one party or two equal parties,
-    "bounds" for M >= 3, "none" for every other state, whose integers come
-    from the oracle alone.  Raises
-    Inconsistency (with the falsifying state serialized into the record) on
-    any mismatch.
+    record it built, in the mode of the state's route (``report.ROUTES``).
+    Raises Inconsistency (with the falsifying state serialized into the
+    record) on any mismatch.
     """
     from .report import ORACLE_VERIFY, analyze_state
 

@@ -1,36 +1,20 @@
 """Assemble full degeneracy reports: spectra -> clusterings -> counts.
 
 ``analyze_states`` (and ``analyze_state``, its stack of one) is the one
-place that decides which formula gives each integer.  It picks one of four
-routes, which the report carries:
-
-  bipartite   two distinguishable parties of equal dim: exact closed forms
-  single      one party: the orbit is all of projective space, D = 0
-  bounds      three or more distinguishable parties: exact coadjoint
-              dimension, bounds on D
-  oracle      unequal bipartite dims, bosons, fermions: no closed form for
-              the orbit, so the numerical oracle runs whatever the
-              requested oracle mode and gives r and D; its s is the
-              coadjoint formula by construction, so nothing is compared
-
-Separability verdicts:
-
-  distinguishable        every reduced matrix rank one (nondegenerate)
-  fermionic              reduced rank equals the particle count M
-                         (the antisymmetric power of an M-dim space is one
-                         dimensional, so rank M forces a single Slater)
-  bosonic, product-of-same-vector        reduced rank one (state = v^(x)M)
-  bosonic, symmetric-simple-tensor       degeneracy zero implies yes (the
-                         orbit then passes through a symmetrized basis
-                         vector); for two bosons the complete test is
-                         coefficient-matrix rank <= 2; otherwise unknown.
+place that decides which formula gives each integer.  ``ROUTES`` holds one
+record per formula family (its integers, its formula-versus-oracle
+comparison and its notes), ``select_route`` picks one by dims and
+symmetry, and ``SEPARABILITY`` holds each separability rule beside its
+note, by symmetry class or, for bosons, by boson convention.  ``cli``
+renders these records and decides nothing.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import Inconsistency, OrbitentError
 from .io import state_to_document
@@ -50,7 +34,7 @@ from .moment import (
     reduced_matrices,
 )
 from .oracle import DEFAULT_RANK_TOL, degeneracy_rank, footprint
-from .states import DISTINGUISHABLE, FERMIONIC, StateStack, StateTensor, acting_dims
+from .states import BOSONIC, DISTINGUISHABLE, FERMIONIC, StateStack, StateTensor, acting_dims
 
 ORACLE_OFF = "off"
 ORACLE_VERIFY = "verify"
@@ -64,42 +48,94 @@ BOSON_CONVENTIONS = (BOSON_SYMMETRIC_SIMPLE, BOSON_PRODUCT)
 #: per state into one chunk (see ``_stack_length``)
 STACK_BYTES = 2**20
 
-ROUTE_BIPARTITE = "bipartite"
-ROUTE_SINGLE = "single"
-ROUTE_BOUNDS = "bounds"
-ROUTE_ORACLE = "oracle"
-#: the formula-versus-oracle comparison of each route (ConsistencyRecord.mode)
-_CHECK_MODES = {
-    ROUTE_BIPARTITE: "exact",
-    ROUTE_SINGLE: "exact",
-    ROUTE_BOUNDS: "bounds",
-    ROUTE_ORACLE: "none",
-}
+
+class Route(NamedTuple):
+    """One formula family.  ``counts(dims, clusterings, coadjoint, rank)``
+    gives (orbit dim, D), each an int or a (low, high) pair of bounds; only
+    the ``oracle`` route reads ``rank``, the oracle's ``DegeneracyRank``
+    (None with the oracle off).  ``mode`` is its ConsistencyRecord.mode."""
+
+    name: str
+    counts: Callable
+    mode: str
+    orbit_note: str
+    degeneracy_note: str
 
 
-def _collapse(low: int, high: int):
-    return low if low == high else (low, high)
+def _bipartite_counts(dims, clusterings, coadjoint, rank):
+    return (orbit_dimension_bipartite(clusterings[0], dims[0]),
+            degeneracy_bipartite(clusterings[0]))
 
 
-def _route(state: StateTensor | StateStack) -> str:
-    if state.symmetry != DISTINGUISHABLE:
-        return ROUTE_ORACLE
-    if state.parties == 1:
-        return ROUTE_SINGLE
-    if state.parties >= 3:
-        return ROUTE_BOUNDS
-    return ROUTE_BIPARTITE if state.dims[0] == state.dims[1] else ROUTE_ORACLE
+def _bounds_counts(dims, clusterings, coadjoint, rank):
+    low, high = degeneracy_bounds(clusterings)
+    if low == high:
+        return coadjoint + low, low
+    return (coadjoint + low, coadjoint + high), (low, high)
 
 
-def _boson_separable(convention, clustering, degeneracy, parties):
-    rank = clustering.positive_rank
-    if convention == BOSON_PRODUCT:
-        return rank == 1
+#: the formula families by name; the counts look the measure functions up
+#: when they run, so a wrapper patched into this module sees every call
+ROUTES = {route.name: route for route in (
+    # two distinguishable parties of equal dim: exact closed forms
+    Route("bipartite", _bipartite_counts, "exact",
+          "dim(O) = 2N^2 - 2 m0^2 - sum m_n^2 - 1", "D = sum_{n>=1} m_n^2 - 1"),
+    # one party: the orbit is all of projective space
+    Route("single", lambda dims, clusterings, coadjoint, rank: (coadjoint, 0),
+          "exact", *("one party: dim(O) = dim(mu(O)) = 2(N - 1), D = 0",) * 2),
+    # three or more distinguishable parties: bounds on D
+    Route("bounds", _bounds_counts, "bounds",
+          *("max_k S_k - 1 <= D <= sum_k S_k - M,  S_k = sum m_kn^2",) * 2),
+    # unequal bipartite dims, bosons, fermions: the oracle runs in every
+    # mode; its s is the coadjoint formula by construction, so nothing is
+    # compared
+    Route("oracle", lambda dims, clusterings, coadjoint, rank:
+          (rank.orbit_dim, rank.degeneracy), "none", *("numerical oracle",) * 2),
+)}
+
+
+def select_route(dims: tuple[int, ...], symmetry: str) -> Route:
+    """The route of every state of one class."""
+    if symmetry != DISTINGUISHABLE:
+        return ROUTES["oracle"]
+    if len(dims) == 1:
+        return ROUTES["single"]
+    if len(dims) >= 3:
+        return ROUTES["bounds"]
+    return ROUTES["bipartite" if dims[0] == dims[1] else "oracle"]
+
+
+class Separability(NamedTuple):
+    rule: Callable  # (clusterings, degeneracy, parties) -> True, False or None
+    note: str
+
+
+def _symmetric_simple(clusterings, degeneracy, parties):
+    # D = 0: the orbit passes through a symmetrized basis vector; a state
+    # of two bosons is a symmetrized simple tensor iff its coefficient
+    # matrix has rank <= 2
     if degeneracy == 0:
         return True
     if parties == 2:
-        return rank <= 2
+        return clusterings[0].positive_rank <= 2
     return None  # no criterion available beyond the symplectic orbit
+
+
+#: the separability rule and its note, by symmetry class or boson convention
+SEPARABILITY = {
+    DISTINGUISHABLE: Separability(
+        lambda clusterings, degeneracy, parties: separability_test(clusterings),
+        "separable iff every party has sum_{n>=1} m_kn^2 = 1"),
+    # an antisymmetric M-tensor of reduced rank M is one Slater determinant
+    FERMIONIC: Separability(
+        lambda clusterings, degeneracy, parties: clusterings[0].positive_rank == parties,
+        "single Slater iff reduced rank = particle count"),
+    BOSON_PRODUCT: Separability(
+        lambda clusterings, degeneracy, parties: clusterings[0].positive_rank == 1,
+        "v^(x)M iff reduced rank = 1"),
+    BOSON_SYMMETRIC_SIMPLE: Separability(
+        _symmetric_simple, "D = 0 implies yes; rank <= 2 decides 2 bosons"),
+}
 
 
 @functools.lru_cache(maxsize=64)
@@ -209,9 +245,9 @@ def _clusterings(chunk, cluster_tol, rank_tol, oracle):
     (C^dag C)^T of a square C have one spectrum, zeros included, and
     party 1's clustering serves both."""
     stack = StateStack.of(chunk)
-    route = _route(stack)
-    closed = oracle == ORACLE_OFF and route != ROUTE_ORACLE
-    schmidt = closed and route == ROUTE_BIPARTITE
+    route = select_route(stack.dims, stack.symmetry)
+    closed = oracle == ORACLE_OFF and route.name != "oracle"
+    schmidt = closed and route.name == "bipartite"
     reduced = reduced_matrices(stack, parties=(0,) if schmidt else None)
     reduced.check_unit_norm("analyze_state")
     if not closed:
@@ -229,28 +265,10 @@ def _report(state, clusterings, rank, route, boson_convention):
     # indistinguishable particles: one common reduced matrix, one SU(N)
     group = acting_dims(state.dims, state.symmetry)
     coadjoint = coadjoint_dimension(clusterings[:len(group)], group)
-    if route == ROUTE_BIPARTITE:
-        orbit_dim = orbit_dimension_bipartite(clusterings[0], state.dims[0])
-        degeneracy = degeneracy_bipartite(clusterings[0])
-    elif route == ROUTE_SINGLE:
-        orbit_dim, degeneracy = coadjoint, 0
-    elif route == ROUTE_BOUNDS:
-        low, high = degeneracy_bounds(clusterings)
-        degeneracy = _collapse(low, high)
-        orbit_dim = _collapse(coadjoint + low, coadjoint + high)
-    else:
-        orbit_dim, degeneracy = rank.orbit_dim, rank.degeneracy
-
-    convention = None
-    if state.symmetry == DISTINGUISHABLE:
-        separable = separability_test(clusterings)
-    elif state.symmetry == FERMIONIC:
-        separable = clusterings[0].positive_rank == state.parties
-    else:
-        separable = _boson_separable(
-            boson_convention, clusterings[0], degeneracy, state.parties)
-        convention = boson_convention
-
+    orbit_dim, degeneracy = route.counts(state.dims, clusterings, coadjoint, rank)
+    convention = boson_convention if state.symmetry == BOSONIC else None
+    separable = SEPARABILITY[convention or state.symmetry].rule(
+        clusterings, degeneracy, state.parties)
     report = DegeneracyReport(
         dims=state.dims,
         symmetry=state.symmetry,
@@ -263,7 +281,7 @@ def _report(state, clusterings, rank, route, boson_convention):
         oracle=None if rank is None else dict(rank.to_json_dict(),
                                               consistent=True),
         boson_convention=convention,
-        route=route,
+        route=route.name,
     )
     if rank is None:
         return report
@@ -303,15 +321,16 @@ def check_consistency(report: DegeneracyReport,
                       state: StateTensor) -> ConsistencyRecord:
     """Compare the oracle ranks attached to a report with its formulas.
 
-    The comparison follows the report's route: "exact" (one party, two
-    equal parties) needs orbit and degeneracy dimensions to match;
-    "bounds" (M >= 3) needs D to lie inside the bounds; "none" (the oracle
-    route) has no closed form to compare.  The oracle's symplectic rank is
+    The comparison is the mode of the route that ``select_route`` gives
+    the report's dims and symmetry: "exact" (one party, two equal parties)
+    needs orbit and degeneracy dimensions to match; "bounds" (M >= 3)
+    needs D to lie inside the bounds; "none" (the oracle route) has no
+    closed form to compare.  The oracle's symplectic rank is
     the coadjoint formula of the report's own clustering by construction,
     so it is never compared.  Raises Inconsistency, with the falsifying
     state serialized into the record, on any mismatch.
     """
-    mode = _CHECK_MODES[report.route]
+    mode = select_route(report.dims, report.symmetry).mode
     ranks = report.oracle
     observed = {
         "orbit_dim": ranks["orbit_dim"],

@@ -288,15 +288,14 @@ def symmetrize(raw, symmetry: str) -> StateTensor:
         return build_state(coeffs, symmetry)
     check_dims(coeffs.shape, symmetry)
     norm = _prescale(coeffs)
-    m = coeffs.ndim
-    total = np.zeros_like(coeffs)
-    for perm in itertools.permutations(range(m)):
-        term = np.transpose(coeffs, perm)
-        if symmetry == FERMIONIC and permutation_sign(perm) < 0:
-            total -= term
-        else:
-            total += term
-    total /= math.factorial(m)
+    sign = -1 if symmetry == FERMIONIC else 1
+    total = coeffs
+    for m in range(1, coeffs.ndim):
+        # P_{m+1} = (1 + sign sum_{k<m} (k m)) P_m / (m + 1), (k m) the swap
+        # of slots k and m, one coset of S_m in S_{m+1} per term: M - 1
+        # steps in place of a sum over M! permutations
+        swaps = sum(np.swapaxes(total, k, m) for k in range(m))
+        total = (total + sign * swaps) / (m + 1)
     if np.linalg.norm(total) <= 1e-12 * norm:
         raise ZeroState(f"the {symmetry} projection of the input vanishes")
     return build_state(total, symmetry)

@@ -1,5 +1,6 @@
 """Report assembly across symmetry classes and oracle modes."""
 
+import dataclasses
 import itertools
 import warnings
 
@@ -15,6 +16,7 @@ from orbitent import (
     DISTINGUISHABLE,
     FERMIONIC,
     AmbiguousClustering,
+    DegeneracyReport,
     StateTensor,
     analyze_state,
     analyze_states,
@@ -28,6 +30,7 @@ from orbitent import (
     symmetrize,
     verify_against_formula,
 )
+from orbitent.cli import _render_report
 
 
 def bell_state():
@@ -448,3 +451,22 @@ def test_one_schmidt_spectrum_refuses_near_its_cut_as_before(dims, weights, mess
         with pytest.raises(AmbiguousClustering) as refused:
             analyze_state(state, oracle=oracle)
         assert str(refused.value) == message + "; adjust the tolerance"
+
+
+@pytest.mark.parametrize("state", [
+    bell_state(),
+    build_state([1.0, 1j, 0.0]),
+    random_state((2, 2, 2), rng=35),
+    random_state((2, 3), rng=36),
+    random_state((3, 3), BOSONIC, rng=37),
+], ids=["bipartite", "single", "bounds", "unequal", "bosons"])
+def test_a_hand_built_report_selects_its_route_by_dims_and_symmetry(state):
+    built = analyze_state(state, oracle="verify")
+    by_hand = DegeneracyReport(**{
+        field.name: getattr(built, field.name)
+        for field in dataclasses.fields(DegeneracyReport)
+        if field.name not in ("route", "consistency")})
+    assert by_hand.route is None
+    record = orbitent.report.check_consistency(by_hand, state)
+    assert record == built.consistency and record.passed
+    assert _render_report(by_hand) == _render_report(built)

@@ -1,6 +1,8 @@
 """State construction, local action, and symmetrization."""
 
 import functools
+import itertools
+import math
 import re
 
 import numpy as np
@@ -25,7 +27,7 @@ from orbitent import (
     su_basis,
     symmetrize,
 )
-from orbitent.states import check_dims, local_product, party_rows
+from orbitent.states import check_dims, local_product, party_rows, permutation_sign
 
 EPS = np.finfo(float).eps
 
@@ -364,6 +366,30 @@ def test_symmetrize_is_projectively_idempotent():
         once = symmetrize(raw, sym)
         twice = symmetrize(once.coeffs, sym)
         assert twice.projectively_equals(once)
+
+
+def _project_by_permutations(raw, symmetry):
+    """The (anti)symmetrizer as its definition: the mean of the M! slot
+    permutations, each signed for fermions, then normalized."""
+    total = sum((permutation_sign(perm) if symmetry == FERMIONIC else 1)
+                * np.transpose(raw, perm)
+                for perm in itertools.permutations(range(raw.ndim)))
+    total = total / math.factorial(raw.ndim)
+    return total / np.linalg.norm(total)
+
+
+@pytest.mark.parametrize("dims, symmetry", [
+    ((3, 3), BOSONIC), ((3, 3), FERMIONIC),
+    ((3, 3, 3), BOSONIC), ((3, 3, 3), FERMIONIC),
+    ((2,) * 5, BOSONIC),
+    ((4, 4, 4, 4), BOSONIC), ((4, 4, 4, 4), FERMIONIC),
+    ((5, 5, 5), BOSONIC), ((5, 5, 5), FERMIONIC),
+])
+def test_symmetrize_matches_the_sum_over_permutations(dims, symmetry):
+    rng = np.random.default_rng(sum(dims))
+    raw = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    state = symmetrize(raw, symmetry)
+    assert np.abs(state.coeffs - _project_by_permutations(raw, symmetry)).max() < 64 * EPS
 
 
 def test_unitary_tuple_rejects_unit_modulus_det_without_request():
