@@ -53,7 +53,6 @@ from .moment import (
     schmidt,
 )
 from .oracle import (
-    DEFAULT_RANK_TOL,
     DegeneracyRank,
     degeneracy_rank,
     fubini_study_omega,
@@ -102,7 +101,7 @@ __all__ = [
     "degeneracy_bounds", "orbit_dimension_bipartite", "separability_test",
     "ReducedMatrices", "SchmidtData", "canonical_form", "reduced_matrices",
     "schmidt",
-    "DEFAULT_RANK_TOL", "DegeneracyRank", "degeneracy_rank",
+    "DegeneracyRank", "degeneracy_rank",
     "fubini_study_omega", "verify_against_formula",
     "BOSON_PRODUCT", "BOSON_SYMMETRIC_SIMPLE", "ConsistencyRecord",
     "ORACLE_OFF", "ORACLE_VERIFY", "analyze_state",

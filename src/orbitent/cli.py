@@ -1,7 +1,7 @@
 """Command line interface: analyze, schmidt, canonical, ks-check, verify.
 
 Exit codes: 0 success, 2 when a clustering or rank decision is too close
-to its tolerance (AmbiguousClustering / RankUnstable), 1 for every other
+to its cut (AmbiguousClustering / RankUnstable), 1 for every other
 error.  Errors are emitted as one machine-readable JSON object on stderr.
 Identical input, configuration and seed produce byte-identical JSON output.
 """
@@ -19,7 +19,6 @@ from .io import complex_array_to_json, load_state, state_to_document
 from .lie import kostant_sternberg_check, weight_table
 from .measure import DEFAULT_CLUSTER_TOL, DegeneracyReport
 from .moment import canonical_form, schmidt
-from .oracle import DEFAULT_RANK_TOL
 from .report import (
     BOSON_CONVENTIONS,
     BOSON_SYMMETRIC_SIMPLE,
@@ -32,7 +31,7 @@ from .report import (
     select_route,
 )
 from .sampling import random_state
-from .states import DISTINGUISHABLE, SYMMETRY_CLASSES
+from .states import BOSONIC, DISTINGUISHABLE, SYMMETRY_CLASSES
 
 COADJOINT_NOTE = "dim(mu(O)) = sum_k (N_k^2 - 1) - (sum_{k,n} m_kn^2 - M)"
 
@@ -44,18 +43,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "their local-unitary orbits.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cluster_tol=False, rank_tol=False):
+    def add_common(p, cluster_tol=False):
         p.add_argument("--format", choices=("text", "json"), default="text",
                        help="report format (default: text)")
         if cluster_tol:  # the library call that takes it checks its value
             p.add_argument("--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL,
                            help="relative eigenvalue clustering tolerance")
-        if rank_tol:
-            p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
-                           help="relative rank tolerance; decides D only. "
-                                "Below the default it can turn a RankUnstable "
-                                "refusal (exit 2) into an Inconsistency (exit 1) "
-                                "on a near-degenerate state")
 
     p = sub.add_parser("analyze",
                        help="degeneracy report for a state file")
@@ -65,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boson-convention", choices=BOSON_CONVENTIONS,
                    default=BOSON_SYMMETRIC_SIMPLE,
                    help="which bosonic states count as nonentangled")
-    add_common(p, cluster_tol=True, rank_tol=True)
+    add_common(p, cluster_tol=True)
 
     p = sub.add_parser("schmidt", help="Schmidt data of a bipartite state")
     p.add_argument("--input", required=True)
@@ -91,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetry", choices=SYMMETRY_CLASSES,
                    default=DISTINGUISHABLE)
     p.add_argument("--seed", type=int, default=0)
-    add_common(p, cluster_tol=True, rank_tol=True)
+    add_common(p, cluster_tol=True)
     return parser
 
 
@@ -134,10 +127,14 @@ def _render_report(report: DegeneracyReport) -> str:
     lines.append(f"degeneracy D   {_fmt_dim(doc['degeneracy']):>8}   "
                  f"({route.degeneracy_note})")
     sep = {True: "yes", False: "no", None: "undetermined"}[report.separable]
-    sep_note = SEPARABILITY[report.boson_convention or report.symmetry].note
+    convention = report.boson_convention
+    if report.symmetry == BOSONIC and convention is None:
+        # a report built by hand reads under analyze_state's default
+        convention = BOSON_SYMMETRIC_SIMPLE
+    sep_note = SEPARABILITY[convention or report.symmetry].note
     lines.append(f"separable      {sep:>8}   ({sep_note})")
-    if report.boson_convention:
-        lines.append(f"boson convention: {report.boson_convention}")
+    if convention:
+        lines.append(f"boson convention: {convention}")
     if report.oracle:
         o = report.oracle
         lines.append(
@@ -148,7 +145,7 @@ def _render_report(report: DegeneracyReport) -> str:
 
 def _cmd_analyze(args) -> int:
     state = load_state(args.input)
-    report = analyze_state(state, args.cluster_tol, args.rank_tol, args.oracle,
+    report = analyze_state(state, args.cluster_tol, args.oracle,
                            args.boson_convention)
     _print_payload(report.to_json_dict(), _render_report(report), args.format)
     return 0
@@ -227,8 +224,7 @@ def _cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     states = (random_state(dims, args.symmetry, rng) for _ in range(args.count))
     mode = None
-    for report in analyze_states(states, args.cluster_tol, args.rank_tol,
-                                 ORACLE_VERIFY):
+    for report in analyze_states(states, args.cluster_tol, ORACLE_VERIFY):
         mode = report.consistency.mode
     payload = {
         "count": args.count,
@@ -274,7 +270,8 @@ def main(argv=None) -> int:
     except (AmbiguousClustering, RankUnstable) as exc:
         _emit_error(exc)
         return 2
-    except (OrbitentError, OSError, ValueError, KeyError, TypeError) as exc:
+    except (OrbitentError, OSError, ValueError, KeyError, TypeError,
+            MemoryError) as exc:
         _emit_error(exc)
         return 1
 

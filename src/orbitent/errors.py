@@ -42,7 +42,11 @@ class AmbiguousClustering(OrbitentError):
 
 
 class RankUnstable(OrbitentError):
-    """A singular value straddles the rank threshold within a factor of ten."""
+    """A metric eigenvalue lies within a factor of ten of the oracle's fixed
+    rank cut (``oracle.RANK_TOL``).
+
+    No option moves that cut, so the refusal is final for this state.
+    """
 
 
 class Inconsistency(OrbitentError):

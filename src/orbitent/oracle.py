@@ -43,10 +43,11 @@ and a generic state has none.
 
 This holds for any clustering at any tolerance: it splits only gaps that
 are nonzero, so its kernel K' contains ker Omega and with it ker T, and
-r = s' + D' for s' the codimension of K' and D' = dim T(K').  The rank
-tolerance decides D alone: the eigenvalues of G on the kernel count
-above a relative cut, and one within a factor ten of it raises
-RankUnstable instead of guessing (the refusal rule of ``measure.decide``).
+r = s' + D' for s' the codimension of K' and D' = dim T(K').  D alone is
+decided by a fixed cut, RANK_TOL: the eigenvalues of G on the kernel
+count above RANK_TOL times the largest, floored at 1, and one within a
+factor ten of that cut raises RankUnstable instead of guessing (the
+refusal rule of ``measure.decide``).
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import numpy as np
 
 from .errors import EnumerationTooLarge, Inconsistency, RankUnstable
 from .lie import cartan_charges, rep_action
-from .measure import DEFAULT_CLUSTER_TOL, check_tolerance, decide
+from .measure import DEFAULT_CLUSTER_TOL, decide
 from .moment import marginal_eigenbases, reduced_matrices
 from .states import (
     DISTINGUISHABLE,
@@ -75,8 +76,9 @@ from .states import (
 if TYPE_CHECKING:
     from .report import ConsistencyRecord
 
-#: metric eigenvalues below this fraction of the largest count as zero
-DEFAULT_RANK_TOL = 1e-8
+#: metric eigenvalues below this fraction of the largest, floored at 1,
+#: count as zero
+RANK_TOL = 1e-8
 #: the oracle refuses a stack for which it would build more than this many
 #: bytes (``footprint``), once the clustering has fixed the pairs it keeps
 ORACLE_BYTES = 2**28
@@ -356,9 +358,7 @@ class DegeneracyRank:
         }
 
 
-def degeneracy_rank(state: StateTensor | StateStack,
-                    rank_tol: float = DEFAULT_RANK_TOL,
-                    eigenbases=None):
+def degeneracy_rank(state: StateTensor | StateStack, *, eigenbases=None):
     """Orbit dimension r = s + D, symplectic rank s, and degeneracy D.
 
     s is the rank of Omega = (+)_k Omega_k, the KKS forms at the reduced
@@ -366,8 +366,8 @@ def degeneracy_rank(state: StateTensor | StateStack,
     that the clustering puts in different blocks, the coadjoint formula.
     The eigenvectors U of the same ``eigh`` give a basis X_j = U E_q U^dag
     of ker Omega.  Since ker T lies inside ker Omega, r = s + D, where D is
-    the rank of the metric G on the X_j, read off its eigenvalues at
-    ``rank_tol``: the one cut the rank tolerance makes.  G is read in the
+    the rank of the metric G on the X_j, read off its eigenvalues at the
+    fixed cut RANK_TOL (``_stable_rank``).  G is read in the
     eigenbases (``_kernel_metric``): the state is rotated once, the Cartan
     block is the covariance of the Cartan charges under |w|^2, and rows
     are written only for the pairs inside one block.  No SVD is taken, no
@@ -395,13 +395,12 @@ def degeneracy_rank(state: StateTensor | StateStack,
     of the marginals, which their clustering refuses unless they sum to
     one, so no further pass over the coefficients is made.
     """
-    check_tolerance(rank_tol, "rank")
     stack = state if isinstance(state, StateStack) else StateStack.of([state])
     if eigenbases is None:
         check_unit_norm(state, "degeneracy_rank")
         eigenbases = marginal_eigenbases(reduced_matrices(stack))
     symplectic, gram = _kernel_metric(stack, eigenbases)
-    degeneracy = _stable_rank(np.linalg.eigvalsh(gram), rank_tol,
+    degeneracy = _stable_rank(np.linalg.eigvalsh(gram), RANK_TOL,
                               "orbit Gram matrix").tolist()
     ranks = [DegeneracyRank(s + d, s, d) for s, d in zip(symplectic, degeneracy)]
     return ranks if stack is state else ranks[0]
@@ -434,7 +433,6 @@ def fubini_study_omega(v, a, b) -> float:
 
 def verify_against_formula(state: StateTensor,
                            cluster_tol: float = DEFAULT_CLUSTER_TOL,
-                           rank_tol: float = DEFAULT_RANK_TOL,
                            ) -> ConsistencyRecord:
     """Check the oracle ranks against the formulas for one state.
 
@@ -445,5 +443,4 @@ def verify_against_formula(state: StateTensor,
     """
     from .report import ORACLE_VERIFY, analyze_state
 
-    return analyze_state(state, cluster_tol, rank_tol,
-                         oracle=ORACLE_VERIFY).consistency
+    return analyze_state(state, cluster_tol, oracle=ORACLE_VERIFY).consistency

@@ -33,7 +33,7 @@ from .moment import (
     marginal_eigenbases,
     reduced_matrices,
 )
-from .oracle import DEFAULT_RANK_TOL, degeneracy_rank, footprint
+from .oracle import degeneracy_rank, footprint
 from .states import BOSONIC, DISTINGUISHABLE, FERMIONIC, StateStack, StateTensor, acting_dims
 
 ORACLE_OFF = "off"
@@ -163,10 +163,10 @@ def _chunks(states):
         yield chunk
 
 
-def _check_options(cluster_tol, rank_tol, oracle, boson_convention) -> None:
-    """Refuse a tolerance, oracle mode or boson convention out of range."""
+def _check_options(cluster_tol, oracle, boson_convention) -> None:
+    """Refuse a cluster tolerance, oracle mode or boson convention out of
+    range; the oracle's rank cut is the fixed ``oracle.RANK_TOL``."""
     check_tolerance(cluster_tol, "clustering")
-    check_tolerance(rank_tol, "rank")
     if oracle not in ORACLE_MODES:
         raise ValueError(f"oracle mode must be one of {ORACLE_MODES}")
     if boson_convention not in BOSON_CONVENTIONS:
@@ -176,7 +176,6 @@ def _check_options(cluster_tol, rank_tol, oracle, boson_convention) -> None:
 
 def analyze_state(state: StateTensor,
                   cluster_tol: float = DEFAULT_CLUSTER_TOL,
-                  rank_tol: float = DEFAULT_RANK_TOL,
                   oracle: str = ORACLE_OFF,
                   boson_convention: str = BOSON_SYMMETRIC_SIMPLE,
                   ) -> DegeneracyReport:
@@ -184,19 +183,17 @@ def analyze_state(state: StateTensor,
 
     ``oracle`` is off or verify: "verify" attaches the numerical ranks and
     checks them against the formulas (raising Inconsistency on
-    disagreement).  Both tolerances are checked on entry, whether or not
-    the oracle runs.  The state is analyzed as a stack of one, a view of
+    disagreement).  The cluster tolerance is checked on entry, whether or
+    not the oracle runs.  The state is analyzed as a stack of one, a view of
     its coefficients, by the steps :func:`analyze_states` runs per chunk.
     """
-    _check_options(cluster_tol, rank_tol, oracle, boson_convention)
-    route, (clusterings,), (rank,) = _clusterings([state], cluster_tol,
-                                                  rank_tol, oracle)
+    _check_options(cluster_tol, oracle, boson_convention)
+    route, (clusterings,), (rank,) = _clusterings([state], cluster_tol, oracle)
     return _report(state, clusterings, rank, route, boson_convention)
 
 
 def analyze_states(states,
                    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-                   rank_tol: float = DEFAULT_RANK_TOL,
                    oracle: str = ORACLE_OFF,
                    boson_convention: str = BOSON_SYMMETRIC_SIMPLE,
                    ) -> Iterator[DegeneracyReport]:
@@ -212,30 +209,27 @@ def analyze_states(states,
     raises its own exception and message, as a loop of ``analyze_state``
     would.
     """
-    _check_options(cluster_tol, rank_tol, oracle, boson_convention)
+    _check_options(cluster_tol, oracle, boson_convention)
     for chunk in _chunks(states):
-        yield from _analyze_chunk(chunk, cluster_tol, rank_tol, oracle,
-                                  boson_convention)
+        yield from _analyze_chunk(chunk, cluster_tol, oracle, boson_convention)
 
 
-def _analyze_chunk(chunk, cluster_tol, rank_tol, oracle, boson_convention):
+def _analyze_chunk(chunk, cluster_tol, oracle, boson_convention):
     """The reports of one chunk of same-class states, from one stack; when
     the stack raises, from one stack per state, in order."""
     try:
-        route, clusterings, ranks = _clusterings(chunk, cluster_tol, rank_tol,
-                                                 oracle)
+        route, clusterings, ranks = _clusterings(chunk, cluster_tol, oracle)
     except (OrbitentError, ValueError):
         if len(chunk) == 1:
             raise
         for state in chunk:
-            yield from _analyze_chunk([state], cluster_tol, rank_tol, oracle,
-                                      boson_convention)
+            yield from _analyze_chunk([state], cluster_tol, oracle, boson_convention)
         return
     for state, clustering, rank in zip(chunk, clusterings, ranks):
         yield _report(state, clustering, rank, route, boson_convention)
 
 
-def _clusterings(chunk, cluster_tol, rank_tol, oracle):
+def _clusterings(chunk, cluster_tol, oracle):
     """(route, clusterings per state, oracle ranks per state) of a list of
     same-class states, from one stack.
 
@@ -253,7 +247,7 @@ def _clusterings(chunk, cluster_tol, rank_tol, oracle):
     if not closed:
         # one eigh per party dim gives the spectra and the oracle's bases
         eigenbases = marginal_eigenbases(reduced, cluster_tol)
-        return route, eigenbases[1], degeneracy_rank(stack, rank_tol, eigenbases)
+        return route, eigenbases[1], degeneracy_rank(stack, eigenbases=eigenbases)
     clusterings = cluster_spectra(reduced.spectra(), cluster_tol)
     if schmidt:
         clusterings = [(c, c) for (c,) in clusterings]

@@ -1,5 +1,5 @@
 """Reference ranks for the oracle's tests: the projected-frame oracle on
-all of k, with a tolerance, and the tolerance-free (r, s, D) of a
+all of k, at the oracle's rank cut, and the tolerance-free (r, s, D) of a
 Gaussian-integer state; and the gather of every pair direction, which the
 oracle builds only for the pairs it keeps."""
 
@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from orbitent import DISTINGUISHABLE, rep_action, su_basis
-from orbitent.oracle import DEFAULT_RANK_TOL, _stable_rank
+from orbitent.oracle import RANK_TOL, _stable_rank
 from orbitent.states import acting_dims, embed
 
 
@@ -28,19 +28,19 @@ def all_rows(state):
                      for mats in all_generators(state)], axis=-2)
 
 
-def reference_symplectic_rank(state, rank_tol=DEFAULT_RANK_TOL):
+def reference_symplectic_rank(state):
     """s as the rank of Omega = -Im<A_a v|A_b v> on all of k, from the image
     of every basis generator: its singular values are linear in the
     spectral gaps, and no clustering enters."""
     rows = all_rows(state)
     im = (rows.conj() @ rows.T).imag
     sing = np.linalg.svd((im.T - im) / 2.0, compute_uv=False)
-    s = int(_stable_rank(sing, rank_tol, "reference symplectic form"))
+    s = int(_stable_rank(sing, RANK_TOL, "reference symplectic form"))
     assert s % 2 == 0
     return s
 
 
-def reference_ranks(state, rank_tol=DEFAULT_RANK_TOL):
+def reference_ranks(state):
     """The projected-frame oracle: project each generator image onto the
     tangent space and read r off the Gram matrix of the projections, on
     all of k; s is ``reference_symplectic_rank``."""
@@ -48,9 +48,9 @@ def reference_ranks(state, rank_tol=DEFAULT_RANK_TOL):
     v = state.coeffs.reshape(1, -1)
     tangents = rows - (rows @ v.conj().T) * v
     gram = (tangents.conj() @ tangents.T).real
-    r = int(_stable_rank(np.linalg.eigvalsh((gram + gram.T) / 2.0), rank_tol,
+    r = int(_stable_rank(np.linalg.eigvalsh((gram + gram.T) / 2.0), RANK_TOL,
                          "reference Gram matrix"))
-    s = reference_symplectic_rank(state, rank_tol)
+    s = reference_symplectic_rank(state)
     return r, s, r - s
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orbitent import build_state, save_state
+import orbitent.report
+from orbitent import apply_local, build_state, random_local_unitaries, save_state
 from orbitent.cli import _build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -125,18 +126,33 @@ def test_canonical_three_parties_takes_cluster_tol(capsys, tmp_path):
     assert len(json.loads(out)["local_unitaries"]) == 3
 
 
-def test_tolerances_do_not_set_the_routes_against_each_other(capsys, tmp_path):
-    """A (3,5) state with Schmidt weights (0.5, 0.25 +- 5e-6) runs the oracle
-    under every mode.  A coarse cluster tolerance merges the pair for both
-    routes, and a coarse rank tolerance moves neither."""
+def _schmidt_file(tmp_path, name, weights, rng=None):
+    """A (3,5) state with the given Schmidt weights, in random local bases
+    when ``rng`` is given, saved as ``name``."""
     c = np.zeros((3, 5))
-    c[range(3), range(3)] = np.sqrt([0.5, 0.25 + 5e-6, 0.25 - 5e-6])
-    path = tmp_path / "near_pair.json"
-    save_state(build_state(c), path)
-    for tolerances, expected in [(("--cluster-tol", "1e-3"), (24, 20, 4)),
-                                 (("--rank-tol", "1e-3"), (26, 24, 2))]:
+    c[range(3), range(3)] = np.sqrt(weights)
+    state = build_state(c)
+    if rng is not None:
+        state = apply_local(state, random_local_unitaries((3, 5), rng=rng))
+    path = tmp_path / name
+    save_state(state, path)
+    return str(path)
+
+
+def test_tolerances_do_not_set_the_routes_against_each_other(capsys, tmp_path):
+    """(3,5) states run the oracle under every mode.  With Schmidt weights
+    (0.5, 0.25 +- 5e-6), a coarse cluster tolerance merges the pair for
+    both routes.  With weights (0.9, 0.1 - 1e-5, 1e-5), both routes count
+    the small weight's directions in D at the fixed rank cut, and no flag
+    can move that cut."""
+    near_pair = _schmidt_file(tmp_path, "near_pair.json", [0.5, 0.25 + 5e-6, 0.25 - 5e-6])
+    small = _schmidt_file(tmp_path, "small_weight.json", [0.9, 0.1 - 1e-5, 1e-5], rng=3)
+    code, out, _ = run(capsys, "analyze", "--input", small, "--rank-tol", "1e-3")
+    assert code == 1 and not out  # a usage error, not a D read at another cut
+    for path, tolerances, expected in [(near_pair, ("--cluster-tol", "1e-3"), (24, 20, 4)),
+                                       (small, (), (26, 24, 2))]:
         for oracle in ("off", "verify"):
-            code, out, err = run(capsys, "analyze", "--input", str(path),
+            code, out, err = run(capsys, "analyze", "--input", path,
                                  "--oracle", oracle, *tolerances, "--format", "json")
             assert code == 0 and not err
             doc = json.loads(out)
@@ -315,11 +331,18 @@ def test_bad_tolerance_exits_1(capsys, bell_file):
                        "--cluster-tol", "0.5")
     assert code == 1
     assert json.loads(err)["error"] == "ValueError"
-    # the rank tolerance is checked even when the oracle does not run
-    code, _, err = run(capsys, "analyze", "--input", bell_file,
-                       "--oracle", "off", "--rank-tol", "0.5")
-    assert code == 1
-    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_a_request_too_large_for_memory_exits_1(capsys, monkeypatch):
+    """An allocation numpy refuses, such as the reduced matrices of
+    ``verify --dims 1000000``, leaves as one JSON error on stderr."""
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.6 TiB")
+    monkeypatch.setattr(orbitent.report, "reduced_matrices", refuse)
+    code, out, err = run(capsys, "verify", "--dims", "2,2", "--count", "1")
+    assert code == 1 and not out
+    assert json.loads(err) == {"error": "MemoryError",
+                               "message": "Unable to allocate 14.6 TiB"}
 
 
 def test_cluster_tol_flag_reaches_the_report(capsys, bell_file):
@@ -342,6 +365,10 @@ def test_commands_take_only_the_tolerances_they_use(capsys, bell_file):
     assert run(capsys, "ks-check", "--dims", "2,2",
                "--cluster-tol", "1e-3")[0] == 1
     assert run(capsys, "ks-check", "--dims", "2,2", "--rank-tol", "1e-3")[0] == 1
+    # the oracle's rank cut is fixed: no command takes a rank tolerance
+    assert run(capsys, "analyze", "--input", bell_file, "--rank-tol", "1e-8")[0] == 1
+    assert run(capsys, "verify", "--dims", "2,2", "--count", "1",
+               "--rank-tol", "1e-8")[0] == 1
     for command in ("schmidt", "canonical"):
         assert run(capsys, command, "--input", bell_file,
                    "--rank-tol", "1e-3")[0] == 1

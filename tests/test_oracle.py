@@ -284,12 +284,6 @@ def test_stable_rank_refused_within_factor_ten_of_the_cut(factor, rank):
         assert _stable_rank(values, tol, "test") == rank
 
 
-@pytest.mark.parametrize("rank_tol", [0.0, 0.5])
-def test_rank_tolerance_outside_range_is_refused(rank_tol):
-    with pytest.raises(ValueError):
-        degeneracy_rank(bell_state(), rank_tol=rank_tol)
-
-
 def test_degeneracy_rank_of_a_stack_matches_each_state():
     rng = np.random.default_rng(21)
     bell = build_state([[0, 1], [1, 0]])

@@ -188,19 +188,17 @@ def near_pair_states():
     return states
 
 
-@pytest.mark.parametrize("cluster_tol, rank_tol", [
-    (1e-3, 1e-8), (1e-7, 1e-3), (1e-7, 1e-8), (1e-3, 1e-3)])
-def test_one_clustering_decides_both_routes(cluster_tol, rank_tol):
+@pytest.mark.parametrize("cluster_tol", [1e-3, 1e-7])
+def test_one_clustering_decides_both_routes(cluster_tol):
     """The cluster tolerance alone decides which eigenvalues are equal, for
-    the closed form and the oracle alike, so no pair of tolerances sets
-    them against each other: the merged pair reads the stratum (1, 2), the
-    split one three distinct weights, under every rank tolerance."""
+    the closed form and the oracle alike: the merged pair reads the
+    stratum (1, 2), the split one three distinct weights."""
     merged = cluster_tol == 1e-3
     expected = [(12, 8, 4) if merged else (14, 12, 2),
                 (24, 20, 4) if merged else (26, 24, 2)]
     for state, ranks in zip(near_pair_states(), expected):
         for oracle in ("off", "verify"):
-            rep = analyze_state(state, cluster_tol, rank_tol, oracle=oracle)
+            rep = analyze_state(state, cluster_tol, oracle=oracle)
             assert (rep.orbit_dim, rep.coadjoint_dim, rep.degeneracy) == ranks
             if rep.oracle is not None:
                 assert (rep.oracle["orbit_dim"], rep.oracle["symplectic_rank"],
@@ -453,19 +451,23 @@ def test_one_schmidt_spectrum_refuses_near_its_cut_as_before(dims, weights, mess
         assert str(refused.value) == message + "; adjust the tolerance"
 
 
-@pytest.mark.parametrize("state", [
-    bell_state(),
-    build_state([1.0, 1j, 0.0]),
-    random_state((2, 2, 2), rng=35),
-    random_state((2, 3), rng=36),
-    random_state((3, 3), BOSONIC, rng=37),
-], ids=["bipartite", "single", "bounds", "unequal", "bosons"])
-def test_a_hand_built_report_selects_its_route_by_dims_and_symmetry(state):
+@pytest.mark.parametrize("state, unset", [
+    (bell_state(), ()),
+    (build_state([1.0, 1j, 0.0]), ()),
+    (random_state((2, 2, 2), rng=35), ()),
+    (random_state((2, 3), rng=36), ()),
+    (random_state((3, 3), BOSONIC, rng=37), ()),
+    (symmetrize(np.outer([1, 0, 0], [0, 1, 0]), BOSONIC), ("boson_convention",)),
+], ids=["bipartite", "single", "bounds", "unequal", "bosons", "bosons-no-convention"])
+def test_a_hand_built_report_selects_its_route_by_dims_and_symmetry(state, unset):
+    """A report built by hand, with the fields in ``unset`` left at their
+    defaults, checks and renders as ``analyze_state``'s; a bosonic one
+    with no convention reads under the default convention."""
     built = analyze_state(state, oracle="verify")
     by_hand = DegeneracyReport(**{
         field.name: getattr(built, field.name)
         for field in dataclasses.fields(DegeneracyReport)
-        if field.name not in ("route", "consistency")})
+        if field.name not in ("route", "consistency", *unset)})
     assert by_hand.route is None
     record = orbitent.report.check_consistency(by_hand, state)
     assert record == built.consistency and record.passed
