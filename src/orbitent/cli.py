@@ -4,6 +4,9 @@ Exit codes: 0 success, 2 when a clustering or rank decision is too close
 to its cut (AmbiguousClustering / RankUnstable), 1 for every other
 error.  Errors are emitted as one machine-readable JSON object on stderr.
 Identical input, configuration and seed produce byte-identical JSON output.
+
+The parser and ``ks-check`` need only ``exact``, which imports no numpy;
+each other command imports the modules it runs when it runs.
 """
 
 from __future__ import annotations
@@ -12,26 +15,20 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .errors import AmbiguousClustering, Inconsistency, OrbitentError, RankUnstable
-from .io import complex_array_to_json, load_state, state_to_document
-from .lie import kostant_sternberg_check, weight_table
-from .measure import DEFAULT_CLUSTER_TOL, DegeneracyReport
-from .moment import canonical_form, schmidt
-from .report import (
+from .exact import (
     BOSON_CONVENTIONS,
     BOSON_SYMMETRIC_SIMPLE,
+    BOSONIC,
+    DEFAULT_CLUSTER_TOL,
+    DISTINGUISHABLE,
     ORACLE_MODES,
     ORACLE_OFF,
     ORACLE_VERIFY,
-    SEPARABILITY,
-    analyze_state,
-    analyze_states,
-    select_route,
+    SYMMETRY_CLASSES,
+    kostant_sternberg_check,
+    weight_table,
 )
-from .sampling import random_state
-from .states import BOSONIC, DISTINGUISHABLE, SYMMETRY_CLASSES
 
 COADJOINT_NOTE = "dim(mu(O)) = sum_k (N_k^2 - 1) - (sum_{k,n} m_kn^2 - M)"
 
@@ -111,7 +108,10 @@ def _fmt_dim(value) -> str:
     return str(value)
 
 
-def _render_report(report: DegeneracyReport) -> str:
+def _render_report(report) -> str:
+    """The text form of a ``measure.DegeneracyReport``."""
+    from .report import SEPARABILITY, select_route
+
     doc = report.to_json_dict()
     lines = [
         f"state: dims {doc['dims']}, symmetry {doc['symmetry']}",
@@ -144,6 +144,9 @@ def _render_report(report: DegeneracyReport) -> str:
 
 
 def _cmd_analyze(args) -> int:
+    from .io import load_state
+    from .report import analyze_state
+
     state = load_state(args.input)
     report = analyze_state(state, args.cluster_tol, args.oracle,
                            args.boson_convention)
@@ -152,6 +155,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_schmidt(args) -> int:
+    import numpy as np
+
+    from .io import complex_array_to_json, load_state, state_to_document
+    from .moment import schmidt
+
     state = load_state(args.input)
     data = schmidt(state, args.cluster_tol)
     payload = {
@@ -178,6 +186,11 @@ def _cmd_schmidt(args) -> int:
 
 
 def _cmd_canonical(args) -> int:
+    import numpy as np
+
+    from .io import complex_array_to_json, load_state, state_to_document
+    from .moment import canonical_form
+
     state = load_state(args.input)
     canon, tuple_ = canonical_form(state, args.cluster_tol)
     payload = {
@@ -216,6 +229,11 @@ def _cmd_ks_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import numpy as np
+
+    from .report import analyze_states
+    from .sampling import random_state
+
     dims = _parse_dims(args.dims, args.symmetry)
     if args.count < 1:
         raise ValueError("--count must be positive")

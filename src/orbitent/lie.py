@@ -10,7 +10,11 @@ Weight arithmetic is exact.  Root operators, coroots, and the basis states
 of the tensor / symmetric / antisymmetric spaces all have integer entries,
 so eigenvalue conditions such as lambda(H_ij) = 0 are decided without
 tolerances.  For indistinguishable particles the group is the single SU(N)
-acting diagonally on every slot.
+acting diagonally on every slot.  The weight path (``sl2_triples``,
+``weight_table``, ``highest_weight_vector``, ``kostant_sternberg_check``)
+runs in Python integers in ``exact`` and is re-exported here; this module
+holds the array side: the real basis, the Cartan charges of many basis
+states at once, and the derivative action on coefficient tensors.
 """
 
 from __future__ import annotations
@@ -21,34 +25,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EnumerationTooLarge,
-    NotAWeightVector,
-    SymmetryViolation,
+from .errors import DimensionMismatch, SymmetryViolation
+from .exact import (  # noqa: F401  (the weight path, re-exported)
+    MAX_ENUMERATION,
+    KSVerdict,
+    Sl2Triple,
+    WeightVector,
+    _unit_entry,
+    highest_weight_vector,
+    kostant_sternberg_check,
+    sl2_triples,
+    weight_table,
 )
 from .states import (
-    BOSONIC,
     DISTINGUISHABLE,
-    FERMIONIC,
     StateStack,
     StateTensor,
     acting_dims,
-    build_state,
     check_dims,
-    embed,
     party_rows,
-    permutation_sign,
 )
-
-#: dense tensors above this size are refused by enumeration routines
-MAX_ENUMERATION = 10**6
-
-
-def _unit_entry(n: int, i: int, j: int) -> np.ndarray:
-    e = np.zeros((n, n), dtype=np.int64)
-    e[i, j] = 1
-    return e
 
 
 @dataclass(frozen=True)
@@ -111,42 +107,6 @@ def cartan_charges(dims, symmetry: str, digits: np.ndarray) -> np.ndarray:
         occupation = (slots[:, None, :] == np.arange(n)[:, None]).sum(axis=0)
         rows.append(occupation[:-1] - occupation[1:])
     return np.concatenate(rows)
-
-
-@dataclass(frozen=True)
-class Sl2Triple:
-    """Root triple (E_ij, E_ji, H_ij) along the positive root i < j.
-
-    Satisfies [H, E] = 2E, [H, F] = -2F, [E, F] = H with E = raising,
-    F = lowering.
-    """
-
-    party: int
-    i: int  # 0-based, i < j
-    j: int
-    raising: np.ndarray
-    lowering: np.ndarray
-    coroot: np.ndarray
-
-    @property
-    def label(self) -> str:
-        a, b = self.i + 1, self.j + 1
-        return f"party {self.party + 1}: (E{a}{b}, E{b}{a}, H{a}{b})"
-
-
-def sl2_triples(dims) -> tuple[Sl2Triple, ...]:
-    """All positive-root sl2 triples of (+)_k sl(N_k, C), party-major."""
-    dims = check_dims(dims)
-    triples = []
-    for k, n in enumerate(dims):
-        for i, j in itertools.combinations(range(n), 2):
-            e = _unit_entry(n, i, j)
-            f = _unit_entry(n, j, i)
-            h = e @ f - f @ e
-            for m in (e, f, h):
-                m.setflags(write=False)
-            triples.append(Sl2Triple(k, i, j, e, f, h))
-    return tuple(triples)
 
 
 def _embedded_action(mats, coeffs: np.ndarray) -> np.ndarray:
@@ -222,162 +182,3 @@ def rep_action(generator, state) -> np.ndarray:
         dims, symmetry = coeffs.shape, DISTINGUISHABLE
     mats = _normalize_generator(generator, dims, symmetry)
     return _embedded_action(mats, coeffs)
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Basis state that is a simultaneous eigenvector of the Cartan action.
-
-    ``weight`` lists the integer eigenvalue under each Cartan generator
-    H_m = E_mm - E_{m+1,m+1}, party-major.  ``int_coeffs`` is the unnormalized
-    integer coefficient tensor used for exact eigenvalue checks; ``state``
-    is the normalized StateTensor.
-    """
-
-    label: str
-    weight: tuple[int, ...]
-    state: StateTensor
-    int_coeffs: np.ndarray
-
-
-def _exact_weight(int_coeffs: np.ndarray, symmetry) -> tuple[int, ...]:
-    """Eigenvalues of the Cartan generators, verified exactly: the charges
-    of the tensor's support (``cartan_charges``), which must all be one
-    vector."""
-    support = np.array(np.nonzero(int_coeffs))
-    if not support.shape[1]:
-        raise NotAWeightVector("the zero tensor is not a weight vector")
-    charges = cartan_charges(int_coeffs.shape, symmetry, support)
-    if (charges != charges[:, :1]).any():
-        raise NotAWeightVector(
-            "state is not an exact eigenvector of the Cartan action")
-    return tuple(charges[:, 0].tolist())
-
-
-def _weight_space_dims(dims, symmetry) -> tuple[int, ...]:
-    """Checked dims of a tensor / Sym^M / Wedge^M space small enough to
-    enumerate densely."""
-    dims = check_dims(dims, symmetry)
-    if math.prod(dims) > MAX_ENUMERATION:
-        raise EnumerationTooLarge(
-            f"dense tensor of size {math.prod(dims)} exceeds {MAX_ENUMERATION}")
-    return dims
-
-
-def _basis_index_tuples(dims, symmetry):
-    n, m = dims[0], len(dims)
-    if symmetry == DISTINGUISHABLE:
-        return itertools.product(*[range(d) for d in dims])
-    if symmetry == BOSONIC:
-        return itertools.combinations_with_replacement(range(n), m)
-    return itertools.combinations(range(n), m)
-
-
-def _int_basis_tensor(indices, dims, symmetry) -> np.ndarray:
-    """Integer tensor of the (anti)symmetrized basis element for ``indices``."""
-    coeffs = np.zeros(dims, dtype=np.int64)
-    if symmetry == DISTINGUISHABLE:
-        coeffs[tuple(indices)] = 1
-        return coeffs
-    seen = set()
-    for perm in itertools.permutations(range(len(indices))):
-        placed = tuple(indices[p] for p in perm)
-        if placed in seen:
-            continue
-        seen.add(placed)
-        sign = permutation_sign(perm) if symmetry == FERMIONIC else 1
-        coeffs[placed] = sign
-    return coeffs
-
-
-def _basis_label(indices, symmetry) -> str:
-    names = [f"e{i + 1}" for i in indices]
-    if symmetry == BOSONIC:
-        return ".".join(names)   # symmetrized product
-    if symmetry == FERMIONIC:
-        return "^".join(names)   # wedge product
-    return "*".join(names)
-
-
-def _make_weight_vector(indices, dims, symmetry) -> WeightVector:
-    ints = _int_basis_tensor(indices, dims, symmetry)
-    weight = _exact_weight(ints, symmetry)
-    return WeightVector(
-        label=_basis_label(indices, symmetry),
-        weight=weight,
-        state=build_state(ints.astype(complex), symmetry),
-        int_coeffs=ints,
-    )
-
-
-def weight_table(dims, symmetry: str = DISTINGUISHABLE) -> tuple[WeightVector, ...]:
-    """Enumerate all weight vectors of the tensor / Sym^M / Wedge^M basis.
-
-    One entry per basis vector; weights are read, and verified exactly, off
-    the Cartan charges of each vector's support.
-    """
-    dims = _weight_space_dims(dims, symmetry)
-    return tuple(
-        _make_weight_vector(idx, dims, symmetry)
-        for idx in _basis_index_tuples(dims, symmetry))
-
-
-def highest_weight_vector(dims, symmetry: str = DISTINGUISHABLE) -> WeightVector:
-    """The basis weight vector annihilated by every raising operator.
-
-    e_1 (x) ... (x) e_1 for distinguishable particles and bosons, the top
-    antisymmetrized element e_1 ^ ... ^ e_M for fermions.  Annihilation is
-    verified exactly.
-    """
-    dims = _weight_space_dims(dims, symmetry)
-    if symmetry == FERMIONIC:
-        indices = tuple(range(len(dims)))
-    else:
-        indices = (0,) * len(dims)
-    group = acting_dims(dims, symmetry)
-    wv = _make_weight_vector(indices, dims, symmetry)
-    for triple in sl2_triples(group):
-        raising = embed(triple.raising, triple.party, len(dims), symmetry)
-        if _embedded_action(raising, wv.int_coeffs).any():
-            raise NotAWeightVector(
-                f"{wv.label} is not annihilated by {triple.label}")
-    return wv
-
-
-@dataclass(frozen=True)
-class KSVerdict:
-    """Outcome of the weight-vector symplecticity test."""
-
-    symplectic: bool
-    witness: Sl2Triple | None
-
-    @property
-    def verdict(self) -> str:
-        return "symplectic" if self.symplectic else "not_symplectic"
-
-
-def kostant_sternberg_check(w: WeightVector) -> KSVerdict:
-    """Decide whether the K-orbit through a weight vector is symplectic.
-
-    The orbit is symplectic iff for every positive root alpha with
-    lambda(H_alpha) = 0 both E_alpha and E_{-alpha} annihilate the vector.
-    Only E_alpha is applied: a vector it kills is a highest-weight vector
-    of weight 0 for that sl2, which spans a trivial module, so E_{-alpha}
-    kills it too.  Scans all sl2 triples of every party (the diagonal su(N)
-    for indistinguishable particles); returns the first violating triple as
-    witness otherwise.  All eigenvalue tests are exact integer arithmetic.
-    """
-    parties, symmetry = w.state.parties, w.state.symmetry
-    group = acting_dims(w.state.dims, symmetry)
-    if _exact_weight(w.int_coeffs, symmetry) != tuple(w.weight):
-        raise NotAWeightVector("stored weight does not match the Cartan action")
-    offsets = np.cumsum([0] + [n - 1 for n in group])
-    for triple in sl2_triples(group):
-        base = offsets[triple.party]
-        lam = sum(w.weight[base + m] for m in range(triple.i, triple.j))
-        if lam != 0:
-            continue
-        if _embedded_action(embed(triple.raising, triple.party, parties, symmetry),
-                            w.int_coeffs).any():
-            return KSVerdict(False, triple)
-    return KSVerdict(True, None)

@@ -24,11 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AmbiguousClustering, DimensionMismatch
+from .exact import DEFAULT_CLUSTER_TOL
 
-#: default relative clustering tolerance (relative to the largest eigenvalue)
-DEFAULT_CLUSTER_TOL = 1e-7
 #: values within this factor of a decision cut are refused
 AMBIGUITY_FACTOR = 10.0
+#: the end of a clustering refusal: ``--cluster-tol`` moves the cut
+CLUSTER_HINT = "adjust the tolerance"
 
 
 def check_tolerance(tol: float, what: str) -> None:
@@ -37,14 +38,15 @@ def check_tolerance(tol: float, what: str) -> None:
         raise ValueError(f"{what} tolerance {tol!r} must lie in (0, 1e-2)")
 
 
-def decide(values: np.ndarray, cut, error: type, what: str) -> np.ndarray:
+def decide(values: np.ndarray, cut, error: type, what: str, hint: str) -> np.ndarray:
     """The mask ``values >= cut``; raises ``error`` when a value lies strictly
     within a factor AMBIGUITY_FACTOR of the cut, where a small change of
     tolerance would flip it and the integers counted from the mask.
 
     ``cut`` is a number or an array that broadcasts against ``values``,
     such as one cut per row of a stack; the message names the smallest
-    offending value and its own cut."""
+    offending value and its own cut, and ends with the caller's ``hint``:
+    what, if anything, the user can do about the refusal."""
     near = (values > cut / AMBIGUITY_FACTOR) & (values < cut * AMBIGUITY_FACTOR)
     if near.any():
         offenders = values[near]
@@ -52,7 +54,7 @@ def decide(values: np.ndarray, cut, error: type, what: str) -> np.ndarray:
         offender = float(offenders[at])
         threshold = float(np.broadcast_to(cut, values.shape)[near][at])
         raise error(f"{what} {offender:.3e} lies within a factor {AMBIGUITY_FACTOR:g} "
-                    f"of the threshold {threshold:.3e}; adjust the tolerance")
+                    f"of the threshold {threshold:.3e}; {hint}")
     return values >= cut
 
 
@@ -221,8 +223,9 @@ def _refuse(ascending: np.ndarray, tol: float):
     0, gaps first, so a gap refusal wins over a value refusal in any row."""
     svals = np.maximum(ascending[:, ::-1], 0.0)
     eff = tol * svals[:, :1]
-    decide(svals[:, :-1] - svals[:, 1:], eff, AmbiguousClustering, "spectral gap")
-    decide(svals, eff, AmbiguousClustering, "eigenvalue")
+    decide(svals[:, :-1] - svals[:, 1:], eff, AmbiguousClustering, "spectral gap",
+           CLUSTER_HINT)
+    decide(svals, eff, AmbiguousClustering, "eigenvalue", CLUSTER_HINT)
     raise AssertionError("a value near the cut escaped decide")
 
 

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousClustering, NotBipartite, NotNormalized, SymmetryViolation
+from .errors import (
+    AmbiguousClustering,
+    EnumerationTooLarge,
+    NotBipartite,
+    NotNormalized,
+    SymmetryViolation,
+)
 from .measure import (
     DEFAULT_CLUSTER_TOL,
     check_tolerance,
@@ -36,6 +42,11 @@ from .states import (
     check_unit_norm,
     party_rows,
 )
+
+#: the most bytes the reduced matrices of one stack, or what the oracle
+#: builds for one (``oracle.footprint``), may take; a larger request is
+#: refused with EnumerationTooLarge before anything is allocated
+BYTE_BUDGET = 2**28
 
 
 @dataclass(frozen=True)
@@ -77,11 +88,23 @@ def reduced_matrices(state: StateTensor | StateStack, parties=None) -> ReducedMa
     or of every party, by direct contraction; one stack of matrices per
     party for a StateStack.  A non-finite state gives non-finite matrices
     without a floating-point warning; their ``check_unit_norm`` refuses
-    them."""
+    them.
+
+    Raises EnumerationTooLarge, naming the bytes, before any allocation
+    when the matrices would take more than BYTE_BUDGET: 16 B N_k^2 bytes
+    per party for B states, quadratic in N_k where the state is linear.
+    """
     batch = state.coeffs.ndim - state.parties
+    parties = range(state.parties) if parties is None else parties
+    count = math.prod(state.coeffs.shape[:batch])
+    needed = 16 * count * sum(state.dims[k] ** 2 for k in parties)
+    if needed > BYTE_BUDGET:
+        raise EnumerationTooLarge(
+            f"the reduced matrices need {needed} bytes for a stack of {count} at "
+            f"dims {state.dims}, above the budget of {BYTE_BUDGET} bytes")
     mats = []
     with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(state.parties) if parties is None else parties:
+        for k in parties:
             rows = party_rows(state.coeffs, k, batch)
             m = rows.conj() @ rows.swapaxes(-1, -2)
             m.setflags(write=False)

@@ -63,7 +63,7 @@ import numpy as np
 from .errors import EnumerationTooLarge, Inconsistency, RankUnstable
 from .lie import cartan_charges, rep_action
 from .measure import DEFAULT_CLUSTER_TOL, decide
-from .moment import marginal_eigenbases, reduced_matrices
+from .moment import BYTE_BUDGET, marginal_eigenbases, reduced_matrices
 from .states import (
     DISTINGUISHABLE,
     StateStack,
@@ -79,9 +79,8 @@ if TYPE_CHECKING:
 #: metric eigenvalues below this fraction of the largest, floored at 1,
 #: count as zero
 RANK_TOL = 1e-8
-#: the oracle refuses a stack for which it would build more than this many
-#: bytes (``footprint``), once the clustering has fixed the pairs it keeps
-ORACLE_BYTES = 2**28
+#: the end of a rank refusal: no option moves RANK_TOL
+RANK_HINT = f"the rank cut RANK_TOL = {RANK_TOL:g} is fixed, so the refusal is final"
 #: the pair gathers kept for reuse hold at most this many bytes, in at most
 #: GATHER_CACHE_ENTRIES tables
 GATHER_CACHE_BYTES = 2**25
@@ -103,7 +102,8 @@ def _stable_rank(values, rel_tol: float, what: str) -> np.ndarray:
     """
     mags = np.abs(np.asarray(values, dtype=float))
     cut = rel_tol * np.maximum(mags.max(axis=-1, keepdims=True, initial=0.0), 1.0)
-    return decide(mags, cut, RankUnstable, f"{what}: singular value").sum(axis=-1)
+    return decide(mags, cut, RankUnstable, f"{what}: singular value",
+                  RANK_HINT).sum(axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -280,7 +280,7 @@ def _kernel_metric(stack: StateStack, eigenbases):
 
     Once the clustering has fixed the kept pairs, and before any array per
     state is built, the stack is refused with EnumerationTooLarge when
-    what the oracle would build (``footprint``) exceeds ORACLE_BYTES.
+    what the oracle would build (``footprint``) exceeds BYTE_BUDGET.
     """
     vectors, clusterings = eigenbases
     count, dims, symmetry = len(stack), stack.dims, stack.symmetry
@@ -305,11 +305,11 @@ def _kernel_metric(stack: StateStack, eigenbases):
     kept = sum(map(len, chosen))
     per_state, per_class = footprint(dims, symmetry, kept)
     needed = count * per_state + per_class
-    if needed > ORACLE_BYTES:
+    if needed > BYTE_BUDGET:
         raise EnumerationTooLarge(
             f"the oracle needs {needed} bytes for a stack of {count} at dims "
             f"{dims} keeping {kept} pair directions, above its budget of "
-            f"{ORACLE_BYTES} bytes")
+            f"{BYTE_BUDGET} bytes")
     if symmetry != DISTINGUISHABLE:
         turns = turns * stack.parties
     w = local_product(stack.coeffs, turns).reshape(count, -1)
@@ -375,7 +375,7 @@ def degeneracy_rank(state: StateTensor | StateStack, *, eigenbases=None):
 
     The one size limit is a byte budget: once the clustering has fixed the
     pairs each state keeps, a stack for which the oracle would build more
-    than ORACLE_BYTES (``footprint``) raises EnumerationTooLarge, naming
+    than BYTE_BUDGET (``footprint``) raises EnumerationTooLarge, naming
     the bytes, before any array per state is built.  So dim H and the
     generator count are not limited as such: a generic (64, 64) state,
     with no pair rows, is answered, and the maximally entangled one, whose

@@ -17,6 +17,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import Inconsistency, OrbitentError
+from .exact import (  # noqa: F401  (the parser's constants, re-exported)
+    BOSON_CONVENTIONS,
+    BOSON_PRODUCT,
+    BOSON_SYMMETRIC_SIMPLE,
+    ORACLE_MODES,
+    ORACLE_OFF,
+    ORACLE_VERIFY,
+)
 from .io import state_to_document
 from .measure import (
     DEFAULT_CLUSTER_TOL,
@@ -35,14 +43,6 @@ from .moment import (
 )
 from .oracle import degeneracy_rank, footprint
 from .states import BOSONIC, DISTINGUISHABLE, FERMIONIC, StateStack, StateTensor, acting_dims
-
-ORACLE_OFF = "off"
-ORACLE_VERIFY = "verify"
-ORACLE_MODES = (ORACLE_OFF, ORACLE_VERIFY)
-
-BOSON_SYMMETRIC_SIMPLE = "symmetric-simple-tensor"
-BOSON_PRODUCT = "product-of-same-vector"
-BOSON_CONVENTIONS = (BOSON_SYMMETRIC_SIMPLE, BOSON_PRODUCT)
 
 #: analyze_states stacks at most this many bytes of what the oracle builds
 #: per state into one chunk (see ``_stack_length``)

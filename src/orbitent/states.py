@@ -9,19 +9,22 @@ entries on repeated indices).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotNormalized, SymmetryViolation, ZeroState
-
-DISTINGUISHABLE = "distinguishable"
-BOSONIC = "bosonic"
-FERMIONIC = "fermionic"
-SYMMETRY_CLASSES = (DISTINGUISHABLE, BOSONIC, FERMIONIC)
+from .exact import (  # noqa: F401  (the rules that need no arrays, re-exported)
+    BOSONIC,
+    DISTINGUISHABLE,
+    FERMIONIC,
+    SYMMETRY_CLASSES,
+    acting_dims,
+    check_dims,
+    is_integral,
+    permutation_sign,
+)
 
 #: relative tolerance for verifying a declared exchange symmetry
 SYMMETRY_TOL = 1e-10
@@ -141,43 +144,6 @@ def check_unit_norm(state: StateTensor | StateStack, what: str) -> None:
         raise NotNormalized(f"{what} needs unit vectors")
 
 
-def is_integral(n) -> bool:
-    """An integer, numpy's included, or an integral float such as 2.0; a
-    boolean, a string or 2.5 is not."""
-    if isinstance(n, bool):
-        return False
-    # int first: the common case, ahead of the slower checks against the ABCs
-    return isinstance(n, (int, Integral)) or (isinstance(n, Real) and float(n).is_integer())
-
-
-def check_dims(dims, symmetry: str = DISTINGUISHABLE) -> tuple[int, ...]:
-    """The dims as a tuple of ints, checked against the one rule every
-    entry point applies before any arithmetic: a known symmetry class, at
-    least one party, every local dimension an integer (``is_integral``)
-    and >= 2, one shared dimension for indistinguishable particles, and no
-    more fermions than single-particle states (their antisymmetric space
-    would be trivial)."""
-    if symmetry not in SYMMETRY_CLASSES:
-        raise ValueError(f"unknown symmetry class {symmetry!r}")
-    dims = tuple(dims)
-    for n in dims:
-        if not is_integral(n):
-            raise DimensionMismatch(
-                f"every local dimension must be an integer, got {n!r}")
-    dims = tuple(int(n) for n in dims)
-    if len(dims) < 1:
-        raise DimensionMismatch("a state needs at least one party")
-    if any(n < 2 for n in dims):
-        raise DimensionMismatch("every local dimension must be >= 2")
-    if symmetry != DISTINGUISHABLE and len(set(dims)) > 1:
-        raise DimensionMismatch(
-            "indistinguishable particles share one single-particle space")
-    if symmetry == FERMIONIC and len(dims) > dims[0]:
-        raise DimensionMismatch(f"the antisymmetric space of {len(dims)} particles "
-                                f"in dimension {dims[0]} is trivial")
-    return dims
-
-
 def _wrap(cls, dims, coeffs: np.ndarray, symmetry: str):
     """A StateTensor or StateStack that holds the coefficients as they
     are, made read-only in place.  For a fresh complex C-contiguous array
@@ -264,14 +230,6 @@ def _verify_exchange_symmetry(state: StateTensor) -> None:
             raise SymmetryViolation(
                 f"tensor is not {state.symmetry} under transposition of "
                 f"slots {k} and {k + 1}")
-
-
-def permutation_sign(perm) -> int:
-    """Sign of a permutation given as a tuple of images of 0..n-1."""
-    inversions = sum(
-        1 for a, b in itertools.combinations(range(len(perm)), 2)
-        if perm[a] > perm[b])
-    return -1 if inversions % 2 else 1
 
 
 def symmetrize(raw, symmetry: str) -> StateTensor:
@@ -432,20 +390,6 @@ def _checked_blocks(blocks, rescale: bool = False) -> tuple[np.ndarray, ...]:
                 "(use from_blocks to rescale)")
         m.setflags(write=False)
     return tuple(arrays)
-
-
-def acting_dims(dims: tuple[int, ...], symmetry: str) -> tuple[int, ...]:
-    """Dims of the acting group K: one SU(N_k) per distinguishable party,
-    the single SU(N) acting on every slot for indistinguishable particles."""
-    return dims if symmetry == DISTINGUISHABLE else dims[:1]
-
-
-def embed(matrix, party: int, parties: int, symmetry: str) -> tuple:
-    """Per-slot tuple of one generator of K: the matrix at its own party
-    (``None`` elsewhere), or on every slot for indistinguishable particles."""
-    if symmetry != DISTINGUISHABLE:
-        return (matrix,) * parties
-    return tuple(matrix if k == party else None for k in range(parties))
 
 
 def party_rows(coeffs: np.ndarray, k: int, batch: int = 0) -> np.ndarray:

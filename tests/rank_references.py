@@ -1,15 +1,27 @@
 """Reference ranks for the oracle's tests: the projected-frame oracle on
 all of k, at the oracle's rank cut, and the tolerance-free (r, s, D) of a
-Gaussian-integer state; and the gather of every pair direction, which the
-oracle builds only for the pairs it keeps."""
+Gaussian-integer state; the gather of every pair direction, which the
+oracle builds only for the pairs it keeps; and the dense integer weight
+path (basis tensors, weights and the Kostant-Sternberg test by matmuls),
+which the sparse one in ``orbitent.exact`` replaces."""
 
+import itertools
 import math
 
 import numpy as np
 
-from orbitent import DISTINGUISHABLE, rep_action, su_basis
+from orbitent import BOSONIC, DISTINGUISHABLE, FERMIONIC, rep_action, su_basis
+from orbitent.lie import _embedded_action, cartan_charges
 from orbitent.oracle import RANK_TOL, _stable_rank
-from orbitent.states import acting_dims, embed
+from orbitent.states import acting_dims, permutation_sign
+
+
+def embed(matrix, party: int, parties: int, symmetry: str) -> tuple:
+    """Per-slot tuple of one generator of K: the matrix at its own party
+    (``None`` elsewhere), or on every slot for indistinguishable particles."""
+    if symmetry != DISTINGUISHABLE:
+        return (matrix,) * parties
+    return tuple(matrix if k == party else None for k in range(parties))
 
 
 def all_generators(state):
@@ -127,3 +139,59 @@ def full_pair_gather(dims, symmetry):
             per_slot.append(np.where(weight[:, d] == 0, 3 * total, segment * total + moved))
         tables.append(np.stack(per_slot, axis=1))
     return np.concatenate(tables)
+
+
+def dense_basis_tensor(indices, dims, symmetry):
+    """The int64 tensor of the (anti)symmetrized basis element for
+    ``indices``: one entry per distinct ordering, with the sign of its
+    permutation for fermions."""
+    coeffs = np.zeros(dims, dtype=np.int64)
+    if symmetry == DISTINGUISHABLE:
+        coeffs[tuple(indices)] = 1
+        return coeffs
+    seen = set()
+    for perm in itertools.permutations(range(len(indices))):
+        placed = tuple(indices[p] for p in perm)
+        if placed in seen:
+            continue
+        seen.add(placed)
+        coeffs[placed] = permutation_sign(perm) if symmetry == FERMIONIC else 1
+    return coeffs
+
+
+def dense_basis_indices(dims, symmetry):
+    """The index tuples of the basis, in the order of ``weight_table``."""
+    n, m = dims[0], len(dims)
+    if symmetry == DISTINGUISHABLE:
+        return itertools.product(*[range(d) for d in dims])
+    if symmetry == BOSONIC:
+        return itertools.combinations_with_replacement(range(n), m)
+    return itertools.combinations(range(n), m)
+
+
+def dense_weight(ints, symmetry):
+    """The weight of an integer tensor, read off the charges of its support
+    by the oracle's vectorized ``cartan_charges``; None unless they agree."""
+    charges = cartan_charges(ints.shape, symmetry, np.array(np.nonzero(ints)))
+    if (charges != charges[:, :1]).any():
+        return None
+    return tuple(charges[:, 0].tolist())
+
+
+def dense_ks_check(ints, weight, symmetry):
+    """The Kostant-Sternberg test on a dense integer tensor: (True, None),
+    or (False, (party, i, j)) for the first root of weight 0, party-major,
+    whose raising operator, applied by ``lie._embedded_action``, leaves a
+    nonzero tensor."""
+    dims = ints.shape
+    group = acting_dims(dims, symmetry)
+    offsets = np.cumsum([0] + [n - 1 for n in group])
+    for k, n in enumerate(group):
+        for i, j in itertools.combinations(range(n), 2):
+            if sum(weight[offsets[k] + m] for m in range(i, j)):
+                continue
+            raising = np.zeros((n, n), dtype=np.int64)
+            raising[i, j] = 1
+            if _embedded_action(embed(raising, k, len(dims), symmetry), ints).any():
+                return False, (k, i, j)
+    return True, None

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import orbitent.moment
 import orbitent.report
 from orbitent import apply_local, build_state, random_local_unitaries, save_state
 from orbitent.cli import _build_parser, main
@@ -343,6 +344,47 @@ def test_a_request_too_large_for_memory_exits_1(capsys, monkeypatch):
     assert code == 1 and not out
     assert json.loads(err) == {"error": "MemoryError",
                                "message": "Unable to allocate 14.6 TiB"}
+
+
+def test_one_party_too_large_for_its_reduced_matrix_is_refused(capsys, monkeypatch):
+    """A party of dim 10^6 would need a 16 TB reduced matrix: the closed
+    forms refuse it, naming the bytes, before building anything of it."""
+    def unreached(*args, **kwargs):
+        raise AssertionError("the reduced matrices of a refused stack were built")
+    monkeypatch.setattr(orbitent.moment, "party_rows", unreached)
+    code, out, err = run(capsys, "verify", "--dims", "1000000", "--count", "1")
+    assert code == 1 and not out
+    assert json.loads(err) == {
+        "error": "EnumerationTooLarge",
+        "message": f"the reduced matrices need {16 * 10**12} bytes for a stack of 1 "
+                   f"at dims (1000000,), above the budget of {2**28} bytes"}
+
+
+def test_refusals_end_with_what_the_user_can_do(capsys, tmp_path):
+    """A clustering refusal points at the tolerance, which --cluster-tol
+    moves; a rank refusal names the fixed rank cut, which nothing moves."""
+    near = tmp_path / "near.json"
+    save_state(build_state(np.diag(np.sqrt([0.5 + 2.5e-8, 0.5 - 2.5e-8]))), near)
+    code, _, err = run(capsys, "analyze", "--input", str(near))
+    assert code == 2
+    assert json.loads(err) == {
+        "error": "AmbiguousClustering",
+        "message": "spectral gap 5.000e-08 lies within a factor 10 of the threshold "
+                   "5.000e-08; adjust the tolerance"}
+    # Bell (x) |0> plus a small random part: a metric eigenvalue near the cut
+    c = np.zeros((2, 2, 2)); c[0, 1, 0] = c[1, 0, 0] = 1 / np.sqrt(2)
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    close = tmp_path / "close.json"
+    save_state(build_state(c + 1e-4 * u / np.linalg.norm(u)), close)
+    code, _, err = run(capsys, "analyze", "--input", str(close), "--oracle", "verify")
+    assert code == 2
+    doc = json.loads(err)
+    assert doc["error"] == "RankUnstable"
+    assert re.fullmatch(
+        r"orbit Gram matrix: singular value \d\.\d{3}e-\d\d lies within a factor 10 "
+        r"of the threshold \d\.\d{3}e-\d\d; the rank cut RANK_TOL = 1e-08 is fixed, "
+        r"so the refusal is final", doc["message"]), doc["message"]
 
 
 def test_cluster_tol_flag_reaches_the_report(capsys, bell_file):

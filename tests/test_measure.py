@@ -15,7 +15,7 @@ from orbitent import (
     orbit_dimension_bipartite,
     separability_test,
 )
-from orbitent.measure import _cluster_rows, decide
+from orbitent.measure import CLUSTER_HINT, _cluster_rows, decide
 
 
 def test_cluster_exact_degeneracy():
@@ -209,10 +209,10 @@ def test_decide_names_the_offending_rows_own_cut():
     values = np.array([[1.0, 0.5], [3e-8, 1.0], [1.0, 1e-13]])
     cut = np.array([[1e-6], [1e-8], [1e-10]])
     with pytest.raises(AmbiguousClustering,
-                       match=r"value 3\.000e-08 .* threshold 1\.000e-08"):
-        decide(values, cut, AmbiguousClustering, "value")
+                       match=r"value 3\.000e-08 .* threshold 1\.000e-08; the hint$"):
+        decide(values, cut, AmbiguousClustering, "value", "the hint")
     assert decide(values, np.array([[1e-12], [1e-6], [1e-10]]), AmbiguousClustering,
-                  "value").tolist() == [[True, True], [False, True], [True, False]]
+                  "value", "the hint").tolist() == [[True, True], [False, True], [True, False]]
 
 
 def reference_cluster_rows(rows, tol):
@@ -225,8 +225,9 @@ def reference_cluster_rows(rows, tol):
     svals = -np.sort(-np.maximum(rows, 0.0), axis=1)
     eff = tol * svals[:, :1]
     splits = decide(svals[:, :-1] - svals[:, 1:], eff, AmbiguousClustering,
-                    "spectral gap")
-    positive = decide(svals, eff, AmbiguousClustering, "eigenvalue").sum(axis=1)
+                    "spectral gap", CLUSTER_HINT)
+    positive = decide(svals, eff, AmbiguousClustering, "eigenvalue",
+                      CLUSTER_HINT).sum(axis=1)
     out = []
     for row, split, count in zip(svals, splits.tolist(), positive.tolist()):
         blocks, start = [], 0

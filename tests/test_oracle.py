@@ -256,7 +256,7 @@ def test_byte_budget_refuses_before_any_array_per_state(monkeypatch):
 
     monkeypatch.setattr("orbitent.oracle.local_product", unreached)
     monkeypatch.setattr("orbitent.oracle._pair_gather", unreached)
-    message = f"needs {needed} bytes .* budget of {oracle.ORACLE_BYTES} bytes"
+    message = f"needs {needed} bytes .* budget of {oracle.BYTE_BUDGET} bytes"
     with pytest.raises(EnumerationTooLarge, match=message):
         degeneracy_rank(state)
     with pytest.raises(EnumerationTooLarge, match=message):
