@@ -185,10 +185,23 @@ class WeightVector:
     and ``state`` the normalized StateTensor; for a vector of
     ``weight_table`` both are built from the support on first read.  A
     vector made by hand, ``WeightVector(label, weight, state, int_coeffs)``,
-    reads its support off ``int_coeffs``.  Instances are frozen.
+    reads its support off ``int_coeffs``, which ``state`` must normalize up
+    to a phase (else DimensionMismatch on a shape other than ``state.dims``,
+    NotAWeightVector on zeros, ValueError otherwise).  Instances are frozen.
     """
 
     def __init__(self, label: str, weight: tuple[int, ...], state, int_coeffs):
+        import numpy as np
+
+        from .states import build_state
+
+        if np.shape(int_coeffs) != state.dims:
+            raise DimensionMismatch(f"int_coeffs of shape {np.shape(int_coeffs)} "
+                                    f"for a state of dims {state.dims}")
+        if not np.any(int_coeffs):
+            raise NotAWeightVector("the zero tensor is not a weight vector")
+        if not state.projectively_equals(build_state(int_coeffs, state.symmetry)):
+            raise ValueError("state is not int_coeffs normalized, up to a global phase")
         vars(self).update(label=label, weight=weight, dims=state.dims,
                           symmetry=state.symmetry, state=state,
                           int_coeffs=int_coeffs)
@@ -234,8 +247,6 @@ def _support_weight(support: dict, dims, symmetry) -> tuple[int, ...]:
     """The Cartan eigenvalues of a sparse vector, verified exactly: the
     charges of every index of its support (``index_charges``), which must
     all be one vector."""
-    if not support:
-        raise NotAWeightVector("the zero tensor is not a weight vector")
     charges = {index_charges(index, dims, symmetry) for index in support}
     if len(charges) > 1:
         raise NotAWeightVector(

@@ -99,7 +99,7 @@ class SpectrumClustering:
     @classmethod
     def _of_walk(cls, kernel_dim: int, blocks: tuple, tolerance: float,
                  multiplicities: tuple[int, ...], positive_rank: int) -> "SpectrumClustering":
-        """The clustering that ``_cluster_rows`` walked a spectrum to, with
+        """The clustering that ``_walk`` walked a spectrum to, with
         the multiplicities and their sum counted on the way.  The walk
         leaves a nonnegative kernel and descending blocks of multiplicity
         at least one, so ``__post_init__`` would only check them again."""
@@ -139,43 +139,33 @@ def cluster_spectrum(values, tol: float = DEFAULT_CLUSTER_TOL):
     integer counts would flip under small tolerance changes.
 
     A 1-d spectrum gives one SpectrumClustering.  A 2-d array holds one
-    spectrum per row and gives a tuple with one clustering per row; the
-    checks and cuts run on all rows at once and apply row by row.  When a
-    row fails, the rows are replayed one at a time, so the first failing
-    row raises its own error, as a loop over the rows would.
+    spectrum per row and gives a tuple with one clustering per row: one
+    sort and one sum for all rows, then ``_walk`` over the rows in order, so
+    the first failing row raises its own error.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
         raise ValueError("expected a nonempty spectrum, or a 2-d array of them")
     check_tolerance(tol, "clustering")
-    if arr.ndim == 1:
-        return _cluster_rows(arr[None], tol)[0]
-    try:
-        return _cluster_rows(arr, tol)
-    except (AmbiguousClustering, ValueError):
-        for row in arr:  # the first failing row raises its own error
-            _cluster_rows(row[None], tol)
-        raise
+    rows = arr.reshape(-1, arr.shape[-1])
+    out = _walk(zip(np.sort(rows).tolist(), rows.sum(axis=1).tolist()), float(tol))
+    return tuple(out) if arr.ndim == 2 else out[0]
 
 
-def _cluster_rows(rows: np.ndarray, tol: float) -> tuple[SpectrumClustering, ...]:
-    """``cluster_spectrum`` of each row of a 2-d array, checked at once.
-
-    One sort, then one walk per row in Python floats with the arithmetic
-    and comparisons of ``decide``, which finds the blocks and the kernel
-    and tests each gap and value for the refusal window.  A refusal runs
-    ``decide`` per kind over every row, gaps first, for its error."""
-    ascending = np.sort(rows)
-    table = ascending.tolist()
-    # the ends of each sorted row; NaN sorts last, and a comparison with it
-    # is false, so a NaN in any row fails too
-    if not all(row[0] >= -1e-10 and row[-1] <= 1.0 + 1e-8 for row in table):
-        raise ValueError("eigenvalues must lie in [0, 1]")
-    if any(abs(total - 1.0) > 1e-8 for total in rows.sum(axis=1).tolist()):
-        raise ValueError("spectrum must sum to 1")
-    tol = float(tol)
+def _walk(rows, tol: float) -> list[SpectrumClustering]:
+    """The clusterings of spectra given as ``(ascending values, sum)``
+    pairs, the values a list of floats that is reversed in place.  Each
+    spectrum in turn gets the range and sum checks, then one walk with the
+    arithmetic and comparisons of ``decide`` that finds the blocks and the
+    kernel and tests each gap and value for the refusal window, so the
+    first failing spectrum raises its own error."""
     out = []
-    for values in table:
+    for values, total in rows:
+        # NaN sorts last, and a comparison with it is false, so it fails here
+        if not (values[0] >= -1e-10 and values[-1] <= 1.0 + 1e-8):
+            raise ValueError("eigenvalues must lie in [0, 1]")
+        if abs(total - 1.0) > 1e-8:
+            raise ValueError("spectrum must sum to 1")
         values.reverse()
         # The largest value is never near its cut (tol < 1e-2); each later
         # value is tested with the gap above it, up to the first kernel
@@ -191,7 +181,7 @@ def _cluster_rows(rows: np.ndarray, tol: float) -> tuple[SpectrumClustering, ...
             value = values[stop]
             gap = previous - value
             if low < gap < high or low < value < high:
-                _refuse(ascending, tol)
+                _refuse(values, tol)
             if gap >= eff or value < eff:  # a block ends at stop
                 blocks.append(_block(values, start, stop))
                 sizes.append(stop - start)
@@ -205,7 +195,7 @@ def _cluster_rows(rows: np.ndarray, tol: float) -> tuple[SpectrumClustering, ...
             sizes.append(count - start)
         out.append(SpectrumClustering._of_walk(len(values) - count, tuple(blocks), tol,
                                                tuple(sizes), count))
-    return tuple(out)
+    return out
 
 
 def _block(values: list, start: int, stop: int) -> tuple[float, int]:
@@ -217,14 +207,13 @@ def _block(values: list, start: int, stop: int) -> tuple[float, int]:
     return float(np.array(values[start:stop]).mean()), stop - start
 
 
-def _refuse(ascending: np.ndarray, tol: float):
-    """Raise the refusal of a stack of sorted spectra with a gap or a value
-    near its cut: ``decide`` per kind over the descending rows, clamped at
-    0, gaps first, so a gap refusal wins over a value refusal in any row."""
-    svals = np.maximum(ascending[:, ::-1], 0.0)
-    eff = tol * svals[:, :1]
-    decide(svals[:, :-1] - svals[:, 1:], eff, AmbiguousClustering, "spectral gap",
-           CLUSTER_HINT)
+def _refuse(values: list, tol: float):
+    """Raise the refusal of a descending spectrum with a gap or a value near
+    its cut: ``decide`` per kind over the values clamped at 0, gaps first,
+    so a gap refusal wins over a value refusal."""
+    svals = np.maximum(np.array(values), 0.0)
+    eff = tol * svals[0]
+    decide(svals[:-1] - svals[1:], eff, AmbiguousClustering, "spectral gap", CLUSTER_HINT)
     decide(svals, eff, AmbiguousClustering, "eigenvalue", CLUSTER_HINT)
     raise AssertionError("a value near the cut escaped decide")
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AmbiguousClustering,
     EnumerationTooLarge,
     NotBipartite,
     NotNormalized,
@@ -28,6 +27,7 @@ from .errors import (
 )
 from .measure import (
     DEFAULT_CLUSTER_TOL,
+    _walk,
     check_tolerance,
     cluster_spectrum,
 )
@@ -124,34 +124,29 @@ def cluster_spectra(spectra, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list:
     """Per state, the tuple of its parties' clusterings, from the
     ``(parties, spectra)`` pairs of ``ReducedMatrices.spectra``: the
     descending spectra of the parties of one dim, (P, n) or (B, P, n),
-    state-major, go through one ``cluster_spectrum`` call.  On a refusal
-    the spectra are replayed state by state and party by party, so the
-    first refused party of the first refused state raises its own error."""
+    state-major, are sorted and summed once.  Then one ``measure._walk``
+    goes over them state by state and, within a state, in party order, so
+    the first refused party of the first refused state raises its own
+    error, as ``cluster_spectrum`` of that one spectrum would."""
+    check_tolerance(cluster_tol, "clustering")
     by_party = [None] * sum(len(parties) for parties, _ in spectra)
-    try:
-        for parties, vals in spectra:
-            flat = cluster_spectrum(vals.reshape(-1, vals.shape[-1]), cluster_tol)
-            for p, k in enumerate(parties):
-                by_party[k] = flat[p::len(parties)]
-    except (AmbiguousClustering, ValueError):
-        rows = [None] * len(by_party)
-        for parties, vals in spectra:
-            for p, k in enumerate(parties):
-                rows[k] = vals[..., p, :].reshape(-1, vals.shape[-1])
-        for state in zip(*rows):
-            for row in state:
-                cluster_spectrum(row, cluster_tol)
-        raise
-    return list(zip(*by_party))
+    for parties, vals in spectra:
+        flat = vals.reshape(-1, vals.shape[-1])
+        rows = list(zip(np.sort(flat).tolist(), flat.sum(axis=1).tolist()))
+        for p, k in enumerate(parties):
+            by_party[k] = rows[p::len(parties)]
+    walked = _walk([row for state in zip(*by_party) for row in state], float(cluster_tol))
+    return list(zip(*[iter(walked)] * len(by_party)))  # one tuple per state
 
 
 def marginal_eigenbases(reduced: ReducedMatrices,
                         cluster_tol: float = DEFAULT_CLUSTER_TOL):
     """One ``eigh`` per party dim over the stacked marginals, reversed to
-    descending order and clustered by ``cluster_spectra``, one
-    ``cluster_spectrum`` call per party dim: the one decision of which
-    eigenvalues are equal, for every consumer of the eigenbases.  A refusal
-    names the first refused party of the first refused state.
+    descending order and clustered by ``cluster_spectra``, with one sort
+    and one sum per party dim: the one decision of which eigenvalues are
+    equal, for every consumer of the eigenbases.  The walk over the rows
+    goes state by state and party by party, so a refusal names the first
+    refused party of the first refused state.
 
     Returns ``(vectors, clusterings)``: ``vectors[n]``, (..., P_n, n, n),
     holds as columns the eigenvectors of the parties of dim n, in party

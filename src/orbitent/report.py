@@ -216,7 +216,10 @@ def analyze_states(states,
 
 def _analyze_chunk(chunk, cluster_tol, oracle, boson_convention):
     """The reports of one chunk of same-class states, from one stack; when
-    the stack raises, from one stack per state, in order."""
+    the stack raises, from one stack per state, in order: the reports
+    before the first refused state are yielded, and a refusal decided for
+    the whole stack (the norm check, the oracle's budget and rank cut)
+    names its own state, as the clustering walk's refusals already do."""
     try:
         route, clusterings, ranks = _clusterings(chunk, cluster_tol, oracle)
     except (OrbitentError, ValueError):
@@ -234,10 +237,10 @@ def _clusterings(chunk, cluster_tol, oracle):
     same-class states, from one stack.
 
     Without the oracle the closed forms read the reduced spectra alone:
-    one ``eigvalsh`` and one clustering call per party dim.  Two equal
-    parties build party 1's matrix alone, since conj(C C^dag) and
-    (C^dag C)^T of a square C have one spectrum, zeros included, and
-    party 1's clustering serves both."""
+    one ``eigvalsh`` and one sort per party dim, one walk per spectrum.
+    Two equal parties build party 1's matrix alone, since conj(C C^dag) and
+    (C^dag C)^T of a square C have one spectrum, zeros included, and party
+    1's clustering serves both."""
     stack = StateStack.of(chunk)
     route = select_route(stack.dims, stack.symmetry)
     closed = oracle == ORACLE_OFF and route.name != "oracle"

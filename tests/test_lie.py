@@ -321,9 +321,26 @@ def test_ks_rejects_non_weight_vector():
     (np.array([[0, 1], [0, 0]]), (1, 1), "stored weight does not match the Cartan action"),
 ])
 def test_ks_refuses_hand_built_weight_vectors(ints, weight, message):
-    fake = WeightVector("fake", weight, build_state(np.eye(2)), ints)
+    """The zero tensor is refused as the vector is built, a wrong weight as
+    it is checked."""
+    # the zero tensor has no state; one of its shape reaches the refusal
+    state = build_state(ints if ints.any() else np.eye(2))
     with pytest.raises(NotAWeightVector, match=f"^{re.escape(message)}$"):
-        kostant_sternberg_check(fake)
+        kostant_sternberg_check(WeightVector("fake", weight, state, ints))
+
+
+def test_a_hand_built_weight_vector_is_one_vector():
+    """``state`` and ``int_coeffs`` must describe one vector: a (3,3)
+    support for a (2,2) state would index past a dim-2 party, and e1*e2
+    beside a Bell state would be checked as e1*e2 and answered for it."""
+    e1e2 = np.array([[0, 1], [0, 0]])
+    with pytest.raises(DimensionMismatch, match=r"shape \(3, 3\) .* dims \(2, 2\)"):
+        WeightVector("e1*e1", (1, 0), build_state(np.eye(2)), np.eye(3, dtype=np.int64))
+    with pytest.raises(ValueError, match="global phase"):
+        WeightVector("e1*e2", (1, -1), build_state(np.eye(2)), e1e2)
+    # a global phase is allowed
+    w = WeightVector("e1*e2", (1, -1), build_state(1j * e1e2), e1e2)
+    assert kostant_sternberg_check(w).symplectic
 
 
 def test_ks_reads_one_weight_off_a_signed_fermionic_support():

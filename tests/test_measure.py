@@ -1,5 +1,7 @@
 """Clustering and the integer dimension formulas."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from orbitent import (
     orbit_dimension_bipartite,
     separability_test,
 )
-from orbitent.measure import CLUSTER_HINT, _cluster_rows, decide
+from orbitent.measure import CLUSTER_HINT, decide
 
 
 def test_cluster_exact_degeneracy():
@@ -205,6 +207,19 @@ def test_cluster_spectrum_of_rows_raises_the_first_failing_rows_error():
         cluster_spectrum([good, [0.9, 0.2, 0.0]])
 
 
+def test_the_first_failing_row_raises_whatever_a_later_row_fails():
+    """A refusal, a value out of range and a bad sum each win over any other
+    failure in a later row, and lose to any in an earlier one."""
+    failing = {"refused": [0.5 + 2.5e-8, 0.5 - 2.5e-8, 0.0],
+               "range": [1.2, -0.2, 0.0],
+               "sum": [0.9, 0.2, 0.0]}
+    alone = {name: outcome(cluster_spectrum, row) for name, row in failing.items()}
+    assert all(isinstance(kind, type) for kind, _ in alone.values())
+    for first, second in itertools.permutations(failing, 2):
+        rows = [[0.6, 0.3, 0.1], failing[first], failing[second]]
+        assert outcome(cluster_spectrum, rows) == alone[first]
+
+
 def test_decide_names_the_offending_rows_own_cut():
     values = np.array([[1.0, 0.5], [3e-8, 1.0], [1.0, 1e-13]])
     cut = np.array([[1e-6], [1e-8], [1e-10]])
@@ -216,8 +231,9 @@ def test_decide_names_the_offending_rows_own_cut():
 
 
 def reference_cluster_rows(rows, tol):
-    """``measure._cluster_rows`` with one ``decide`` call per kind, gaps
-    first and then values, each with its own near-cut test."""
+    """The clustering of a stack of spectra with one ``decide`` call per
+    kind over all rows, gaps first and then values, each with its own
+    near-cut test."""
     if not (rows.min() >= -1e-10 and rows.max() <= 1.0 + 1e-8):
         raise ValueError("eigenvalues must lie in [0, 1]")
     if any(abs(total - 1.0) > 1e-8 for total in rows.sum(axis=1).tolist()):
@@ -239,6 +255,12 @@ def reference_cluster_rows(rows, tol):
                 start = stop
         out.append(SpectrumClustering(row.size - count, tuple(blocks), float(tol)))
     return tuple(out)
+
+
+def reference_by_row(rows, tol):
+    """``reference_cluster_rows`` of each row alone, in order, so the first
+    failing row raises its own error."""
+    return tuple(reference_cluster_rows(np.array([row]), tol)[0] for row in rows)
 
 
 def outcome(fn, *args):
@@ -280,24 +302,25 @@ def test_edge_rows_sit_exactly_where_they_claim():
 
 def test_one_near_cut_test_refuses_as_one_decide_per_kind():
     """Every edge row alone, and every pair of them as one 2-d array, gives
-    the same clusterings as the reference, or the same exception type and
-    message: a gap refusal wins over a value refusal in any row."""
+    the same clusterings as the reference row by row, or the same exception
+    type and message: a row's gap refusal wins over its value refusal, and
+    the first failing row raises."""
     rows = edge_rows()
     kinds = set()
     for row in rows:
-        got = outcome(_cluster_rows, np.array([row]), EXACT_TOL)
+        got = outcome(cluster_spectrum, np.array([row]), EXACT_TOL)
         assert got == outcome(reference_cluster_rows, np.array([row]), EXACT_TOL)
         kinds.add(got[1].split()[0] if isinstance(got[0], type) else "decided")
     assert kinds == {"spectral", "eigenvalue", "decided"}
     # the window is open: exactly at cut/10 or 10 cut, gaps and values decide
-    (low,) = _cluster_rows(np.array([[0.5, 0.5 - LOW, LOW]]), EXACT_TOL)
-    (high,) = _cluster_rows(np.array([[0.5, 0.5 - HIGH, HIGH]]), EXACT_TOL)
+    (low,) = cluster_spectrum(np.array([[0.5, 0.5 - LOW, LOW]]), EXACT_TOL)
+    (high,) = cluster_spectrum(np.array([[0.5, 0.5 - HIGH, HIGH]]), EXACT_TOL)
     assert (low.profile(), high.profile()) == ((1, (2,)), (0, (1, 1, 1)))
     for first in rows:
         for second in rows:
             pair = np.array([first, second])
-            assert (outcome(_cluster_rows, pair, EXACT_TOL)
-                    == outcome(reference_cluster_rows, pair, EXACT_TOL))
+            assert (outcome(cluster_spectrum, pair, EXACT_TOL)
+                    == outcome(reference_by_row, pair, EXACT_TOL))
 
 
 def nudged(x, steps):
@@ -350,12 +373,12 @@ def spectrum_stacks(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(spectrum_stacks())
 def test_cluster_rows_equals_the_reference(rows):
-    """One walk per row gives the reference's clusterings bit for bit, or
-    its exception type and message.  A clustering the walk builds without
-    ``__post_init__`` equals the public constructor's, cached fields
-    included."""
-    got = outcome(_cluster_rows, rows, EXACT_TOL)
-    assert got == outcome(reference_cluster_rows, rows, EXACT_TOL)
+    """One walk per row gives the reference's clusterings row by row bit for
+    bit, or the first failing row's exception type and message.  A
+    clustering the walk builds without ``__post_init__`` equals the public
+    constructor's, cached fields included."""
+    got = outcome(cluster_spectrum, rows, EXACT_TOL)
+    assert got == outcome(reference_by_row, rows, EXACT_TOL)
     if isinstance(got[0], SpectrumClustering):
         for c in got:
             public = SpectrumClustering(c.kernel_dim, c.blocks, c.tolerance)
@@ -370,7 +393,7 @@ def test_a_non_finite_value_in_any_row_is_out_of_range(bad):
         rows = np.array([[0.5, 0.3, 0.2], [1 / 3] * 3, [0.5, 0.5, 0.0]])
         rows[at] = bad
         expected = (ValueError, "eigenvalues must lie in [0, 1]")
-        assert outcome(_cluster_rows, rows, EXACT_TOL) == expected
+        assert outcome(reference_by_row, rows, EXACT_TOL) == expected
         assert outcome(reference_cluster_rows, rows, EXACT_TOL) == expected
         assert outcome(cluster_spectrum, rows) == expected
     assert outcome(cluster_spectrum, [[0.5, 0.5], [0.5, bad]]) == expected

@@ -18,9 +18,11 @@ from orbitent import (
     StateTensor,
     SymmetryViolation,
     analyze_state,
+    analyze_states,
     apply_local,
     build_state,
     canonical_form,
+    degeneracy_rank,
     random_local_unitaries,
     random_product_state,
     random_state,
@@ -30,7 +32,7 @@ from orbitent import (
     symmetrize,
 )
 from orbitent.measure import DEFAULT_CLUSTER_TOL, cluster_spectrum
-from orbitent.moment import _by_dim
+from orbitent.moment import _by_dim, cluster_spectra, marginal_eigenbases
 
 
 def slow_reduced(state, party):
@@ -456,6 +458,50 @@ def test_canonical_form_refuses_with_the_first_refused_party(dims):
         with pytest.raises(AmbiguousClustering) as refusal:
             analyze_state(state, oracle=oracle)
         assert str(refusal.value) == messages[0]
+
+
+def one_party_near_the_cut(party, gap):
+    """The (2,3,2) state sqrt(p)|0>|a> + sqrt(1 - p)|1>|b>, p = (1 + gap)/2,
+    with |0>, |1> on party ``party`` and |a> = |00>, |b> = (|10> + |01>)/sqrt(2)
+    on the other two: that party's spectrum holds p and 1 - p, a gap near
+    the cut, and each other party's holds 3/4 and 1/4 up to O(gap)."""
+    p = (1 + gap) / 2
+    c = np.zeros((2, 3, 2))
+    for digit, rest, amplitude in ((0, [0, 0], p**0.5), (1, [1, 0], ((1 - p) / 2)**0.5),
+                                   (1, [0, 1], ((1 - p) / 2)**0.5)):
+        rest.insert(party, digit)
+        c[tuple(rest)] = amplitude
+    return build_state(c)
+
+
+def test_a_stack_refuses_with_its_first_refused_state_across_party_dims():
+    """State 0 is refused only at party 1 (dim 3, the later dim group) and
+    state 1 only at party 0 (dim 2, the first group): every stacked entry
+    raises state 0's own refusal, that of ``cluster_spectrum`` of its one
+    spectrum, and not the refusal its first party dim group would meet."""
+    states = [one_party_near_the_cut(1, 2e-7), one_party_near_the_cut(0, 3e-8)]
+    messages = []
+    for state, refused in zip(states, (1, 0)):
+        for k, spectrum in enumerate(party_spectra(reduced_matrices(state))):
+            if k != refused:
+                cluster_spectrum(spectrum)
+        with pytest.raises(AmbiguousClustering) as refusal:
+            cluster_spectrum(party_spectra(reduced_matrices(state))[refused])
+        messages.append(str(refusal.value))
+    assert messages[0] != messages[1]
+    stack = StateStack.of(states)
+    reduced = reduced_matrices(stack)
+    calls = {
+        "cluster_spectra": lambda: cluster_spectra(reduced.spectra()),
+        "marginal_eigenbases": lambda: marginal_eigenbases(reduced),
+        "degeneracy_rank": lambda: degeneracy_rank(stack),
+        "analyze_states off": lambda: list(analyze_states(states)),
+        "analyze_states verify": lambda: list(analyze_states(states, oracle="verify")),
+    }
+    for name, call in calls.items():
+        with pytest.raises(AmbiguousClustering) as refusal:
+            call()
+        assert str(refusal.value) == messages[0], name
 
 
 @pytest.mark.parametrize("coeffs", [
