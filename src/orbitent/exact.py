@@ -3,12 +3,12 @@ weight vectors, in Python integers alone.
 
 This module imports no numpy, so the CLI can parse its arguments and run
 ``ks-check`` without loading it.  It holds the symmetry classes and the
-one rule on dims (``check_dims``), the parser's constants (the default
-cluster tolerance, the oracle modes and the boson conventions), and the
-weight path: the sl2 triples of the roots, the weight vectors of the
-tensor / symmetric / antisymmetric basis and the Kostant-Sternberg test.
-``states``, ``measure``, ``report`` and ``lie`` re-export these names as
-the same objects.
+one rule on dims (``check_dims``), the unit-norm tolerance NORM_TOL, the
+parser's constants (the default cluster tolerance, the oracle modes and
+the boson conventions), and the weight path: the sl2 triples of the
+roots, the weight vectors of the tensor / symmetric / antisymmetric basis
+and the Kostant-Sternberg test.  ``states``, ``measure``, ``report`` and
+``lie`` re-export these names as the same objects.
 
 A basis weight vector is held by its sparse support, {index tuple: +-1}:
 the (anti)symmetrized sum over the distinct orderings of its indices.  Its
@@ -34,6 +34,9 @@ SYMMETRY_CLASSES = (DISTINGUISHABLE, BOSONIC, FERMIONIC)
 
 #: default relative clustering tolerance (relative to the largest eigenvalue)
 DEFAULT_CLUSTER_TOL = 1e-7
+#: a state is a unit vector when its squared norm (each marginal's trace
+#: and spectrum sum) lies this close to 1
+NORM_TOL = 1e-8
 
 ORACLE_OFF = "off"
 ORACLE_VERIFY = "verify"

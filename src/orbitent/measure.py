@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AmbiguousClustering, DimensionMismatch
-from .exact import DEFAULT_CLUSTER_TOL
+from .exact import DEFAULT_CLUSTER_TOL, NORM_TOL
 
 #: values within this factor of a decision cut are refused
 AMBIGUITY_FACTOR = 10.0
@@ -155,16 +155,18 @@ def cluster_spectrum(values, tol: float = DEFAULT_CLUSTER_TOL):
 def _walk(rows, tol: float) -> list[SpectrumClustering]:
     """The clusterings of spectra given as ``(ascending values, sum)``
     pairs, the values a list of floats that is reversed in place.  Each
-    spectrum in turn gets the range and sum checks, then one walk with the
+    spectrum in turn gets the range and sum checks, by the unit-norm rule:
+    the sum, a marginal's squared norm, within NORM_TOL of 1 and no value
+    above 1 + NORM_TOL.  Then one walk with the
     arithmetic and comparisons of ``decide`` that finds the blocks and the
     kernel and tests each gap and value for the refusal window, so the
     first failing spectrum raises its own error."""
     out = []
     for values, total in rows:
         # NaN sorts last, and a comparison with it is false, so it fails here
-        if not (values[0] >= -1e-10 and values[-1] <= 1.0 + 1e-8):
+        if not (values[0] >= -1e-10 and values[-1] <= 1.0 + NORM_TOL):
             raise ValueError("eigenvalues must lie in [0, 1]")
-        if abs(total - 1.0) > 1e-8:
+        if abs(total - 1.0) > NORM_TOL:
             raise ValueError("spectrum must sum to 1")
         values.reverse()
         # The largest value is never near its cut (tol < 1e-2); each later

@@ -57,13 +57,13 @@ class ReducedMatrices:
     matrices: tuple[np.ndarray, ...]
 
     def check_unit_norm(self, what: str) -> None:
-        """Raise NotNormalized unless every state's norm lies within
-        NORM_TOL of 1, as ``states.check_unit_norm`` does, read off the
-        trace of the first reduced matrix, which is the squared norm: no
-        further pass over the coefficients.  A NaN or infinite state fails
-        too."""
+        """Raise NotNormalized unless every state's squared norm lies
+        within NORM_TOL of 1, the rule of ``states.check_unit_norm``, read
+        off the trace of the first reduced matrix, which is the squared
+        norm: no further pass over the coefficients.  A NaN or infinite
+        state fails too."""
         traces = np.trace(self.matrices[0], axis1=-2, axis2=-1).real.reshape(-1)
-        if not all(abs(math.sqrt(t) - 1.0) <= NORM_TOL for t in traces.tolist()):
+        if not all(abs(t - 1.0) <= NORM_TOL for t in traces.tolist()):
             raise NotNormalized(f"{what} needs unit vectors")
 
     def _stacks(self) -> list[tuple[list[int], np.ndarray]]:
@@ -195,7 +195,7 @@ def schmidt(state: StateTensor, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Sch
     """
     if state.parties != 2:
         raise NotBipartite(f"schmidt needs 2 parties, got {state.parties}")
-    s, clustering, (left, right) = _schmidt_steps(state, cluster_tol)
+    s, clustering, (left, right) = _schmidt_steps(state, cluster_tol, "schmidt")
     values = []
     start = 0
     for m in clustering.multiplicities:
@@ -215,11 +215,12 @@ def schmidt(state: StateTensor, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Sch
     )
 
 
-def _schmidt_steps(state: StateTensor, cluster_tol: float):
-    """The norm check, the SVD C = U diag(s) V^dag, the clustering of s^2
-    and the special-unitary pair (U^dag, V), rescaled by one
-    ``LocalUnitaryTuple.from_blocks`` pass, of a two-party state."""
-    check_unit_norm(state, "schmidt")
+def _schmidt_steps(state: StateTensor, cluster_tol: float, what: str):
+    """The norm check, whose refusal names the entry point ``what``, the
+    SVD C = U diag(s) V^dag, the clustering of s^2 and the special-unitary
+    pair (U^dag, V), rescaled by one ``LocalUnitaryTuple.from_blocks``
+    pass, of a two-party state."""
+    check_unit_norm(state, what)
     u, s, vh = np.linalg.svd(state.coeffs)
     clustering = cluster_spectrum(s**2 / np.sum(s**2), cluster_tol)
     g = LocalUnitaryTuple.from_blocks((u.conj().T, vh.conj().T))
@@ -309,7 +310,7 @@ def canonical_form(state: StateTensor,
         # V's phase comes from det(V), as schmidt's right does (det(V^T) can
         # differ in the last bit), and the transpose of a checked special
         # unitary is one too.
-        _, _, (left, right) = _schmidt_steps(state, cluster_tol)
+        _, _, (left, right) = _schmidt_steps(state, cluster_tol, "canonical_form")
         g = LocalUnitaryTuple._of_checked((left, np.ascontiguousarray(right.T)))
         return apply_local(state, g), g
     reduced = reduced_matrices(state)

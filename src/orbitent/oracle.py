@@ -106,26 +106,12 @@ def _stable_rank(values, rel_tol: float, what: str) -> np.ndarray:
                   RANK_HINT).sum(axis=-1)
 
 
-@functools.lru_cache(maxsize=None)
-def _decided_by(n: int) -> np.ndarray:
-    """su(n) in eigen coordinates has n^2 - 1 directions E_q: the n - 1
-    Cartan directions i(E_aa - E_{a+1,a+1}), then E_ij - E_ji and
-    i(E_ij + E_ji) for each pair i < j in turn, the order of
-    ``lie.su_basis``.  For each, the flat index i n + j of the eigenvalue
-    pair that decides whether it lies in ker Omega, 0 (one eigenvalue with
-    itself) for the Cartan ones.  Read-only, (n^2 - 1,)."""
-    i, j = np.triu_indices(n, 1)
-    decided_by = np.concatenate([np.zeros(n - 1, dtype=np.intp), (i * n + j).repeat(2)])
-    decided_by.setflags(write=False)
-    return decided_by
-
-
 @functools.lru_cache(maxsize=64)
 def _charge_table(dims: tuple[int, ...], symmetry: str) -> np.ndarray:
     """The Cartan charges of every basis state, read-only, (C + 1, dim H)
     for C = sum_k (N_k - 1) over the factors of K: row a of factor k holds
     h_a(x) = [x_k = a] - [x_k = a + 1], the eigenvalue of the Cartan
-    direction i(E_aa - E_{a+1,a+1}) of ``_decided_by`` divided by i,
+    direction i(E_aa - E_{a+1,a+1}) of ``lie.su_basis`` divided by i,
     summed over every slot for indistinguishable particles
     (``lie.cartan_charges``).  A last row of ones lets the product that
     weighs the charges also sum the weights."""
@@ -136,16 +122,18 @@ def _charge_table(dims: tuple[int, ...], symmetry: str) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel_mask(profile: tuple[int, tuple[int, ...]]) -> np.ndarray:
-    """Which directions E_q of ``_decided_by(n)`` lie in ker Omega_k for
-    a descending spectrum clustered as ``profile`` (kernel multiplicity,
-    positive multiplicities): the Cartan directions and the pairs inside
-    one block, the kernel block included.  Read-only, (n^2 - 1,)."""
+def _kept_pairs(profile: tuple[int, tuple[int, ...]]) -> np.ndarray:
+    """Which pair directions of su(n), E_ij - E_ji and i(E_ij + E_ji) for
+    each pair i < j in turn, the order of ``lie.su_basis``, lie in
+    ker Omega_k for a descending spectrum clustered as ``profile`` (kernel
+    multiplicity, positive multiplicities): those whose i and j lie inside
+    one block, the kernel block included.  Read-only, (n (n - 1),)."""
     kernel, multiplicities = profile
     labels = np.repeat(np.arange(len(multiplicities) + 1), multiplicities + (kernel,))
-    mask = (labels[:, None] == labels).ravel()[_decided_by(labels.size)]
-    mask.setflags(write=False)
-    return mask
+    i, j = np.triu_indices(labels.size, 1)
+    kept = (labels[i] == labels[j]).repeat(2)
+    kept.setflags(write=False)
+    return kept
 
 
 def footprint(dims: tuple[int, ...], symmetry: str,
@@ -255,15 +243,16 @@ def _kernel_metric(stack: StateStack, eigenbases):
     ker Omega, (B, J, J), from ``moment.marginal_eigenbases`` of the
     stack's reduced matrices.
 
-    The clustering decides which eigenvalues are equal (``_kernel_mask``),
-    and s counts the directions across blocks.  The reduced matrix is
-    C^k = conj(rho_k), so the eigenvectors of rho_k are the columns of
-    U_k = conj(evecs_k); indistinguishable particles have one factor acting
-    on every slot, whose marginal, eigenbasis and clustering are those of
-    the first slot.
+    The clustering decides which eigenvalues are equal (``_kept_pairs``),
+    and s counts the pair directions across blocks; the Cartan directions
+    always lie in ker Omega.  The reduced matrix is C^k = conj(rho_k), so
+    the eigenvectors of rho_k are the columns of U_k = conj(evecs_k);
+    indistinguishable particles have one factor acting on every slot,
+    whose marginal, eigenbasis and clustering are those of the first slot.
 
-    The kernel generators are X = U_k E_q U_k^dag for the directions E_q of
-    ``_decided_by``.  The state is rotated once into the eigenbases,
+    The kernel generators are X = U_k E_q U_k^dag for the Cartan and the
+    kept pair directions E_q of ``lie.su_basis``.  The state is rotated
+    once into the eigenbases,
     w = (U_1^dag (x) ... (x) U_M^dag) v (``local_product``), and X v maps to
     R = E_q w, a unitary change that keeps every inner product.  The Cartan
     directions act diagonally, R = i h w with the charges h of
@@ -291,13 +280,12 @@ def _kernel_metric(stack: StateStack, eigenbases):
     offsets = np.cumsum([0, *(n * (n - 1) for n in group)]).tolist()
     for n in dict.fromkeys(group):
         parties = [k for k, m in enumerate(group) if m == n]
-        keep = np.array([[_kernel_mask(c[k].profile()) for k in parties]
-                         for c in clusterings])  # (B, P, n^2 - 1)
-        symplectic += (~keep).sum(axis=(1, 2))
+        pairs = np.array([[_kept_pairs(c[k].profile()) for k in parties]
+                          for c in clusterings])  # (B, P, n (n - 1))
+        symplectic += (~pairs).sum(axis=(1, 2))
         evecs = vectors[n].reshape(count, -1, n, n)
         for p, party in enumerate(parties):
             turns[party] = evecs[:, p]  # local_product applies evecs^T = U_k^dag
-        pairs = keep[..., n - 1:]
         own = pairs.any(axis=0)  # (P, pairs): what each party keeps in some state
         for p in np.flatnonzero(own.any(axis=1)).tolist():
             chosen.append(offsets[parties[p]] + np.flatnonzero(own[p]))
@@ -389,16 +377,19 @@ def degeneracy_rank(state: StateTensor | StateStack, *, eigenbases=None):
     input's reduced matrices, for a caller that already holds them; by
     default they are computed here, clustered at DEFAULT_CLUSTER_TOL, so
     an undecidable spectrum raises AmbiguousClustering.  A bare call
-    first checks the unit norm (NotNormalized, NaN included), before any
-    marginal is read or any arithmetic on the coefficients.  Given
-    eigenbases, the norms were read off their eigenvalue sums, the traces
-    of the marginals, which their clustering refuses unless they sum to
-    one, so no further pass over the coefficients is made.
+    reads the unit norm off the traces of the reduced matrices it builds
+    (``ReducedMatrices.check_unit_norm``; NotNormalized, NaN included),
+    after their byte budget and before any eigenvalue is taken, as
+    ``analyze_state`` does.  Given eigenbases, the norms were read off
+    their eigenvalue sums, the traces of the marginals, which their
+    clustering refuses unless they sum to one within NORM_TOL.  Either
+    way no pass over the coefficients is made for the norm.
     """
     stack = state if isinstance(state, StateStack) else StateStack.of([state])
     if eigenbases is None:
-        check_unit_norm(state, "degeneracy_rank")
-        eigenbases = marginal_eigenbases(reduced_matrices(stack))
+        reduced = reduced_matrices(stack)
+        reduced.check_unit_norm("degeneracy_rank")
+        eigenbases = marginal_eigenbases(reduced)
     symplectic, gram = _kernel_metric(stack, eigenbases)
     degeneracy = _stable_rank(np.linalg.eigvalsh(gram), RANK_TOL,
                               "orbit Gram matrix").tolist()

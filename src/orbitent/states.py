@@ -19,6 +19,7 @@ from .exact import (  # noqa: F401  (the rules that need no arrays, re-exported)
     BOSONIC,
     DISTINGUISHABLE,
     FERMIONIC,
+    NORM_TOL,
     SYMMETRY_CLASSES,
     acting_dims,
     check_dims,
@@ -34,8 +35,6 @@ PHASE_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 #: block determinants must sit within this distance of 1
 DETERMINANT_TOL = 1e-8
-#: a state handed to a decomposition must have a norm this close to 1
-NORM_TOL = 1e-8
 #: norms inside this range come from squares that neither underflow nor
 #: overflow; build_state and symmetrize prescale inputs outside it
 NORM_RANGE = (2.0**-500, 2.0**500)
@@ -135,12 +134,13 @@ class StateStack:
 
 def check_unit_norm(state: StateTensor | StateStack, what: str) -> None:
     """Raise NotNormalized unless the state, or every state of a stack,
-    has a norm within NORM_TOL of 1; a NaN norm fails too.  The raw
-    constructors check shapes only, so each decomposition calls this before
-    reading the coefficients."""
+    has a squared norm within NORM_TOL of 1; a NaN norm fails too.  The
+    raw constructors check shapes only, so each entry point that builds no
+    marginal calls this before reading the coefficients; the others read
+    the same rule off the traces (``ReducedMatrices.check_unit_norm``)."""
     flat = state.coeffs.reshape(-1, state.total_dim).view(float)
-    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
-    if not (np.abs(norms - 1.0) <= NORM_TOL).all():
+    squares = np.einsum("ij,ij->i", flat, flat)
+    if not (np.abs(squares - 1.0) <= NORM_TOL).all():
         raise NotNormalized(f"{what} needs unit vectors")
 
 

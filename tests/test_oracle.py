@@ -33,8 +33,7 @@ from orbitent import oracle
 from orbitent.moment import marginal_eigenbases, reduced_matrices
 from orbitent.oracle import (
     _charge_table,
-    _decided_by,
-    _kernel_mask,
+    _kept_pairs,
     _kernel_metric,
     _pair_gather,
     _stable_rank,
@@ -690,15 +689,22 @@ def test_metric_rows_span_only_the_kernel_of_omega(monkeypatch, state, count):
 def test_rotated_directions_are_the_su_basis_in_eigen_coordinates(n):
     """The constant directions E_q are the ``su_basis`` of su(n) in its
     order, so U E_q U^dag, U = conj(evecs), is that basis moved into an
-    eigenbasis: each is decided by its eigenvalue pair, and the gather of
-    the pair directions moves x as the basis matrices do, with no dense
-    (n^2 - 1, n, n) array; and the charge table holds the eigenvalue of
-    each Cartan generator on every basis state, divided by i: per party
-    for distinguishable parties, summed over the slots otherwise."""
+    eigenbasis: a pair direction lies in ker Omega when its two
+    eigenvalues share a block (none for n distinct eigenvalues, all for
+    one block), and the gather of the pair directions moves x as the basis
+    matrices do, with no dense (n^2 - 1, n, n) array; and the charge
+    table holds the eigenvalue of each Cartan generator on every basis
+    state, divided by i: per party for distinguishable parties, summed over
+    the slots otherwise."""
     rng = np.random.default_rng(n)
     basis = np.array([el.matrix for el in su_basis((n,)).elements])
-    i, j = np.triu_indices(n, 1)
-    assert np.array_equal(_decided_by(n), np.concatenate([np.zeros(n - 1), np.repeat(i * n + j, 2)]))
+    pair_of = [tuple(np.argwhere(np.triu(el != 0, 1))[0]) for el in basis[n - 1:]]
+    assert not _kept_pairs((0, (1,) * n)).any()
+    assert _kept_pairs((0, (n,))).all()
+    # blocks {0, ..., n - 2} and the kernel {n - 1}
+    kept = _kept_pairs((1, (n - 1,)))
+    assert kept.shape == (len(pair_of),)
+    assert [bool(k) for k in kept] == [j < n - 1 for i, j in pair_of]
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     table = _pair_gather((n,), DISTINGUISHABLE, np.arange(n * (n - 1)))
     assert np.array_equal(np.concatenate([x, -x, 1j * x, [0]])[table[:, 0]], basis[n - 1:] @ x)
@@ -848,8 +854,10 @@ def kernel_coordinates(stack, eigenbases):
         parties = [k for k, m in enumerate(group) if m == n]
         basis = np.array([el.matrix for el in su_basis((n,)).elements])
         flat = np.concatenate([basis.real, basis.imag], axis=1).reshape(len(basis), -1)
-        keep = np.array([[_kernel_mask(c[k].profile()) for k in parties]
-                         for c in clusterings])
+        # the Cartan directions always lie in ker Omega, then the kept pairs
+        keep = np.array([[np.concatenate([np.ones(n - 1, dtype=bool),
+                                          _kept_pairs(c[k].profile())])
+                          for k in parties] for c in clusterings])
         own = keep.any(axis=0)
         for p, k in enumerate(parties):
             u = vectors[n].reshape(len(stack), -1, n, n)[:, p].conj()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import operator
 import warnings
 
 import numpy as np
@@ -383,16 +384,79 @@ def test_analyze_state_refuses_a_state_off_the_unit_sphere(coeffs, oracle):
 
 def test_the_oracle_route_reads_the_norm_once(monkeypatch):
     """``analyze_state`` checks the norm on the traces and hands the
-    eigenbases to the oracle, which makes no pass of its own over the
-    coefficients; a bare ``degeneracy_rank`` still checks them first."""
+    eigenbases to the oracle, and a bare ``degeneracy_rank`` reads it off
+    the traces of the marginals it builds: neither makes a pass over the
+    coefficients for the norm, and the bare call still refuses a state off
+    the sphere."""
     def unreached(*args, **kwargs):
         raise AssertionError("a second pass over the coefficients for the norm")
 
     monkeypatch.setattr("orbitent.oracle.check_unit_norm", unreached)
     state = random_state((2, 3, 2), rng=np.random.default_rng(35))
-    assert analyze_state(state, oracle="verify").oracle["consistent"]
-    with pytest.raises(AssertionError, match="second pass"):
-        orbitent.degeneracy_rank(state)
+    report = analyze_state(state, oracle="verify")
+    assert report.oracle["consistent"]
+    rank = orbitent.degeneracy_rank(state)
+    assert dict(rank.to_json_dict(), consistent=True) == report.oracle
+    off = StateTensor(state.dims, 2 * state.coeffs)
+    with pytest.raises(orbitent.NotNormalized, match="degeneracy_rank"):
+        orbitent.degeneracy_rank(off)
+
+
+def _report_integers(report):
+    return (report.orbit_dim, report.coadjoint_dim, report.degeneracy, report.separable,
+            [c.profile() for c in report.clusterings], report.oracle)
+
+
+def _entry_points(state):
+    """(entry point, call) for every entry point that reads the norm of
+    ``state``; each call returns the state's integers, or the float or
+    array they are read from."""
+    x, y = (el.matrix for el in orbitent.su_basis((state.dims[0],)).elements[:2])
+    calls = [("analyze_state", lambda s, oracle=oracle: _report_integers(
+                 analyze_state(s, oracle=oracle))) for oracle in ("off", "verify")]
+    calls += [("degeneracy_rank", lambda s: orbitent.degeneracy_rank(s).as_tuple()),
+              ("fubini_study_omega", lambda s: orbitent.fubini_study_omega(s, x, y))]
+    if state.symmetry == DISTINGUISHABLE:
+        calls.append(("canonical_form", lambda s: orbitent.canonical_form(s)[0].coeffs))
+    if state.parties == 2:
+        calls.append(("schmidt", lambda s: operator.attrgetter(
+            "multiplicities", "kernel_dim")(orbitent.schmidt(s))))
+    return calls
+
+
+@pytest.mark.parametrize("dims, symmetry", [
+    ((2, 2), DISTINGUISHABLE), ((2, 2, 2), DISTINGUISHABLE), ((3, 3), BOSONIC)],
+    ids=["2x2", "2x2x2", "bosonic-3x3"])
+@pytest.mark.parametrize("scale, refused", [
+    (1 + 7.5e-9, True), (1 - 7.5e-9, True), (1 + 2.5e-9, False), (1 - 2.5e-9, False)],
+    ids=["+7.5e-9", "-7.5e-9", "+2.5e-9", "-2.5e-9"])
+def test_every_entry_point_applies_the_one_unit_norm_rule(dims, symmetry, scale, refused):
+    """A state is a unit vector iff |‖v‖^2 - 1| <= NORM_TOL, at every entry
+    point.  Scaled by 1 +- 7.5e-9, its squared norm is 1 +- 1.5e-8 and each
+    refuses it with NotNormalized naming itself (``analyze_states`` after
+    the report of the unit state before it), where the clustering walk
+    once raised "spectrum must sum to 1" and ``schmidt`` and two-party
+    ``canonical_form`` answered.  Scaled by 1 +- 2.5e-9, each answers with
+    the unit state's integers."""
+    state = random_state(dims, symmetry, rng=np.random.default_rng(len(dims)))
+    raw = StateTensor(state.dims, scale * state.coeffs, state.symmetry)
+    for name, call in _entry_points(state):
+        if refused:
+            with pytest.raises(orbitent.NotNormalized, match=f"^{name} needs unit vectors"):
+                call(raw)
+        elif name in ("fubini_study_omega", "canonical_form"):
+            assert np.allclose(call(raw), call(state), rtol=0.0, atol=1e-7), name
+        else:
+            assert call(raw) == call(state), name
+    for oracle in ("off", "verify"):
+        expected = _report_integers(analyze_state(state, oracle=oracle))
+        reports = analyze_states([state, raw], oracle=oracle)
+        assert _report_integers(next(reports)) == expected
+        if refused:
+            with pytest.raises(orbitent.NotNormalized, match="^analyze_state needs unit vectors"):
+                next(reports)
+        else:
+            assert _report_integers(next(reports)) == expected
 
 
 def _schmidt_states(n, rng):
