@@ -106,8 +106,8 @@ def index_charges(index, dims, symmetry: str) -> tuple[int, ...]:
     over the factors of K: entry m of factor k is
     h_m(x) = [x_k = m] - [x_k = m + 1], the eigenvalue of
     H_m = E_mm - E_{m+1,m+1}, summed over every slot for indistinguishable
-    particles.  ``lie.cartan_charges`` computes the same for many states
-    at once, with numpy."""
+    particles.  ``oracle._charge_table`` computes the same for every basis
+    state at once, with numpy."""
     out = []
     for k, n in enumerate(acting_dims(dims, symmetry)):
         charges = [0] * (n - 1)

@@ -92,9 +92,7 @@ def state_from_document(doc: dict) -> StateTensor:
 def complex_array_to_json(array: np.ndarray) -> list:
     """Nested lists with [re, im] leaves."""
     arr = np.asarray(array, dtype=complex)
-    if arr.ndim == 0:
-        return [float(arr.real), float(arr.imag)]
-    return [complex_array_to_json(sub) for sub in arr]
+    return np.stack((arr.real, arr.imag), axis=-1).tolist()
 
 
 def state_to_document(state: StateTensor) -> dict:

@@ -13,8 +13,8 @@ tolerances.  For indistinguishable particles the group is the single SU(N)
 acting diagonally on every slot.  The weight path (``sl2_triples``,
 ``weight_table``, ``highest_weight_vector``, ``kostant_sternberg_check``)
 runs in Python integers in ``exact`` and is re-exported here; this module
-holds the array side: the real basis, the Cartan charges of many basis
-states at once, and the derivative action on coefficient tensors.
+holds the array side: the real basis and the derivative action on
+coefficient tensors.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .states import (
     DISTINGUISHABLE,
     StateStack,
     StateTensor,
-    acting_dims,
     check_dims,
     party_rows,
 )
@@ -90,23 +89,6 @@ def su_basis(dims) -> LieBasis:
     for e in elements:
         e.matrix.setflags(write=False)
     return LieBasis(dims, tuple(elements))
-
-
-def cartan_charges(dims, symmetry: str, digits: np.ndarray) -> np.ndarray:
-    """The Cartan charges of P basis states given by their (M, P) digit
-    rows, as (C, P) integers for C = sum_k (N_k - 1) over the factors of K.
-
-    The Cartan generators H_m = E_mm - E_{m+1,m+1} are diagonal, so a
-    basis state is a weight vector, and its weight is its charge vector:
-    row m of factor k holds h_m(x) = [x_k = m] - [x_k = m + 1], summed over
-    every slot for indistinguishable particles.
-    """
-    rows = []
-    for k, n in enumerate(acting_dims(dims, symmetry)):
-        slots = digits[[k]] if symmetry == DISTINGUISHABLE else digits
-        occupation = (slots[:, None, :] == np.arange(n)[:, None]).sum(axis=0)
-        rows.append(occupation[:-1] - occupation[1:])
-    return np.concatenate(rows)
 
 
 def _embedded_action(mats, coeffs: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ eigenvalues) and kernel multiplicity m_{k,0}:
 All formulas are integer identities; the only floating-point step is the
 gap clustering that extracts the multiplicities.  It, and every rank
 decision of ``oracle``, thresholds through ``decide``, which refuses to
-guess near the cut; ``check_tolerance`` bounds every tolerance.
+guess near the cut; ``check_tolerance`` bounds the clustering tolerance.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ AMBIGUITY_FACTOR = 10.0
 CLUSTER_HINT = "adjust the tolerance"
 
 
-def check_tolerance(tol: float, what: str) -> None:
-    """Raise ValueError unless the relative tolerance lies in (0, 1e-2)."""
+def check_tolerance(tol: float) -> None:
+    """Raise ValueError unless the clustering tolerance lies in (0, 1e-2)."""
     if not 0.0 < tol < 1e-2:
-        raise ValueError(f"{what} tolerance {tol!r} must lie in (0, 1e-2)")
+        raise ValueError(f"clustering tolerance {tol!r} must lie in (0, 1e-2)")
 
 
 def decide(values: np.ndarray, cut, error: type, what: str, hint: str) -> np.ndarray:
@@ -146,7 +146,7 @@ def cluster_spectrum(values, tol: float = DEFAULT_CLUSTER_TOL):
     arr = np.asarray(values, dtype=float)
     if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
         raise ValueError("expected a nonempty spectrum, or a 2-d array of them")
-    check_tolerance(tol, "clustering")
+    check_tolerance(tol)
     rows = arr.reshape(-1, arr.shape[-1])
     out = _walk(zip(np.sort(rows).tolist(), rows.sum(axis=1).tolist()), float(tol))
     return tuple(out) if arr.ndim == 2 else out[0]

@@ -128,7 +128,7 @@ def cluster_spectra(spectra, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list:
     goes over them state by state and, within a state, in party order, so
     the first refused party of the first refused state raises its own
     error, as ``cluster_spectrum`` of that one spectrum would."""
-    check_tolerance(cluster_tol, "clustering")
+    check_tolerance(cluster_tol)
     by_party = [None] * sum(len(parties) for parties, _ in spectra)
     for parties, vals in spectra:
         flat = vals.reshape(-1, vals.shape[-1])
@@ -300,7 +300,7 @@ def canonical_form(state: StateTensor,
     reduced spectrum of any other count, so AmbiguousClustering propagates
     on every route, from the first refused party.
     """
-    check_tolerance(cluster_tol, "clustering")
+    check_tolerance(cluster_tol)
     if state.symmetry != DISTINGUISHABLE:
         raise SymmetryViolation(
             "canonical_form uses independent per-party blocks; "

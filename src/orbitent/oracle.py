@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import EnumerationTooLarge, Inconsistency, RankUnstable
-from .lie import cartan_charges, rep_action
+from .lie import rep_action
 from .measure import DEFAULT_CLUSTER_TOL, decide
 from .moment import BYTE_BUDGET, marginal_eigenbases, reduced_matrices
 from .states import (
@@ -89,8 +89,8 @@ GATHER_CACHE_ENTRIES = 64
 OMEGA_CHECK_TOL = 1e-10
 
 
-def _stable_rank(values, rel_tol: float, what: str) -> np.ndarray:
-    """How many values in each row lie above rel_tol * scale, refusing
+def _stable_rank(values, what: str) -> np.ndarray:
+    """How many values in each row lie above RANK_TOL * scale, refusing
     near-threshold cases.
 
     ``scale`` is the row's largest magnitude, floored at 1.0, the metric
@@ -101,7 +101,7 @@ def _stable_rank(values, rel_tol: float, what: str) -> np.ndarray:
     promoted to full rank.
     """
     mags = np.abs(np.asarray(values, dtype=float))
-    cut = rel_tol * np.maximum(mags.max(axis=-1, keepdims=True, initial=0.0), 1.0)
+    cut = RANK_TOL * np.maximum(mags.max(axis=-1, keepdims=True, initial=0.0), 1.0)
     return decide(mags, cut, RankUnstable, f"{what}: singular value",
                   RANK_HINT).sum(axis=-1)
 
@@ -112,11 +112,18 @@ def _charge_table(dims: tuple[int, ...], symmetry: str) -> np.ndarray:
     for C = sum_k (N_k - 1) over the factors of K: row a of factor k holds
     h_a(x) = [x_k = a] - [x_k = a + 1], the eigenvalue of the Cartan
     direction i(E_aa - E_{a+1,a+1}) of ``lie.su_basis`` divided by i,
-    summed over every slot for indistinguishable particles
-    (``lie.cartan_charges``).  A last row of ones lets the product that
-    weighs the charges also sum the weights."""
-    charges = cartan_charges(dims, symmetry, np.indices(dims).reshape(len(dims), -1))
-    table = np.concatenate([charges, np.ones((1, charges.shape[1]), dtype=int)]).astype(float)
+    summed over every slot for indistinguishable particles.  A basis state
+    is a weight vector, and its weight is its column of charges.  A last
+    row of ones lets the product that weighs the charges also sum the
+    weights."""
+    digits = np.indices(dims).reshape(len(dims), -1)
+    rows = []
+    for k, n in enumerate(acting_dims(dims, symmetry)):
+        slots = digits[[k]] if symmetry == DISTINGUISHABLE else digits
+        occupation = (slots[:, None, :] == np.arange(n)[:, None]).sum(axis=0)
+        rows.append(occupation[:-1] - occupation[1:])
+    rows.append(np.ones((1, digits.shape[1]), dtype=int))
+    table = np.concatenate(rows).astype(float)
     table.setflags(write=False)
     return table
 
@@ -143,9 +150,10 @@ def footprint(dims: tuple[int, ...], symmetry: str,
     by default every pair direction of K, the most a clustering keeps.
 
     Per state: the rotated state w and its weights |w|^2, the charge table
-    weighted by them, and three metrics on ker Omega (the metric, the
-    outer product of the moment map subtracted from it, and the copy that
-    ``eigvalsh`` takes); with pairs kept, also the gather source
+    weighted by them, and two metrics on ker Omega (the metric and the
+    copy that ``eigvalsh`` takes; the moment-map term is subtracted 64
+    rows at a time, so its temporary is a third metric only for metrics of
+    at most 64 rows); with pairs kept, also the gather source
     [w, -w, i w, 0], the pair rows and their imaginary part, and for
     indistinguishable particles the rows of every slot before they are
     summed.  Per class: the charge table and the pairs' gather table."""
@@ -155,7 +163,7 @@ def footprint(dims: tuple[int, ...], symmetry: str,
     if pairs is None:
         pairs = sum(n * (n - 1) for n in group)
     slots = 1 if symmetry == DISTINGUISHABLE else len(dims)
-    per_state = (24 + 8 * (cartan + 1)) * total + 24 * (cartan + pairs) ** 2
+    per_state = (24 + 8 * (cartan + 1)) * total + 16 * (cartan + pairs) ** 2
     if pairs:
         rows = 24 if slots == 1 else 24 + 16 * slots
         per_state += (48 + rows * pairs) * total
@@ -314,16 +322,17 @@ def _kernel_metric(stack: StateStack, eigenbases):
         gram = np.empty((count, size, size))
         gram[:, :cartan, :cartan] = weighed[:, :cartan, :cartan]
         real = rows.view(float)
-        if count == 1:
-            gram[0, cartan:, cartan:] = real[0] @ real[0].T
-        else:
-            np.matmul(real, real.swapaxes(-1, -2), out=gram[:, cartan:, cartan:])
+        np.matmul(real, real.swapaxes(-1, -2), out=gram[:, cartan:, cartan:])
         rows *= w.conj()[:, None]  # conj(w) R, in place
         cross = np.ascontiguousarray(rows.imag) @ charges.T  # (B, J, C + 1)
         gram[:, cartan:, :cartan] = cross[..., :cartan]
         gram[:, :cartan, cartan:] = cross[..., :cartan].swapaxes(-1, -2)
         alpha = np.concatenate([weighed[:, :cartan, cartan], cross[..., cartan]], axis=1)
-    gram -= alpha[:, :, None] * alpha[:, None, :]
+    # minus the moment-map term, 64 rows at a time: no temporary as large
+    # as the metric
+    for top in range(0, gram.shape[1], 64):
+        band = slice(top, top + 64)
+        gram[:, band] -= alpha[:, band, None] * alpha[:, None, :]
     return symplectic.tolist(), gram
 
 
@@ -391,8 +400,7 @@ def degeneracy_rank(state: StateTensor | StateStack, *, eigenbases=None):
         reduced.check_unit_norm("degeneracy_rank")
         eigenbases = marginal_eigenbases(reduced)
     symplectic, gram = _kernel_metric(stack, eigenbases)
-    degeneracy = _stable_rank(np.linalg.eigvalsh(gram), RANK_TOL,
-                              "orbit Gram matrix").tolist()
+    degeneracy = _stable_rank(np.linalg.eigvalsh(gram), "orbit Gram matrix").tolist()
     ranks = [DegeneracyRank(s + d, s, d) for s, d in zip(symplectic, degeneracy)]
     return ranks if stack is state else ranks[0]
 

@@ -166,7 +166,7 @@ def _chunks(states):
 def _check_options(cluster_tol, oracle, boson_convention) -> None:
     """Refuse a cluster tolerance, oracle mode or boson convention out of
     range; the oracle's rank cut is the fixed ``oracle.RANK_TOL``."""
-    check_tolerance(cluster_tol, "clustering")
+    check_tolerance(cluster_tol)
     if oracle not in ORACLE_MODES:
         raise ValueError(f"oracle mode must be one of {ORACLE_MODES}")
     if boson_convention not in BOSON_CONVENTIONS:
@@ -184,12 +184,13 @@ def analyze_state(state: StateTensor,
     ``oracle`` is off or verify: "verify" attaches the numerical ranks and
     checks them against the formulas (raising Inconsistency on
     disagreement).  The cluster tolerance is checked on entry, whether or
-    not the oracle runs.  The state is analyzed as a stack of one, a view of
-    its coefficients, by the steps :func:`analyze_states` runs per chunk.
+    not the oracle runs.  The state is analyzed as a chunk of one, a view
+    of its coefficients, by the step :func:`analyze_states` runs per chunk.
     """
     _check_options(cluster_tol, oracle, boson_convention)
-    route, (clusterings,), (rank,) = _clusterings([state], cluster_tol, oracle)
-    return _report(state, clusterings, rank, route, boson_convention)
+    (report,) = _analyze_chunk([state], cluster_tol, oracle, boson_convention,
+                               "analyze_state")
+    return report
 
 
 def analyze_states(states,
@@ -211,30 +212,34 @@ def analyze_states(states,
     """
     _check_options(cluster_tol, oracle, boson_convention)
     for chunk in _chunks(states):
-        yield from _analyze_chunk(chunk, cluster_tol, oracle, boson_convention)
+        yield from _analyze_chunk(chunk, cluster_tol, oracle, boson_convention,
+                                  "analyze_states")
 
 
-def _analyze_chunk(chunk, cluster_tol, oracle, boson_convention):
+def _analyze_chunk(chunk, cluster_tol, oracle, boson_convention, caller):
     """The reports of one chunk of same-class states, from one stack; when
     the stack raises, from one stack per state, in order: the reports
     before the first refused state are yielded, and a refusal decided for
-    the whole stack (the norm check, the oracle's budget and rank cut)
-    names its own state, as the clustering walk's refusals already do."""
+    the whole stack (the norm check, in the name of ``caller``, and the
+    oracle's rank cut) names its own state, as the clustering walk's
+    refusals already do.  The byte budgets refuse single states alone."""
     try:
-        route, clusterings, ranks = _clusterings(chunk, cluster_tol, oracle)
+        route, clusterings, ranks = _clusterings(chunk, cluster_tol, oracle, caller)
     except (OrbitentError, ValueError):
         if len(chunk) == 1:
             raise
         for state in chunk:
-            yield from _analyze_chunk([state], cluster_tol, oracle, boson_convention)
+            yield from _analyze_chunk([state], cluster_tol, oracle, boson_convention,
+                                      caller)
         return
     for state, clustering, rank in zip(chunk, clusterings, ranks):
         yield _report(state, clustering, rank, route, boson_convention)
 
 
-def _clusterings(chunk, cluster_tol, oracle):
+def _clusterings(chunk, cluster_tol, oracle, caller):
     """(route, clusterings per state, oracle ranks per state) of a list of
-    same-class states, from one stack.
+    same-class states, from one stack; a state off the unit sphere is
+    refused in the name of ``caller``.
 
     Without the oracle the closed forms read the reduced spectra alone:
     one ``eigvalsh`` and one sort per party dim, one walk per spectrum.
@@ -246,7 +251,7 @@ def _clusterings(chunk, cluster_tol, oracle):
     closed = oracle == ORACLE_OFF and route.name != "oracle"
     schmidt = closed and route.name == "bipartite"
     reduced = reduced_matrices(stack, parties=(0,) if schmidt else None)
-    reduced.check_unit_norm("analyze_state")
+    reduced.check_unit_norm(caller)
     if not closed:
         # one eigh per party dim gives the spectra and the oracle's bases
         eigenbases = marginal_eigenbases(reduced, cluster_tol)

@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from orbitent import BOSONIC, DISTINGUISHABLE, FERMIONIC, rep_action, su_basis
-from orbitent.lie import _embedded_action, cartan_charges
-from orbitent.oracle import RANK_TOL, _stable_rank
+from orbitent.lie import _embedded_action
+from orbitent.oracle import _charge_table, _stable_rank
 from orbitent.states import acting_dims, permutation_sign
 
 
@@ -47,7 +47,7 @@ def reference_symplectic_rank(state):
     rows = all_rows(state)
     im = (rows.conj() @ rows.T).imag
     sing = np.linalg.svd((im.T - im) / 2.0, compute_uv=False)
-    s = int(_stable_rank(sing, RANK_TOL, "reference symplectic form"))
+    s = int(_stable_rank(sing, "reference symplectic form"))
     assert s % 2 == 0
     return s
 
@@ -60,7 +60,7 @@ def reference_ranks(state):
     v = state.coeffs.reshape(1, -1)
     tangents = rows - (rows @ v.conj().T) * v
     gram = (tangents.conj() @ tangents.T).real
-    r = int(_stable_rank(np.linalg.eigvalsh((gram + gram.T) / 2.0), RANK_TOL,
+    r = int(_stable_rank(np.linalg.eigvalsh((gram + gram.T) / 2.0),
                          "reference Gram matrix"))
     s = reference_symplectic_rank(state)
     return r, s, r - s
@@ -171,8 +171,9 @@ def dense_basis_indices(dims, symmetry):
 
 def dense_weight(ints, symmetry):
     """The weight of an integer tensor, read off the charges of its support
-    by the oracle's vectorized ``cartan_charges``; None unless they agree."""
-    charges = cartan_charges(ints.shape, symmetry, np.array(np.nonzero(ints)))
+    by the oracle's charge table (``_charge_table``, ones last); None unless
+    they agree."""
+    charges = _charge_table(ints.shape, symmetry)[:-1, np.flatnonzero(ints)].astype(int)
     if (charges != charges[:, :1]).any():
         return None
     return tuple(charges[:, 0].tolist())

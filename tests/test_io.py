@@ -12,6 +12,7 @@ from orbitent import (
     save_state,
     state_from_document,
 )
+from orbitent.io import complex_array_to_json
 
 
 def test_document_roundtrip(tmp_path):
@@ -33,6 +34,25 @@ def test_document_is_valid_json_with_pair_leaves(tmp_path):
     assert doc["symmetry"] == "bosonic"
     leaf = doc["coeffs"][0][1]
     assert isinstance(leaf, list) and len(leaf) == 2
+
+
+def recursive_complex_json(array):
+    """The per-entry encoding that ``complex_array_to_json`` replaces."""
+    arr = np.asarray(array, dtype=complex)
+    if arr.ndim == 0:
+        return [float(arr.real), float(arr.imag)]
+    return [recursive_complex_json(sub) for sub in arr]
+
+
+@pytest.mark.parametrize("array", [
+    np.array(0.5 - 2j), np.array(-0.0 - 0.0j), np.array(3.0),
+    np.array([complex(np.inf, -np.inf), complex(np.nan, -0.0), complex(-0.0, np.nan)]),
+    random_state((16, 16), rng=np.random.default_rng(7)).coeffs,
+    random_state((2,) * 12, rng=np.random.default_rng(8)).coeffs,
+    np.zeros((2, 0, 3), dtype=complex)],
+    ids=["0-d", "signed-zeros", "real", "inf-nan", "16x16", "qubits-12", "empty"])
+def test_complex_arrays_encode_as_the_per_entry_form(array):
+    assert json.dumps(complex_array_to_json(array)) == json.dumps(recursive_complex_json(array))
 
 
 def test_flat_coefficients_accepted():

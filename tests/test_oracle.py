@@ -263,24 +263,24 @@ def test_byte_budget_refuses_before_any_array_per_state(monkeypatch):
 
 
 def test_stable_rank_guard():
-    assert _stable_rank([1.0, 0.5, 1e-12], 1e-8, "test") == 2
+    assert _stable_rank([1.0, 0.5, 1e-12], "test") == 2
     with pytest.raises(RankUnstable):
-        _stable_rank([1.0, 5e-8], 1e-8, "test")
-    assert _stable_rank(np.zeros(3), 1e-8, "test") == 0
+        _stable_rank([1.0, 5e-8], "test")
+    assert _stable_rank(np.zeros(3), "test") == 0
     # pure float noise reads as rank zero thanks to the metric floor
-    assert _stable_rank([1e-17, 2e-17], 1e-8, "test") == 0
+    assert _stable_rank([1e-17, 2e-17], "test") == 0
 
 
 @pytest.mark.parametrize("factor, rank", [
     (8.0, None), (12.0, 2), (1 / 8, None), (1 / 12, 1)])
 def test_stable_rank_refused_within_factor_ten_of_the_cut(factor, rank):
-    tol = 1e-8  # the cut is tol times the largest value, 1
+    tol = 1e-8  # RANK_TOL: the cut is tol times the largest value, 1
     values = [1.0, factor * tol]
     if rank is None:
         with pytest.raises(RankUnstable):
-            _stable_rank(values, tol, "test")
+            _stable_rank(values, "test")
     else:
-        assert _stable_rank(values, tol, "test") == rank
+        assert _stable_rank(values, "test") == rank
 
 
 def test_degeneracy_rank_of_a_stack_matches_each_state():

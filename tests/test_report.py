@@ -250,6 +250,34 @@ def test_analyze_states_equals_one_analyze_state_per_state(dims, symmetry):
         _same_reports(list(analyze_states(states, oracle=mode)), single)
 
 
+#: classes whose stacks the byte budgets must admit whole
+BUDGET_CLASSES = (
+    [((n, n), DISTINGUISHABLE) for n in range(2, 65)]
+    + [((2,) * m, DISTINGUISHABLE) for m in range(3, 17)]
+    + [((6, 6, 6), DISTINGUISHABLE), ((16, 16, 16), DISTINGUISHABLE),
+       ((6, 6, 6), BOSONIC), ((6, 6, 6), FERMIONIC), ((2,) * 8, BOSONIC)])
+
+
+def test_the_byte_budgets_refuse_single_states_alone():
+    """A stack of two or more states that ``_stack_length`` sizes, with
+    every pair direction kept, fits both byte budgets: what the oracle
+    builds (``oracle.footprint``) and the reduced matrices, 16 N_k^2 bytes
+    per party and state.  So only a stack of one is ever refused for its
+    bytes, and the replay of ``analyze_states`` never meets a refusal that
+    a state alone would not raise."""
+    stacked = 0
+    for dims, symmetry in BUDGET_CLASSES:
+        length = orbitent.report._stack_length(dims, symmetry)
+        if length < 2:
+            continue
+        stacked += 1
+        per_state, per_class = orbitent.oracle.footprint(dims, symmetry)
+        assert length * per_state + per_class <= orbitent.report.STACK_BYTES + per_state
+        assert length * per_state + per_class <= orbitent.moment.BYTE_BUDGET, dims
+        assert 16 * length * sum(n * n for n in dims) <= orbitent.moment.BYTE_BUDGET, dims
+    assert stacked >= 10
+
+
 def test_analyze_states_starts_a_new_stack_at_each_class():
     rng = np.random.default_rng(35)
     states = [random_state(dims, symmetry, rng=rng) for dims, symmetry in [
@@ -453,7 +481,7 @@ def test_every_entry_point_applies_the_one_unit_norm_rule(dims, symmetry, scale,
         reports = analyze_states([state, raw], oracle=oracle)
         assert _report_integers(next(reports)) == expected
         if refused:
-            with pytest.raises(orbitent.NotNormalized, match="^analyze_state needs unit vectors"):
+            with pytest.raises(orbitent.NotNormalized, match="^analyze_states needs unit vectors"):
                 next(reports)
         else:
             assert _report_integers(next(reports)) == expected
